@@ -65,6 +65,7 @@ from .closedforms import (
 )
 from .harness import (
     CHECKS,
+    CheckContext,
     CheckVerdict,
     EdgeAdditionReport,
     check_contraction,

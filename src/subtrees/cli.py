@@ -23,6 +23,7 @@ from .census import (
     average_connected_set_size,
     census,
     census_containing,
+    mean_subtree_order_at_tree,
 )
 from .canon import generate_connected
 from .families import build_family, parse_family
@@ -96,9 +97,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(Fraction(rc, nc))))
     for spec in args.tree or []:
         constraint = _parse_tree(spec)
-        nc, rc = census_containing(g, constraint)
         label = ",".join(str(v) for v in sorted(constraint.vertices))
-        rows.append((f"mean_at_tree_{label}", *_fraction_fields(Fraction(rc, nc))))
+        rows.append((f"mean_at_tree_{label}", *_fraction_fields(mean_subtree_order_at_tree(g, constraint))))
 
     if args.format == "jsonl":
         payload = {name: {"exact": exact, "float": float_str or None} for name, exact, float_str in rows}

@@ -12,6 +12,10 @@ Every check is a pure function of its input graph and returns a
 All inequality verdicts are decided by exact integer cross-multiplication
 or exact rationals; floating point appears only in human-facing report
 fields.
+
+Every check takes an optional :class:`CheckContext`.  Checks of one graph
+that share a context share its base census, certificate and anchored
+censuses; without one, each check builds a fresh context.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canon import canonical_form, transposition_automorphisms
+from .canon import MAX_CANON, canonical_form, transposition_automorphisms
 from .census import (
+    SubtreeCensus,
     SubtreeConstraint,
     census,
     census_containing,
@@ -48,30 +53,138 @@ REPORT = "report-only"
 
 @dataclass
 class CheckVerdict:
+    """One check's outcome on one graph.
+
+    ``runtime_ms`` is the check's wall time, rounded to 0.001 ms.  It is
+    informational and outside the scan's byte-determinism contract; when
+    checks share a :class:`CheckContext`, the first check that needs a
+    shared result (the base census above all) is charged for building it.
+    """
+
     check: str
     graph_id: str
     status: str
     witness: dict
     mean: Fraction | None = None
-    runtime_ms: int = 0
+    runtime_ms: float = 0.0
 
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _timed(started: float) -> int:
-    return int((time.perf_counter() - started) * 1000)
+def _edge_constraint(u: int, v: int) -> SubtreeConstraint:
+    return SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
 
 
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected():
-        raise ValueError("check requires a connected graph")
+class CheckContext:
+    """What the checks of one graph share.
+
+    The graph6 id, the base census, the canonical certificate and every
+    anchored census are built on first use and at most once.  ``memo``
+    maps a canonical certificate to a mean subtree order; neighbour graphs
+    (g-e, g+e, g/e, g+matching) look their mean up there, so a memo that
+    outlives the context (one per scan, or per scan worker) computes each
+    isomorphism class once.  It holds ``Fraction`` means only, never whole
+    censuses, so its size stays small.
+    """
+
+    def __init__(self, g: Graph, memo: dict[bytes, Fraction] | None = None):
+        self.g = g
+        self.memo = {} if memo is None else memo
+        self.connected = g.is_connected()
+        self.started = time.perf_counter()
+        self._graph_id: str | None = None
+        self._census: SubtreeCensus | None = None
+        self._certificate: bytes | None = None
+        self._anchored: dict[SubtreeConstraint, tuple[int, int]] = {}
+
+    def start(self) -> CheckContext:
+        """Begin a check on this graph: require connectivity, reset the clock."""
+        if not self.connected:
+            raise ValueError("check requires a connected graph")
+        self.started = time.perf_counter()
+        return self
+
+    def verdict(
+        self, check: str, status: str, witness: dict, mean: Fraction | None = None
+    ) -> CheckVerdict:
+        elapsed_ms = round((time.perf_counter() - self.started) * 1000, 3)
+        return CheckVerdict(check, self.graph_id, status, witness, mean, elapsed_ms)
+
+    @property
+    def graph_id(self) -> str:
+        if self._graph_id is None:
+            self._graph_id = to_graph6(self.g)
+        return self._graph_id
+
+    @property
+    def census(self) -> SubtreeCensus:
+        if self._census is None:
+            self._census = census(self.g)
+        return self._census
+
+    @property
+    def mean(self) -> Fraction:
+        return self.census.mean
+
+    @property
+    def certificate(self) -> bytes:
+        if self._certificate is None:
+            self._certificate = canonical_form(self.g)
+        return self._certificate
+
+    def is_isomorphic_to(self, h: Graph) -> bool:
+        return self.certificate == canonical_form(h)
+
+    def anchored(self, constraint: SubtreeConstraint) -> tuple[int, int]:
+        """Count and total order of the subtrees containing ``constraint``.
+
+        A single vertex is read from the base census; any other constraint
+        runs :func:`census_containing` once per context.
+        """
+        if len(constraint.vertices) == 1:
+            (v,) = constraint.vertices
+            return self.census.vertex_counts[v], self.census.vertex_order_sums[v]
+        result = self._anchored.get(constraint)
+        if result is None:
+            result = self._anchored[constraint] = census_containing(self.g, constraint)
+        return result
+
+    def edge_mean(self, u: int, v: int) -> Fraction:
+        nc, rc = self.anchored(_edge_constraint(u, v))
+        return Fraction(rc, nc)
+
+    def neighbour_mean(self, h: Graph) -> Fraction:
+        """Mean subtree order of ``h``, through the memo when it has a certificate.
+
+        Every lookup also files this graph's own mean, because in a
+        universe scan the neighbours of one graph are members of it.
+        """
+        if h.n > MAX_CANON:
+            return census(h).mean
+        if self.g.n <= MAX_CANON and self.certificate not in self.memo:
+            self.memo[self.certificate] = self.mean
+        cert = canonical_form(h)
+        mean = self.memo.get(cert)
+        if mean is None:
+            mean = self.memo[cert] = census(h).mean
+        return mean
 
 
-def _is_path(g: Graph) -> bool:
-    if g.n <= 32:
-        return canonical_form(g) == canonical_form(path_graph(g.n))
+def _start(g: Graph, ctx: CheckContext | None) -> CheckContext:
+    """The context a check runs in: ``ctx`` restarted, or a fresh one for ``g``."""
+    if ctx is None:
+        ctx = CheckContext(g)
+    elif ctx.g != g:
+        raise ValueError("the check context belongs to another graph")
+    return ctx.start()
+
+
+def _is_path(ctx: CheckContext) -> bool:
+    g = ctx.g
+    if g.n <= MAX_CANON:
+        return ctx.is_isomorphic_to(path_graph(g.n))
     # beyond the certificate engine's range: a connected graph is a path iff
     # no degree exceeds 2 and exactly two vertices are leaves (exact, not a
     # heuristic, given connectivity)
@@ -79,31 +192,29 @@ def _is_path(g: Graph) -> bool:
     return max(degrees) <= 2 and degrees.count(1) == 2 and g.is_connected()
 
 
-def check_min_path(g: Graph) -> CheckVerdict:
+def check_min_path(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Mean subtree order is at least (n+2)/3, tight exactly on paths."""
-    started = time.perf_counter()
-    _require_connected(g)
+    ctx = _start(g, ctx)
     n = g.n
-    mu = census(g).mean
+    mu = ctx.mean
     bound = Fraction(n + 2, 3)
     witness: dict = {"mu": frac_str(mu), "bound": frac_str(bound)}
     if mu < bound:
         status = FAILS
     elif mu == bound:
         witness["equality"] = True
-        status = HOLDS if _is_path(g) else FAILS
+        status = HOLDS if _is_path(ctx) else FAILS
     else:
         witness["equality"] = False
         status = HOLDS
-    return CheckVerdict("min-path", to_graph6(g), status, witness, mu, _timed(started))
+    return ctx.verdict("min-path", status, witness, mu)
 
 
-def check_max_clique(g: Graph) -> CheckVerdict:
+def check_max_clique(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Mean subtree order is at most that of the clique of the same order."""
-    started = time.perf_counter()
-    _require_connected(g)
+    ctx = _start(g, ctx)
     n = g.n
-    mu = census(g).mean
+    mu = ctx.mean
     # cross-multiplied against the closed-form clique totals
     rn, nn = clique_subtree_order_sum(n), clique_subtree_count(n)
     holds = mu.numerator * nn <= rn * mu.denominator
@@ -113,90 +224,73 @@ def check_max_clique(g: Graph) -> CheckVerdict:
         status = FAILS if n <= VERIFIED_EXHAUSTIVE_ORDER else REPORT
         witness["finding"] = True
     elif equal:
-        is_clique = canonical_form(g) == canonical_form(build_clique(n))
         witness["equality"] = True
-        status = HOLDS if is_clique else FAILS
+        status = HOLDS if ctx.is_isomorphic_to(build_clique(n)) else FAILS
     else:
         status = HOLDS
-    return CheckVerdict("max-clique", to_graph6(g), status, witness, mu, _timed(started))
+    return ctx.verdict("max-clique", status, witness, mu)
 
 
-def check_edge_deletion_exists(g: Graph) -> CheckVerdict:
+def check_edge_deletion_exists(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Some connectivity-preserving deletion lowers the mean (open)."""
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     if g.is_tree():
-        return CheckVerdict(
-            "edge-deletion-exists", gid, REPORT, {"vacuous": "tree"}, None, _timed(started)
-        )
-    mu = census(g).mean
+        return ctx.verdict("edge-deletion-exists", REPORT, {"vacuous": "tree"})
+    mu = ctx.mean
     for u, v in g.edges():
         if g.is_bridge(u, v):
             continue
-        mu2 = census(g.delete_edge(u, v)).mean
+        mu2 = ctx.neighbour_mean(g.delete_edge(u, v))
         if mu2 < mu:
             witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
-            return CheckVerdict(
-                "edge-deletion-exists", gid, HOLDS, witness, mu, _timed(started)
-            )
+            return ctx.verdict("edge-deletion-exists", HOLDS, witness, mu)
     witness = {"found": False, "finding": True}
-    return CheckVerdict("edge-deletion-exists", gid, REPORT, witness, mu, _timed(started))
+    return ctx.verdict("edge-deletion-exists", REPORT, witness, mu)
 
 
-def check_edge_addition_exists(g: Graph) -> CheckVerdict:
+def check_edge_addition_exists(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Some edge addition raises the mean (open)."""
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     n = g.n
     if g.edge_count == n * (n - 1) // 2:
-        return CheckVerdict(
-            "edge-addition-exists", gid, REPORT, {"vacuous": "complete"}, None, _timed(started)
-        )
-    mu = census(g).mean
+        return ctx.verdict("edge-addition-exists", REPORT, {"vacuous": "complete"})
+    mu = ctx.mean
     for u in range(n):
         for v in range(u + 1, n):
             if g.has_edge(u, v):
                 continue
-            mu2 = census(g.add_edge(u, v)).mean
+            mu2 = ctx.neighbour_mean(g.add_edge(u, v))
             if mu2 > mu:
                 witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
-                return CheckVerdict(
-                    "edge-addition-exists", gid, HOLDS, witness, mu, _timed(started)
-                )
+                return ctx.verdict("edge-addition-exists", HOLDS, witness, mu)
     witness = {"found": False, "finding": True}
-    return CheckVerdict("edge-addition-exists", gid, REPORT, witness, mu, _timed(started))
+    return ctx.verdict("edge-addition-exists", REPORT, witness, mu)
 
 
-def check_contraction(g: Graph) -> CheckVerdict:
+def check_contraction(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Every contraction lowers the mean by at least 1/3 (proven on trees).
 
     Contraction is simple-graph contraction (parallel edges merged); the
     verdict records that choice.  Equality is expected exactly on paths.
     """
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     if g.n < 2:
-        return CheckVerdict(
-            "contraction-gap", gid, REPORT, {"vacuous": "n < 2"}, None, _timed(started)
-        )
-    mu = census(g).mean
+        return ctx.verdict("contraction-gap", REPORT, {"vacuous": "n < 2"})
+    mu = ctx.mean
     third = Fraction(1, 3)
     min_gap = None
     min_edge = None
     violations = []
     equality_edges = []
     for u, v in g.edges():
-        gap = mu - census(g.contract_edge(u, v)).mean
+        gap = mu - ctx.neighbour_mean(g.contract_edge(u, v))
         if min_gap is None or gap < min_gap:
             min_gap, min_edge = gap, (u, v)
         if gap < third:
             violations.append([u, v])
         elif gap == third:
             equality_edges.append([u, v])
-    is_path = _is_path(g)
+    is_path = _is_path(ctx)
     is_tree = g.is_tree()
     pattern_broken = (is_path and len(equality_edges) != g.edge_count) or (
         not is_path and bool(equality_edges)
@@ -214,31 +308,22 @@ def check_contraction(g: Graph) -> CheckVerdict:
         status = FAILS if is_tree else REPORT
     else:
         status = HOLDS
-    return CheckVerdict("contraction-gap", gid, status, witness, mu, _timed(started))
+    return ctx.verdict("contraction-gap", status, witness, mu)
 
 
-def check_local_global(g: Graph) -> CheckVerdict:
+def check_local_global(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Some vertex and some edge have local mean above the global mean.
 
     Also reports the non-monotone data: vertices v with mean-at-v <= mean,
     and for those vertices the incident edges e with mean-at-e <= mean-at-v.
     """
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     if g.n < 2:
-        return CheckVerdict(
-            "local-global", gid, REPORT, {"vacuous": "n < 2"}, None, _timed(started)
-        )
-    c = census(g)
+        return ctx.verdict("local-global", REPORT, {"vacuous": "n < 2"})
+    c = ctx.census
     mu = c.mean
     vertex_means = [c.mean_at_vertex(v) for v in range(g.n)]
-    edge_means = {}
-    for u, v in g.edges():
-        nc, rc = census_containing(
-            g, SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-        )
-        edge_means[(u, v)] = Fraction(rc, nc)
+    edge_means = {(u, v): ctx.edge_mean(u, v) for u, v in g.edges()}
     exists_vertex = any(mv > mu for mv in vertex_means)
     exists_edge = any(me > mu for me in edge_means.values())
     low_vertices = []
@@ -256,10 +341,10 @@ def check_local_global(g: Graph) -> CheckVerdict:
         "non_monotone_vertices": low_vertices,
     }
     status = HOLDS if exists_vertex and exists_edge else FAILS
-    return CheckVerdict("local-global", gid, status, witness, mu, _timed(started))
+    return ctx.verdict("local-global", status, witness, mu)
 
 
-def check_ratio_chain(g: Graph) -> CheckVerdict:
+def check_ratio_chain(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """The clique-ratio battery on subtree counts, all cross-multiplied.
 
     (a) near-spanning ratio s_{n-1} s_n(clique) >= s_{n-1}(clique) s_n;
@@ -268,11 +353,9 @@ def check_ratio_chain(g: Graph) -> CheckVerdict:
     (d) spanning fraction at least the star's, equality only for stars;
     (e) mean at most the clique's.
     """
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     n = g.n
-    c = census(g)
+    c = ctx.census
     mu = c.mean
     s = c.counts
     sk = [0] + [clique_subtree_count_by_order(n, k) for k in range(1, n + 1)]
@@ -292,7 +375,7 @@ def check_ratio_chain(g: Graph) -> CheckVerdict:
     results["spanning_ge_star"] = ge_star
     star_equal = s[n] * star_n == c.num_subtrees
     if ge_star and star_equal:
-        if canonical_form(g) != canonical_form(star_graph(n)):
+        if not ctx.is_isomorphic_to(star_graph(n)):
             results["spanning_ge_star"] = False
             results["star_equality_off_star"] = True
     rn = clique_subtree_order_sum(n)
@@ -309,19 +392,17 @@ def check_ratio_chain(g: Graph) -> CheckVerdict:
         # settled only up to the exhaustively verified order
         proven_broken = not results["spanning_ge_star"]
         status = FAILS if (proven_broken or n <= VERIFIED_EXHAUSTIVE_ORDER) else REPORT
-    return CheckVerdict("ratio-chain", gid, status, witness, mu, _timed(started))
+    return ctx.verdict("ratio-chain", status, witness, mu)
 
 
-def check_mu_vs_av(g: Graph) -> CheckVerdict:
+def check_mu_vs_av(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Mean subtree order versus mean connected-set size (open question).
 
     Report-only: records the exact sign.  Equality is proven on trees, so a
     tree with unequal values fails.
     """
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
-    mu = census(g).mean
+    ctx = _start(g, ctx)
+    mu = ctx.mean
     av = average_connected_set_size(g)
     sign = (mu > av) - (mu < av)
     is_tree = g.is_tree()
@@ -332,7 +413,7 @@ def check_mu_vs_av(g: Graph) -> CheckVerdict:
         status = REPORT
         if sign < 0:
             witness["finding"] = True
-    return CheckVerdict("mean-vs-average", gid, status, witness, mu, _timed(started))
+    return ctx.verdict("mean-vs-average", status, witness, mu)
 
 
 def _small_subtree_constraints(g: Graph, max_order: int):
@@ -341,7 +422,7 @@ def _small_subtree_constraints(g: Graph, max_order: int):
         yield SubtreeConstraint(frozenset([v]))
     if max_order >= 2:
         for u, v in g.edges():
-            yield SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
+            yield _edge_constraint(u, v)
     if max_order >= 3:
         for mid in range(g.n):
             nbrs = [w for w in range(g.n) if g.has_edge(mid, w)]
@@ -355,21 +436,21 @@ def _small_subtree_constraints(g: Graph, max_order: int):
         raise ValueError("constraint orders above 3 are not enumerated")
 
 
-def check_local_mean_bound(g: Graph, max_order: int = 3) -> CheckVerdict:
+def check_local_mean_bound(
+    g: Graph, max_order: int = 3, *, ctx: CheckContext | None = None
+) -> CheckVerdict:
     """Local mean at any small subtree is at least (n + |T|)/2 (proven)."""
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     n = g.n
     worst = None
     violated = None
     for constraint in _small_subtree_constraints(g, max_order):
         t = len(constraint.vertices)
-        nc, rc = census_containing(g, constraint)
+        nc, rc = ctx.anchored(constraint)
         # mu(g, T) >= (n + t)/2  <=>  2 rc >= (n + t) nc
         slack = 2 * rc - (n + t) * nc
         if worst is None or slack < worst[0]:
-            worst = (slack, sorted(constraint.vertices), nc)
+            worst = (slack, sorted(constraint.vertices))
         if slack < 0:
             violated = sorted(constraint.vertices)
             break
@@ -379,24 +460,20 @@ def check_local_mean_bound(g: Graph, max_order: int = 3) -> CheckVerdict:
         status = FAILS
     else:
         status = HOLDS
-    return CheckVerdict("local-mean-bound", gid, status, witness, None, _timed(started))
+    return ctx.verdict("local-mean-bound", status, witness)
 
 
-def check_vertex_share_bound(g: Graph) -> CheckVerdict:
+def check_vertex_share_bound(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Some non-cut vertex lies in at least a 2/(n+1) share of all subtrees.
 
     Proven, with equality exactly on paths (both ends of a path hit the
     bound; anything else has a strictly better vertex).
     """
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
+    ctx = _start(g, ctx)
     n = g.n
     if n < 3:
-        return CheckVerdict(
-            "vertex-share-bound", gid, REPORT, {"vacuous": "n < 3"}, None, _timed(started)
-        )
-    c = census(g)
+        return ctx.verdict("vertex-share-bound", REPORT, {"vacuous": "n < 3"})
+    c = ctx.census
     best = None
     best_vertex = None
     for v in range(n):
@@ -405,11 +482,11 @@ def check_vertex_share_bound(g: Graph) -> CheckVerdict:
         margin = (n + 1) * c.vertex_counts[v] - 2 * c.num_subtrees
         if best is None or margin > best:
             best, best_vertex = margin, v
-    is_path = _is_path(g)
+    is_path = _is_path(ctx)
     witness = {"best_vertex": best_vertex, "margin": best, "is_path": is_path}
     ok = best is not None and best >= 0 and ((best == 0) == is_path)
     status = HOLDS if ok else FAILS
-    return CheckVerdict("vertex-share-bound", gid, status, witness, c.mean, _timed(started))
+    return ctx.verdict("vertex-share-bound", status, witness, c.mean)
 
 
 def _matching_orbits(g: Graph, matchings: list[tuple]) -> dict[int, list[int]]:
@@ -443,33 +520,22 @@ def _matching_orbits(g: Graph, matchings: list[tuple]) -> dict[int, list[int]]:
     return orbits
 
 
-def check_matchings(g: Graph) -> CheckVerdict:
+def check_matchings(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Sign of the mean change when a maximal complement matching is added.
 
     Every maximal matching of the complement is classified; the mean is
     computed once per isomorphism class of the augmented graph (twin-swap
-    orbits first, canonical certificates second).  ``holds`` means every
-    matching strictly lowers the mean.
+    orbits first, canonical certificates in the context's memo second).
+    ``holds`` means every matching strictly lowers the mean.
     """
-    started = time.perf_counter()
-    _require_connected(g)
-    gid = to_graph6(g)
-    mu = census(g).mean
+    ctx = _start(g, ctx)
+    mu = ctx.mean
     matchings = list(maximal_matchings_of_complement(g))
     orbits = _matching_orbits(g, matchings)
     tally = {-1: 0, 0: 0, 1: 0}
-    sign_by_cert: dict[bytes, int] = {}
     for root, members in orbits.items():
-        augmented = g.add_edges(matchings[root])
-        cert = canonical_form(augmented) if g.n <= 32 else None
-        if cert is not None and cert in sign_by_cert:
-            sign = sign_by_cert[cert]
-        else:
-            mu2 = census(augmented).mean
-            sign = (mu2 > mu) - (mu2 < mu)
-            if cert is not None:
-                sign_by_cert[cert] = sign
-        tally[sign] += len(members)
+        mu2 = ctx.neighbour_mean(g.add_edges(matchings[root]))
+        tally[(mu2 > mu) - (mu2 < mu)] += len(members)
     witness = {
         "matchings": len(matchings),
         "orbits": len(orbits),
@@ -479,10 +545,10 @@ def check_matchings(g: Graph) -> CheckVerdict:
     }
     all_negative = tally[-1] == len(matchings) and len(matchings) > 0
     status = HOLDS if all_negative else REPORT
-    return CheckVerdict("matchings", gid, status, witness, mu, _timed(started))
+    return ctx.verdict("matchings", status, witness, mu)
 
 
-def check_transitive_inequalities(g: Graph) -> CheckVerdict:
+def check_transitive_inequalities(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """For vertex- and edge-transitive graphs: edge mean > vertex mean > mean.
 
     Verifies that all per-vertex and all per-edge local means agree (a
@@ -490,23 +556,16 @@ def check_transitive_inequalities(g: Graph) -> CheckVerdict:
     chain, and the exact convex-combination identity tying the three means
     together through the order-weighted subtree counts.
     """
-    started = time.perf_counter()
-    _require_connected(g)
+    ctx = _start(g, ctx)
     if g.n < 2:
         raise ValueError("transitivity check needs n >= 2")
-    gid = to_graph6(g)
-    c = census(g)
+    c = ctx.census
     mu = c.mean
     vertex_means = {c.mean_at_vertex(v) for v in range(g.n)}
     if len(vertex_means) != 1:
         raise ValueError("input is not vertex-transitive: per-vertex means differ")
     mu_v = vertex_means.pop()
-    edge_means = set()
-    for u, v in g.edges():
-        nc, rc = census_containing(
-            g, SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-        )
-        edge_means.add(Fraction(rc, nc))
+    edge_means = {ctx.edge_mean(u, v) for u, v in g.edges()}
     if len(edge_means) != 1:
         raise ValueError("input is not edge-transitive: per-edge means differ")
     mu_e = edge_means.pop()
@@ -522,7 +581,7 @@ def check_transitive_inequalities(g: Graph) -> CheckVerdict:
         "convex_identity": identity,
     }
     status = HOLDS if chain and identity else FAILS
-    return CheckVerdict("transitive", gid, status, witness, mu, _timed(started))
+    return ctx.verdict("transitive", status, witness, mu)
 
 
 # -- reports beyond single verdicts -------------------------------------------
@@ -584,7 +643,6 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
     whole added bridge path to the other hub (order k + d).  ``holds``
     means the reversal mean(G,S) > mean(G,S') is exact at these parameters.
     """
-    started = time.perf_counter()
     if d < 1:
         raise ValueError("need d >= 1 (S must grow)")
     if k < 1:
@@ -593,6 +651,7 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
     hub1, hub2 = w - 1, n - (d - 1) - w
     if k > hub2 - hub1:
         raise ValueError("k exceeds the broom path length")
+    ctx = CheckContext(g)
     s_vertices = list(range(hub1, hub1 + k))
     s_edges = [(i, i + 1) for i in s_vertices[:-1]]
     bridge = list(range(n - (d - 1), n))
@@ -614,9 +673,7 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
         "mu_large": frac_str(mu_large),
     }
     status = HOLDS if mu_small > mu_large else REPORT
-    return CheckVerdict(
-        "monotonicity-reversal", to_graph6(g), status, witness, None, _timed(started)
-    )
+    return ctx.verdict("monotonicity-reversal", status, witness)
 
 
 # -- registry for scans ---------------------------------------------------------

@@ -7,6 +7,16 @@ last synced byte offset and skips the consumed prefix of the input, so an
 interrupted-and-resumed scan reproduces a single-pass run byte for byte
 (up to the informational ``runtime_ms`` field).
 
+Input is validated before anything is written: a malformed graph6 line
+or a disconnected graph raises :class:`ScanError` naming the line.
+
+The checks of one graph run in one :class:`~subtrees.harness.CheckContext`,
+which computes the base census, certificate and anchored censuses at most
+once.  A certificate-to-mean memo lives for one ``scan`` call (one per
+worker process when ``jobs`` > 1) and serves the means of neighbour graphs
+(g-e, g+e, g/e, g+matching), which in a universe scan recur across graphs.
+The memo is unbounded: it holds one ``Fraction`` per isomorphism class seen.
+
 Every verdict is a pure function of its graph, so scans may also fan work
 out over worker processes; results are merged in input order, which keeps
 tallies and output deterministic regardless of scheduling.
@@ -19,10 +29,10 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .graphs import Graph, from_graph6
-from .harness import CHECKS, CheckVerdict, FAILS
+from .graphs import from_graph6
+from .harness import CHECKS, CheckContext, CheckVerdict, FAILS
 
 
 class ScanError(Exception):
@@ -118,22 +128,20 @@ def record_csv_row(record: dict) -> list[str]:
     return row
 
 
-def parse_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Decode newline-delimited graph6, reporting the offending line on error."""
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            yield from_graph6(text)
-        except ValueError as exc:
-            raise ScanError(f"malformed graph6 at line {lineno}: {exc}") from exc
+def _run_checks(text: str, names: tuple[str, ...], memo: dict) -> list[CheckVerdict]:
+    g = from_graph6(text)
+    ctx = CheckContext(g, memo)
+    return [CHECKS[name](g, ctx=ctx) for name in names]
+
+
+# The certificate memo of a scan worker process.  Only pool workers write
+# it, so it lives exactly as long as the worker, which serves one scan.
+_worker_memo: dict = {}
 
 
 def _run_checks_by_name(args: tuple[str, tuple[str, ...]]) -> list[CheckVerdict]:
     text, names = args
-    g = from_graph6(text)
-    return [CHECKS[name](g) for name in names]
+    return _run_checks(text, names, _worker_memo)
 
 
 def scan(
@@ -174,9 +182,11 @@ def scan(
         if not text:
             continue
         try:
-            from_graph6(text)
+            g = from_graph6(text)
         except ValueError as exc:
             raise ScanError(f"malformed graph6 at line {lineno}: {exc}") from exc
+        if not g.is_connected():
+            raise ScanError(f"disconnected graph at line {lineno}: checks need connected graphs")
         texts.append(text)
     todo = texts[state.consumed :]
     if limit is not None:
@@ -206,8 +216,9 @@ def scan(
                 ):
                     handle(verdicts)
         else:
+            memo: dict = {}
             for text in todo:
-                handle(_run_checks_by_name((text, names)))
+                handle(_run_checks(text, names, memo))
         out.flush()
         state.output_bytes = out.tell()
     if checkpoint_path:

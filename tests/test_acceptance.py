@@ -47,7 +47,7 @@ from subtrees import (
     to_graph6,
 )
 from subtrees.census import SubtreeConstraint, census_containing
-from subtrees.harness import HOLDS
+from subtrees.harness import HOLDS, CheckContext
 from subtrees.repro import repro_transitive_suite
 from subtrees.scan import load_state, save_state, scan
 
@@ -97,11 +97,13 @@ BATTERY_N7 = (
 def _run_battery(max_n: int) -> tuple[int, list]:
     graphs = 0
     violations = []
+    memo: dict = {}
     for n in range(1, max_n + 1):
         for g in generate_connected(n):
             graphs += 1
+            ctx = CheckContext(g, memo)
             for fn in BATTERY_N7:
-                verdict = fn(g)
+                verdict = fn(g, ctx=ctx)
                 if verdict.status == "fails" or verdict.witness.get("finding"):
                     violations.append((verdict.check, to_graph6(g)))
     return graphs, violations

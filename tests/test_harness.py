@@ -266,3 +266,67 @@ def test_checks_reject_disconnected():
     ):
         with pytest.raises(ValueError):
             fn(g)
+
+
+# -- the shared check context ---------------------------------------------------
+
+
+def _without_runtime(verdict) -> tuple:
+    return (verdict.check, verdict.graph_id, verdict.status, verdict.witness, verdict.mean)
+
+
+def test_shared_context_verdicts_match_fresh_ones():
+    from subtrees import CHECKS, CheckContext
+
+    memo: dict = {}
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            ctx = CheckContext(g, memo)
+            for name, fn in CHECKS.items():
+                shared = fn(g, ctx=ctx)
+                assert _without_runtime(shared) == _without_runtime(fn(g)), (name, shared.graph_id)
+
+
+def test_context_rejects_another_graph():
+    from subtrees import CheckContext
+
+    with pytest.raises(ValueError, match="another graph"):
+        check_min_path(path_graph(4), ctx=CheckContext(star_graph(4)))
+
+
+def test_context_is_keyword_only():
+    from subtrees import CheckContext
+
+    g = path_graph(5)
+    # max_order stays the second positional argument of local-mean-bound
+    assert check_local_mean_bound(g, 2).witness["max_constraint_order"] == 2
+    assert check_local_mean_bound(g, 2, ctx=CheckContext(g)).witness["max_constraint_order"] == 2
+    with pytest.raises(TypeError):
+        check_min_path(g, CheckContext(g))
+
+
+def test_vertex_means_from_census_match_anchored_census():
+    from subtrees import CheckContext
+    from subtrees.census import SubtreeConstraint, census_containing
+
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            ctx = CheckContext(g)
+            for v in range(n):
+                constraint = SubtreeConstraint(frozenset([v]))
+                assert ctx.anchored(constraint) == census_containing(g, constraint)
+
+
+def test_scan_memo_holds_one_mean_per_certificate():
+    from subtrees import CHECKS, canonical_form, census, to_graph6
+    from subtrees.scan import _run_checks
+
+    universe = [g for n in range(1, 7) for g in generate_connected(n)]
+    memo: dict = {}
+    for g in universe:
+        _run_checks(to_graph6(g), tuple(CHECKS), memo)
+    # every neighbour of a connected graph of order <= 6 is again one of
+    # them, and every one of them looked a neighbour up, so the memo holds
+    # exactly their certificates, each with its mean and nothing more
+    assert memo == {canonical_form(g): census(g).mean for g in universe}
+    assert all(type(mean) is Fraction for mean in memo.values())

@@ -274,3 +274,35 @@ def test_cli_repro_exit_codes():
 def test_cli_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("scan").returncode == 2  # missing --checks
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_scan_rejects_disconnected_before_writing(tmp_path, jobs):
+    out = tmp_path / "o.jsonl"
+    ckpt = tmp_path / "ck.json"
+    r = run_cli(
+        "scan", "-", "--checks", "min-path", "--jobs", jobs,
+        "--output", str(out), "--checkpoint", str(ckpt), stdin="Bw\nC?\n",
+    )
+    assert r.returncode == 3
+    assert "disconnected graph at line 2" in r.stderr
+    assert not out.exists() or out.read_text() == ""
+    assert not ckpt.exists()
+
+
+def test_cli_compute_tree_rejects_forest():
+    r = run_cli("compute", "family:path:4", "--tree", "0,2")
+    assert r.returncode == 2
+    assert "mean_at_tree" not in r.stdout
+
+
+def test_cli_scan_runtimes_are_positive():
+    r = run_cli("scan", "--n", "6", "--checks", "all", "--jobs", "1")
+    assert r.returncode == 0
+    records = [json.loads(line) for line in r.stdout.splitlines()]
+    assert len(records) == 112 * 11
+    # a vacuous verdict (edge deletion on a tree, edge addition on a
+    # clique) does a few microseconds of work and may round to 0.000 ms
+    working = [record for record in records if "vacuous" not in record["witness"]]
+    assert len(working) > 112 * 10
+    assert all(record["runtime_ms"] > 0 for record in working)
