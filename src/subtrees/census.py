@@ -8,6 +8,17 @@ bucket.  All arithmetic is exact: counts are Python integers,
 determinants use fraction-free Bareiss elimination, and means are
 ``Fraction`` values.
 
+:func:`local_census` gives every edge and cherry (3-vertex path a-m-b)
+anchored census from one pass over the connected sets, through two
+identities on the integer adjugate M = kappa L0^-1 of each induced
+reduced Laplacian: the trees containing edge e number x_e^T M x_e
+(Kirchhoff), and those containing both edges e and f number
+(Y(e,e) Y(f,f) - Y(e,f)^2) / kappa with Y(e,f) = x_e^T M x_f (the
+transfer-current theorem of Burton & Pemantle).  :func:`census_containing`
+counts the subtrees containing any one constraint; it serves constraints
+of order 4 or more, single-edge and single-tree queries, and the tests as
+the oracle of :func:`local_census`.
+
 :func:`census_by_subtree_enumeration` is an independent slow oracle that
 lists subtrees one by one as growing edge sets; it shares no counting
 machinery with :func:`census` and exists to cross-check it.
@@ -87,6 +98,35 @@ def spanning_tree_count(g: Graph) -> int:
             row = [deg if i == j else -mults[j] for j in range(1, n)]
         mat.append(row)
     return _det_bareiss(mat)
+
+
+def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a positive definite integer matrix, exact.
+
+    Fraction-free Gauss-Jordan elimination on ``[mat | I]`` ends at
+    ``[det I | adj]``, and every division in it is exact.  The pivots are
+    the leading principal minors, all positive here, so no row swap is
+    needed.  Does not modify ``mat``.
+    """
+    size = len(mat)
+    aug = [row + [0] * size for row in mat]
+    for i in range(size):
+        aug[i][size + i] = 1
+    prev = 1
+    for k in range(size):
+        ak = aug[k]
+        pivot = ak[k]
+        for i in range(size):
+            if i == k:
+                continue
+            ai = aug[i]
+            f = ai[k]
+            if f:
+                aug[i] = [(pivot * a - f * b) // prev for a, b in zip(ai, ak)]
+            elif pivot != prev:
+                aug[i] = [(pivot * a) // prev for a in ai]
+        prev = pivot
+    return prev, [row[size:] for row in aug]
 
 
 def _kappa_induced(rows: tuple[int, ...], verts: list[int], subset: int) -> int:
@@ -344,6 +384,129 @@ def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int
             )
             processed |= b
     return count, order_sum
+
+
+@dataclass(frozen=True)
+class LocalCensus:
+    """Subtrees containing each edge and each cherry of a graph.
+
+    ``edges[(u, v)]`` is the (count, order sum) of the subtrees containing
+    the edge u-v, keyed u < v in ``Graph.edges()`` order.  ``cherries[(a,
+    m, b)]`` is the same for the cherry a-m-b (both edges a-m and m-b),
+    keyed a < b and ordered by middle vertex m, then a, then b.  Each entry
+    equals :func:`census_containing` of that constraint.
+    """
+
+    edges: dict[Edge, tuple[int, int]]
+    cherries: dict[tuple[int, int, int], tuple[int, int]]
+
+
+def local_census(g: Graph) -> LocalCensus:
+    """Every edge and cherry anchored census from one pass over connected sets.
+
+    For a connected set A with kappa spanning trees of G[A] and adjugate
+    M = kappa L0^-1 of its reduced Laplacian, the trees containing edge e
+    number Y(e,e) = x_e^T M x_e (Kirchhoff), and those containing both
+    edges e, f number (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa, an exact division
+    (the transfer-current theorem).  When G[A] is a tree each of its edges
+    and cherries counts once.
+    """
+    if not g.simple:
+        raise ValueError("local_census requires a simple graph")
+    n = g.n
+    rows = g.rows
+    nn = n * n
+    # flat accumulators: edge u-v at u*n+v, cherry a-m-b at (m*n+a)*n+b
+    edge_counts = [0] * nn
+    edge_sums = [0] * nn
+    cherry_counts = [0] * (nn * n)
+    cherry_sums = [0] * (nn * n)
+    all_bits = (1 << n) - 1
+    for root in range(n):
+        allowed = all_bits & ~((1 << (root + 1)) - 1)
+        stack = [(1 << root, rows[root] & allowed, 0)]
+        while stack:
+            subset, cand, forb = stack.pop()
+            verts = _bits(subset)
+            k = len(verts)
+            nbrs = [_bits(rows[v] & subset) for v in verts]
+            if sum(map(len, nbrs)) == 2 * (k - 1):
+                for m, nb in zip(verts, nbrs):
+                    for i, a in enumerate(nb):
+                        if a > m:
+                            edge_counts[m * n + a] += 1
+                            edge_sums[m * n + a] += k
+                        base = (m * n + a) * n
+                        for b in nb[i + 1 :]:
+                            cherry_counts[base + b] += 1
+                            cherry_sums[base + b] += k
+            else:
+                _add_local(
+                    rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts, cherry_sums
+                )
+            processed = 0
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                grown = subset | b
+                nf = forb | processed
+                stack.append(
+                    (grown, (cand | rows[b.bit_length() - 1]) & allowed & ~grown & ~nf, nf)
+                )
+                processed |= b
+    edges = {(u, v): (edge_counts[u * n + v], edge_sums[u * n + v]) for u, v in g.edges()}
+    cherries = {}
+    for m in range(n):
+        nb = _bits(rows[m])
+        for i, a in enumerate(nb):
+            for b in nb[i + 1 :]:
+                j = (m * n + a) * n + b
+                cherries[(a, m, b)] = (cherry_counts[j], cherry_sums[j])
+    return LocalCensus(edges, cherries)
+
+
+def _add_local(rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts, cherry_sums):
+    # One connected set A = `verts` whose induced graph has a cycle: add its
+    # spanning trees through each edge and each cherry to the accumulators
+    # of local_census.
+    n = len(rows)
+    k = len(verts)
+    local = {v: i for i, v in enumerate(verts)}
+    mat = []
+    for i in range(1, k):
+        row_mask = rows[verts[i]]
+        deg = (row_mask & subset).bit_count()
+        mat.append(
+            [deg if i == j else -((row_mask >> verts[j]) & 1) for j in range(1, k)]
+        )
+    kappa, adj = _adjugate(mat)
+    # the adjugate padded with a zero row and column for the dropped verts[0]
+    y = [[0] * k] + [[0] + row for row in adj]
+    trees_through = [[0] * k for _ in range(k)]
+    for im, (m, nb) in enumerate(zip(verts, nbrs)):
+        ym = y[im]
+        for a in nb:
+            if a > m:
+                ia = local[a]
+                t = ym[im] + y[ia][ia] - 2 * ym[ia]
+                trees_through[im][ia] = trees_through[ia][im] = t
+                edge_counts[m * n + a] += t
+                edge_sums[m * n + a] += k * t
+    for im, (m, nb) in enumerate(zip(verts, nbrs)):
+        ym = y[im]
+        tm = trees_through[im]
+        for i, a in enumerate(nb):
+            ia = local[a]
+            ya = y[ia]
+            t_am = tm[ia]
+            base = (m * n + a) * n
+            for b in nb[i + 1 :]:
+                ib = local[b]
+                # x_e = e_a - e_m and x_f = e_m - e_b
+                cross = ya[im] - ya[ib] - ym[im] + ym[ib]
+                t = (t_am * tm[ib] - cross * cross) // kappa
+                cherry_counts[base + b] += t
+                cherry_sums[base + b] += k * t
 
 
 # -- derived statistics --------------------------------------------------------

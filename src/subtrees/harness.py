@@ -14,8 +14,9 @@ or exact rationals; floating point appears only in human-facing report
 fields.
 
 Every check takes an optional :class:`CheckContext`.  Checks of one graph
-that share a context share its base census, certificate and anchored
-censuses; without one, each check builds a fresh context.
+that share a context share its base census, certificate and local census
+(every edge and cherry anchored census); without one, each check builds a
+fresh context.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from fractions import Fraction
 
 from .canon import MAX_CANON, canonical_form, transposition_automorphisms
 from .census import (
+    LocalCensus,
     SubtreeCensus,
     SubtreeConstraint,
     census,
     census_containing,
     average_connected_set_size,
+    local_census,
 )
 from .closedforms import (
     clique_subtree_count,
@@ -38,9 +41,8 @@ from .closedforms import (
     clique_subtree_order_sum,
     star_subtree_count,
 )
-from .families import clique as build_clique
-from .families import modified_double_broom, path_graph, star_graph
-from .graphs import Graph, maximal_matchings_of_complement, to_graph6
+from .families import modified_double_broom
+from .graphs import Graph, _norm_edge, maximal_matchings_of_complement, to_graph6
 
 # Orders up to which the clique-extremality conjectures have been settled
 # exhaustively; beyond that their violation is a finding, not a failure.
@@ -73,20 +75,17 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _edge_constraint(u: int, v: int) -> SubtreeConstraint:
-    return SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-
-
 class CheckContext:
     """What the checks of one graph share.
 
-    The graph6 id, the base census, the canonical certificate and every
-    anchored census are built on first use and at most once.  ``memo``
-    maps a canonical certificate to a mean subtree order; neighbour graphs
-    (g-e, g+e, g/e, g+matching) look their mean up there, so a memo that
-    outlives the context (one per scan, or per scan worker) computes each
-    isomorphism class once.  It holds ``Fraction`` means only, never whole
-    censuses, so its size stays small.
+    The graph6 id, the base census, the canonical certificate and the
+    local census (every edge and cherry anchored census) are built on
+    first use and at most once.  ``memo`` maps a canonical certificate to
+    a mean subtree order; neighbour graphs (g-e, g+e, g/e, g+matching)
+    look their mean up there, so a memo that outlives the context (one per
+    scan, or per scan worker) computes each isomorphism class once.  It
+    holds ``Fraction`` means only, never whole censuses, so its size stays
+    small.
     """
 
     def __init__(self, g: Graph, memo: dict[bytes, Fraction] | None = None):
@@ -97,7 +96,7 @@ class CheckContext:
         self._graph_id: str | None = None
         self._census: SubtreeCensus | None = None
         self._certificate: bytes | None = None
-        self._anchored: dict[SubtreeConstraint, tuple[int, int]] = {}
+        self._local: LocalCensus | None = None
 
     def start(self) -> CheckContext:
         """Begin a check on this graph: require connectivity, reset the clock."""
@@ -134,25 +133,35 @@ class CheckContext:
             self._certificate = canonical_form(self.g)
         return self._certificate
 
-    def is_isomorphic_to(self, h: Graph) -> bool:
-        return self.certificate == canonical_form(h)
+    @property
+    def local_census(self) -> LocalCensus:
+        if self._local is None:
+            self._local = local_census(self.g)
+        return self._local
 
     def anchored(self, constraint: SubtreeConstraint) -> tuple[int, int]:
         """Count and total order of the subtrees containing ``constraint``.
 
-        A single vertex is read from the base census; any other constraint
-        runs :func:`census_containing` once per context.
+        A vertex is read from the base census, an edge or a cherry from the
+        local census; any other constraint runs :func:`census_containing`.
         """
-        if len(constraint.vertices) == 1:
+        constraint.validate_for(self.g)
+        t = len(constraint.vertices)
+        if t == 1:
             (v,) = constraint.vertices
             return self.census.vertex_counts[v], self.census.vertex_order_sums[v]
-        result = self._anchored.get(constraint)
-        if result is None:
-            result = self._anchored[constraint] = census_containing(self.g, constraint)
-        return result
+        if constraint.is_tree() and t == 2:
+            (edge,) = constraint.edges
+            return self.local_census.edges[edge]
+        if constraint.is_tree() and t == 3:
+            e, f = constraint.edges
+            (mid,) = set(e) & set(f)
+            a, b = sorted(constraint.vertices - {mid})
+            return self.local_census.cherries[(a, mid, b)]
+        return census_containing(self.g, constraint)
 
     def edge_mean(self, u: int, v: int) -> Fraction:
-        nc, rc = self.anchored(_edge_constraint(u, v))
+        nc, rc = self.local_census.edges[_norm_edge(u, v)]
         return Fraction(rc, nc)
 
     def neighbour_mean(self, h: Graph) -> Fraction:
@@ -181,15 +190,21 @@ def _start(g: Graph, ctx: CheckContext | None) -> CheckContext:
     return ctx.start()
 
 
-def _is_path(ctx: CheckContext) -> bool:
-    g = ctx.g
-    if g.n <= MAX_CANON:
-        return ctx.is_isomorphic_to(path_graph(g.n))
-    # beyond the certificate engine's range: a connected graph is a path iff
-    # no degree exceeds 2 and exactly two vertices are leaves (exact, not a
-    # heuristic, given connectivity)
-    degrees = [g.degree(v) for v in range(g.n)]
-    return max(degrees) <= 2 and degrees.count(1) == 2 and g.is_connected()
+# Exact structural tests, given connectivity: a connected graph is a path
+# iff it has n-1 edges and no degree above 2, a star iff it has n-1 edges
+# and a vertex of degree n-1, and a clique iff it has n(n-1)/2 edges.
+
+
+def _is_path(g: Graph) -> bool:
+    return g.edge_count == g.n - 1 and max(map(g.degree, range(g.n))) <= 2
+
+
+def _is_star(g: Graph) -> bool:
+    return g.edge_count == g.n - 1 and any(g.degree(v) == g.n - 1 for v in range(g.n))
+
+
+def _is_clique(g: Graph) -> bool:
+    return g.edge_count == g.n * (g.n - 1) // 2
 
 
 def check_min_path(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
@@ -203,7 +218,7 @@ def check_min_path(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict
         status = FAILS
     elif mu == bound:
         witness["equality"] = True
-        status = HOLDS if _is_path(ctx) else FAILS
+        status = HOLDS if _is_path(g) else FAILS
     else:
         witness["equality"] = False
         status = HOLDS
@@ -225,7 +240,7 @@ def check_max_clique(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdi
         witness["finding"] = True
     elif equal:
         witness["equality"] = True
-        status = HOLDS if ctx.is_isomorphic_to(build_clique(n)) else FAILS
+        status = HOLDS if _is_clique(g) else FAILS
     else:
         status = HOLDS
     return ctx.verdict("max-clique", status, witness, mu)
@@ -252,7 +267,7 @@ def check_edge_addition_exists(g: Graph, *, ctx: CheckContext | None = None) -> 
     """Some edge addition raises the mean (open)."""
     ctx = _start(g, ctx)
     n = g.n
-    if g.edge_count == n * (n - 1) // 2:
+    if _is_clique(g):
         return ctx.verdict("edge-addition-exists", REPORT, {"vacuous": "complete"})
     mu = ctx.mean
     for u in range(n):
@@ -290,7 +305,7 @@ def check_contraction(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerd
             violations.append([u, v])
         elif gap == third:
             equality_edges.append([u, v])
-    is_path = _is_path(ctx)
+    is_path = _is_path(g)
     is_tree = g.is_tree()
     pattern_broken = (is_path and len(equality_edges) != g.edge_count) or (
         not is_path and bool(equality_edges)
@@ -375,7 +390,7 @@ def check_ratio_chain(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerd
     results["spanning_ge_star"] = ge_star
     star_equal = s[n] * star_n == c.num_subtrees
     if ge_star and star_equal:
-        if not ctx.is_isomorphic_to(star_graph(n)):
+        if not _is_star(g):
             results["spanning_ge_star"] = False
             results["star_equality_off_star"] = True
     rn = clique_subtree_order_sum(n)
@@ -416,43 +431,41 @@ def check_mu_vs_av(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict
     return ctx.verdict("mean-vs-average", status, witness, mu)
 
 
-def _small_subtree_constraints(g: Graph, max_order: int):
-    """All subtree constraints of order <= max_order (vertices, edges, cherries)."""
-    for v in range(g.n):
-        yield SubtreeConstraint(frozenset([v]))
+def _small_subtree_totals(ctx: CheckContext, max_order: int):
+    """(vertices, count, order sum) of each subtree of order <= max_order.
+
+    Vertices come first, then edges in ``Graph.edges()`` order, then
+    cherries by middle vertex; the verdict's witness depends on this order.
+    """
+    c = ctx.census
+    for v in range(ctx.g.n):
+        yield (v,), c.vertex_counts[v], c.vertex_order_sums[v]
     if max_order >= 2:
-        for u, v in g.edges():
-            yield _edge_constraint(u, v)
+        for edge, (nc, rc) in ctx.local_census.edges.items():
+            yield edge, nc, rc
     if max_order >= 3:
-        for mid in range(g.n):
-            nbrs = [w for w in range(g.n) if g.has_edge(mid, w)]
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    a, b = nbrs[i], nbrs[j]
-                    yield SubtreeConstraint(
-                        frozenset([a, mid, b]), frozenset([(a, mid), (mid, b)])
-                    )
-    if max_order > 3:
-        raise ValueError("constraint orders above 3 are not enumerated")
+        for cherry, (nc, rc) in ctx.local_census.cherries.items():
+            yield cherry, nc, rc
 
 
 def check_local_mean_bound(
     g: Graph, max_order: int = 3, *, ctx: CheckContext | None = None
 ) -> CheckVerdict:
     """Local mean at any small subtree is at least (n + |T|)/2 (proven)."""
+    if not 1 <= max_order <= 3:
+        raise ValueError(f"max_order must be 1, 2 or 3, not {max_order}")
     ctx = _start(g, ctx)
     n = g.n
     worst = None
     violated = None
-    for constraint in _small_subtree_constraints(g, max_order):
-        t = len(constraint.vertices)
-        nc, rc = ctx.anchored(constraint)
+    for vertices, nc, rc in _small_subtree_totals(ctx, max_order):
+        t = len(vertices)
         # mu(g, T) >= (n + t)/2  <=>  2 rc >= (n + t) nc
         slack = 2 * rc - (n + t) * nc
         if worst is None or slack < worst[0]:
-            worst = (slack, sorted(constraint.vertices))
+            worst = (slack, sorted(vertices))
         if slack < 0:
-            violated = sorted(constraint.vertices)
+            violated = sorted(vertices)
             break
     witness = {"max_constraint_order": max_order, "min_slack": worst[0], "at": worst[1]}
     if violated is not None:
@@ -482,7 +495,7 @@ def check_vertex_share_bound(g: Graph, *, ctx: CheckContext | None = None) -> Ch
         margin = (n + 1) * c.vertex_counts[v] - 2 * c.num_subtrees
         if best is None or margin > best:
             best, best_vertex = margin, v
-    is_path = _is_path(ctx)
+    is_path = _is_path(g)
     witness = {"best_vertex": best_vertex, "margin": best, "is_path": is_path}
     ok = best is not None and best >= 0 and ((best == 0) == is_path)
     status = HOLDS if ok else FAILS

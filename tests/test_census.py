@@ -9,22 +9,27 @@ from subtrees import (
     Graph,
     SubtreeConstraint,
     average_connected_set_size,
+    barbell,
     census,
     census_by_subtree_enumeration,
     census_containing,
     clique,
     cycle,
+    double_broom,
     generate_connected,
     generate_trees,
     mean_subtree_order,
     mean_subtree_order_at_edge,
     mean_subtree_order_at_tree,
     mean_subtree_order_at_vertex,
+    modified_barbell,
+    modified_double_broom,
     path_graph,
     spanning_fraction,
     spanning_tree_count,
     star_graph,
 )
+from subtrees.census import _adjugate, _det_bareiss, local_census
 from conftest import naive_census_counts, random_connected_graph, random_graph
 
 
@@ -307,3 +312,70 @@ def test_census_rejects_multigraphs():
         census(g)
     with pytest.raises(ValueError):
         census_by_subtree_enumeration(g)
+
+
+# -- the local census: every edge and cherry from one pass -------------------
+
+
+def _assert_local_census_matches_oracle(g: Graph) -> None:
+    local = local_census(g)
+    assert list(local.edges) == list(g.edges())
+    for (u, v), totals in local.edges.items():
+        edge = SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
+        assert totals == census_containing(g, edge), (g, u, v)
+    cherries = [
+        (a, m, b)
+        for m in range(g.n)
+        for a in range(g.n)
+        for b in range(a + 1, g.n)
+        if g.has_edge(a, m) and g.has_edge(m, b)
+    ]
+    assert list(local.cherries) == cherries
+    for (a, m, b), totals in local.cherries.items():
+        cherry = SubtreeConstraint(frozenset([a, m, b]), frozenset([(a, m), (m, b)]))
+        assert totals == census_containing(g, cherry), (g, a, m, b)
+
+
+def test_local_census_matches_census_containing_exhaustive_small():
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            _assert_local_census_matches_oracle(g)
+
+
+def test_local_census_matches_census_containing_order_8_sample():
+    rng = random.Random(61)
+    for p in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
+        _assert_local_census_matches_oracle(random_connected_graph(rng, 8, p))
+
+
+def test_local_census_matches_census_containing_cut_vertices_and_bridges():
+    for g in (
+        barbell(8, 3),
+        double_broom(8, 3),
+        modified_barbell(9, 3, 1),
+        modified_double_broom(9, 3, 1),
+    ):
+        _assert_local_census_matches_oracle(g)
+
+
+def test_adjugate_of_reduced_laplacians():
+    rng = random.Random(67)
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.6, 0.9]))
+        size = g.n - 1
+        lap = [
+            [g.degree(i) if i == j else -int(g.has_edge(i, j)) for j in range(1, g.n)]
+            for i in range(1, g.n)
+        ]
+        kappa, adj = _adjugate(lap)
+        assert kappa == _det_bareiss([row[:] for row in lap]) == spanning_tree_count(g)
+        product = [
+            [sum(lap[i][t] * adj[t][j] for t in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        assert product == [[kappa * (i == j) for j in range(size)] for i in range(size)]
+
+
+def test_local_census_rejects_multigraphs():
+    with pytest.raises(ValueError):
+        local_census(Graph.from_multi_edges(3, [(0, 1, 2), (1, 2, 1)]))

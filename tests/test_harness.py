@@ -317,6 +317,88 @@ def test_vertex_means_from_census_match_anchored_census():
                 assert ctx.anchored(constraint) == census_containing(g, constraint)
 
 
+def test_edge_and_cherry_means_from_local_census_match_anchored_census():
+    # edges and cherries come from the local census; a 2-vertex forest
+    # still goes through census_containing
+    from subtrees import CheckContext
+    from subtrees.census import SubtreeConstraint, census_containing
+
+    for n in range(2, 7):
+        for g in generate_connected(n):
+            ctx = CheckContext(g)
+            constraints = []
+            for u, v in g.edges():
+                constraints.append(SubtreeConstraint(frozenset([u, v]), frozenset([(v, u)])))
+                constraints.append(SubtreeConstraint(frozenset([u, v])))
+                for w in range(n):
+                    if w not in (u, v) and g.has_edge(v, w):
+                        constraints.append(
+                            SubtreeConstraint(frozenset([u, v, w]), frozenset([(u, v), (w, v)]))
+                        )
+            for constraint in constraints:
+                assert ctx.anchored(constraint) == census_containing(g, constraint), constraint
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    import subtrees.harness as harness
+
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_context_builds_local_census_at_most_once(monkeypatch):
+    from subtrees import CheckContext
+
+    built = _count_calls(monkeypatch, "local_census")
+    anchored = _count_calls(monkeypatch, "census_containing")
+    for g in (cycle(6), clique(5), complete_bipartite(3, 3)):
+        ctx = CheckContext(g)
+        for fn in (check_local_global, check_local_mean_bound, check_transitive_inequalities):
+            assert fn(g, ctx=ctx).status == HOLDS
+        assert built == [(g,)]
+        built.clear()
+        for fn in (check_min_path, check_ratio_chain):
+            fn(g, ctx=CheckContext(g))
+        assert built == []
+    assert anchored == []
+
+
+def test_local_mean_bound_rejects_max_order_before_any_census(monkeypatch):
+    import subtrees.harness as harness
+
+    def no_census(g):
+        raise AssertionError("census work before the max_order check")
+
+    monkeypatch.setattr(harness, "census", no_census)
+    monkeypatch.setattr(harness, "local_census", no_census)
+    for max_order in (0, -1, 4):
+        with pytest.raises(ValueError, match="max_order"):
+            check_local_mean_bound(barbell(14, 6), max_order)
+
+
+def test_structural_shape_tests_match_certificates():
+    from subtrees import canonical_form
+    from subtrees.harness import _is_clique, _is_path, _is_star
+
+    for n in range(1, 7):
+        shapes = {
+            _is_path: canonical_form(path_graph(n)),
+            _is_star: canonical_form(star_graph(n)),
+            _is_clique: canonical_form(clique(n)),
+        }
+        for g in generate_connected(n):
+            cert = canonical_form(g)
+            for test, shape in shapes.items():
+                assert test(g) == (cert == shape), (test.__name__, g)
+
+
 def test_scan_memo_holds_one_mean_per_certificate():
     from subtrees import CHECKS, canonical_form, census, to_graph6
     from subtrees.scan import _run_checks
