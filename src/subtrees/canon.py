@@ -143,8 +143,6 @@ def _canonical_search(rows: tuple[int, ...], n: int):
 
 def canonical_form(g: Graph) -> bytes:
     """Labelling-invariant certificate; equal bytes iff isomorphic graphs."""
-    if not g.simple:
-        raise ValueError("canonical_form requires a simple graph")
     if g.n > MAX_CANON:
         raise ValueError(f"canonical_form supports at most {MAX_CANON} vertices")
     n = g.n
@@ -155,8 +153,6 @@ def canonical_form(g: Graph) -> bytes:
 
 def canonical_labelling(g: Graph) -> list[int]:
     """A labelling achieving the canonical certificate (position -> vertex)."""
-    if not g.simple:
-        raise ValueError("canonical_labelling requires a simple graph")
     if g.n > MAX_CANON:
         raise ValueError(f"canonical_labelling supports at most {MAX_CANON} vertices")
     _, order, _ = _canonical_search(g.rows, g.n)

@@ -2,11 +2,14 @@
 
 A subtree with vertex set A is a spanning tree of the induced subgraph
 G[A], so the census enumerates every connected vertex subset exactly once
-(recursive extend-or-forbid growth from each root, smaller roots
-forbidden) and adds the matrix-tree count of G[A] into the order-|A|
-bucket.  All arithmetic is exact: counts are Python integers,
-determinants use fraction-free Bareiss elimination, and means are
-``Fraction`` values.
+and adds the matrix-tree count of G[A] into the order-|A| bucket.  One
+extend-or-forbid walk, :func:`_connected_sets`, grows the sets for every
+census here (from each root with smaller roots forbidden, or from the
+required vertices of an anchored census), and one builder,
+:func:`_reduced_laplacian`, gives the matrix whose determinant or
+adjugate counts the trees.  All arithmetic is exact: counts are Python
+integers, determinants use fraction-free Bareiss elimination, and means
+are ``Fraction`` values.
 
 :func:`local_census` gives every edge and cherry (3-vertex path a-m-b)
 anchored census from one pass over the connected sets, through two
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .graphs import Edge, Graph, _norm_edge
 
@@ -79,25 +83,23 @@ def _det_bareiss(mat: list[list[int]]) -> int:
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees (any Laplacian cofactor), exact.
 
-    Multiplicities contribute; disconnected graphs give 0 and a single
-    vertex gives 1.
+    Disconnected graphs give 0 and a single vertex gives 1.
     """
-    n = g.n
-    if n == 1:
-        return 1
+    return _det_bareiss(_reduced_laplacian(g.rows, list(range(g.n)), (1 << g.n) - 1))
+
+
+def _reduced_laplacian(rows: tuple[int, ...], verts: list[int], subset: int) -> list[list[int]]:
+    """Laplacian of the graph induced on ``verts`` (bitmask ``subset``),
+    without the row and column of ``verts[0]``."""
+    k = len(verts)
     mat = []
-    full = (1 << n) - 1
-    for i in range(1, n):
-        row_mask = g.rows[i]
-        if g.mult is None:
-            deg = (row_mask & full).bit_count()
-            row = [deg if i == j else -((row_mask >> j) & 1) for j in range(1, n)]
-        else:
-            mults = [g.multiplicity(i, j) for j in range(n)]
-            deg = sum(mults)
-            row = [deg if i == j else -mults[j] for j in range(1, n)]
-        mat.append(row)
-    return _det_bareiss(mat)
+    for i in range(1, k):
+        row_mask = rows[verts[i]]
+        deg = (row_mask & subset).bit_count()
+        mat.append(
+            [deg if i == j else -((row_mask >> verts[j]) & 1) for j in range(1, k)]
+        )
+    return mat
 
 
 def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -129,19 +131,49 @@ def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
     return prev, [row[size:] for row in aug]
 
 
-def _kappa_induced(rows: tuple[int, ...], verts: list[int], subset: int) -> int:
-    # Spanning trees of the induced subgraph on `verts` (a connected set).
-    k = len(verts)
-    if k <= 2:
-        return 1
-    mat = []
-    for i in range(1, k):
-        row_mask = rows[verts[i]]
-        deg = (row_mask & subset).bit_count()
-        mat.append(
-            [deg if i == j else -((row_mask >> verts[j]) & 1) for j in range(1, k)]
-        )
-    return _det_bareiss(mat)
+# -- connected sets ------------------------------------------------------------
+
+
+def _connected_sets(rows: tuple[int, ...], starts: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Bitmask of every set grown from each ``(seed, allowed)`` pair, once.
+
+    Extend-or-forbid growth: a set is extended by one candidate (a vertex
+    of ``allowed`` next to it) at a time, and each candidate tried at a
+    node is forbidden to the later branches.  So every set S containing
+    the seed, with S minus the seed inside ``allowed`` and every component
+    of G[S] meeting the seed, appears exactly once: a connected seed gives
+    its connected supersets, a disconnected one also some disconnected
+    sets.  Sets are yielded as they are grown, never stored.
+    """
+    for seed, allowed in starts:
+        nbhd = 0
+        m = seed
+        while m:
+            b = m & -m
+            m ^= b
+            nbhd |= rows[b.bit_length() - 1]
+        stack = [(seed, nbhd & allowed & ~seed, 0)]
+        while stack:
+            subset, cand, forb = stack.pop()
+            yield subset
+            processed = 0
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                grown = subset | b
+                nf = forb | processed
+                stack.append(
+                    (grown, (cand | rows[b.bit_length() - 1]) & allowed & ~grown & ~nf, nf)
+                )
+                processed |= b
+
+
+def _rooted(n: int) -> Iterator[tuple[int, int]]:
+    # One seed per root with smaller roots forbidden: every connected set
+    # of the graph is grown from its smallest vertex.
+    all_bits = (1 << n) - 1
+    for root in range(n):
+        yield 1 << root, all_bits & ~((2 << root) - 1)
 
 
 # -- census ------------------------------------------------------------------
@@ -185,43 +217,26 @@ class SubtreeCensus:
 
 def census(g: Graph) -> SubtreeCensus:
     """Full subtree census; the graph may be disconnected."""
-    if not g.simple:
-        raise ValueError("census requires a simple graph")
     n = g.n
     rows = g.rows
     counts = [0] * (n + 1)
     vertex_counts = [0] * n
     vertex_order_sums = [0] * n
-    all_bits = (1 << n) - 1
-    for root in range(n):
-        allowed = all_bits & ~((1 << (root + 1)) - 1)
-        stack = [(1 << root, rows[root] & allowed, 0)]
-        while stack:
-            subset, cand, forb = stack.pop()
-            verts = _bits(subset)
-            k = len(verts)
-            twice_edges = 0
-            for v in verts:
-                twice_edges += (rows[v] & subset).bit_count()
-            if twice_edges == 2 * (k - 1):
-                kappa = 1
-            else:
-                kappa = _kappa_induced(rows, verts, subset)
-            counts[k] += kappa
-            k_kappa = k * kappa
-            for v in verts:
-                vertex_counts[v] += kappa
-                vertex_order_sums[v] += k_kappa
-            processed = 0
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                grown = subset | b
-                nf = forb | processed
-                stack.append(
-                    (grown, (cand | rows[b.bit_length() - 1]) & allowed & ~grown & ~nf, nf)
-                )
-                processed |= b
+    for subset in _connected_sets(rows, _rooted(n)):
+        verts = _bits(subset)
+        k = len(verts)
+        twice_edges = 0
+        for v in verts:
+            twice_edges += (rows[v] & subset).bit_count()
+        if twice_edges == 2 * (k - 1):
+            kappa = 1
+        else:
+            kappa = _det_bareiss(_reduced_laplacian(rows, verts, subset))
+        counts[k] += kappa
+        k_kappa = k * kappa
+        for v in verts:
+            vertex_counts[v] += kappa
+            vertex_order_sums[v] += k_kappa
     num = sum(counts)
     total = sum(k * c for k, c in enumerate(counts))
     return SubtreeCensus(
@@ -248,19 +263,9 @@ class SubtreeConstraint:
                 raise ValueError("constraint contains a loop")
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError("constraint edges must span required vertices")
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            a, b = find(u), find(v)
-            if a == b:
-                raise ValueError("constraint edges contain a cycle")
-            parent[a] = b
+        if self.vertices and min(self.vertices) < 0:
+            raise ValueError(f"negative constraint vertex {min(self.vertices)}")
+        _forest_blocks(self)
 
     @property
     def empty(self) -> bool:
@@ -276,6 +281,31 @@ class SubtreeConstraint:
         for u, v in self.edges:
             if not g.has_edge(u, v):
                 raise ValueError(f"constraint edge ({u},{v}) absent from graph")
+
+
+def _forest_blocks(constraint: SubtreeConstraint) -> list[int]:
+    """Sorted vertex masks of the components of the required forest.
+
+    Raises ``ValueError`` when the constraint edges contain a cycle.
+    """
+    parent = {v: v for v in constraint.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in constraint.edges:
+        a, b = find(u), find(v)
+        if a == b:
+            raise ValueError("constraint edges contain a cycle")
+        parent[a] = b
+    masks: dict[int, int] = {}
+    for v in constraint.vertices:
+        root = find(v)
+        masks[root] = masks.get(root, 0) | (1 << v)
+    return sorted(masks.values())
 
 
 def _kappa_contracted(
@@ -321,68 +351,34 @@ def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int
     The empty constraint means "no restriction" and reproduces the full
     census totals.
     """
-    if not g.simple:
-        raise ValueError("census_containing requires a simple graph")
     constraint.validate_for(g)
     if constraint.empty:
         c = census(g)
         return c.num_subtrees, c.order_sum
 
     rows = g.rows
-    req_mask = 0
-    for v in constraint.vertices:
-        req_mask |= 1 << v
-
-    # blocks of the required forest (fixed across subsets)
-    parent = {v: v for v in constraint.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in constraint.edges:
-        parent[find(u)] = find(v)
-    comp_masks: dict[int, int] = {}
-    for v in constraint.vertices:
-        root = find(v)
-        comp_masks[root] = comp_masks.get(root, 0) | (1 << v)
-    req_blocks = sorted(comp_masks.values())
-
+    req_blocks = _forest_blocks(constraint)
+    req_mask = sum(req_blocks)
     count = 0
     order_sum = 0
-    neighbourhood = 0
-    for v in constraint.vertices:
-        neighbourhood |= rows[v]
-    stack = [(req_mask, neighbourhood & ~req_mask, 0)]
-    while stack:
-        subset, cand, forb = stack.pop()
+    # a forest seed is disconnected, so some grown sets are too
+    for subset in _connected_sets(rows, [(req_mask, (1 << g.n) - 1)]):
         low = subset & -subset
-        if g.component_mask(low.bit_length() - 1, subset) == subset:
-            k = subset.bit_count()
-            twice_edges = 0
-            m = subset
-            while m:
-                b = m & -m
-                m ^= b
-                twice_edges += (rows[b.bit_length() - 1] & subset).bit_count()
-            if twice_edges == 2 * (k - 1):
-                kappa = 1
-            else:
-                kappa = _kappa_contracted(rows, subset, req_blocks, req_mask)
-            count += kappa
-            order_sum += k * kappa
-        processed = 0
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            grown = subset | b
-            nf = forb | processed
-            stack.append(
-                (grown, (cand | rows[b.bit_length() - 1]) & ~grown & ~nf, nf)
-            )
-            processed |= b
+        if g.component_mask(low.bit_length() - 1, subset) != subset:
+            continue
+        k = subset.bit_count()
+        twice_edges = 0
+        m = subset
+        while m:
+            b = m & -m
+            m ^= b
+            twice_edges += (rows[b.bit_length() - 1] & subset).bit_count()
+        if twice_edges == 2 * (k - 1):
+            kappa = 1
+        else:
+            kappa = _kappa_contracted(rows, subset, req_blocks, req_mask)
+        count += kappa
+        order_sum += k * kappa
     return count, order_sum
 
 
@@ -411,8 +407,6 @@ def local_census(g: Graph) -> LocalCensus:
     (the transfer-current theorem).  When G[A] is a tree each of its edges
     and cherries counts once.
     """
-    if not g.simple:
-        raise ValueError("local_census requires a simple graph")
     n = g.n
     rows = g.rows
     nn = n * n
@@ -421,39 +415,24 @@ def local_census(g: Graph) -> LocalCensus:
     edge_sums = [0] * nn
     cherry_counts = [0] * (nn * n)
     cherry_sums = [0] * (nn * n)
-    all_bits = (1 << n) - 1
-    for root in range(n):
-        allowed = all_bits & ~((1 << (root + 1)) - 1)
-        stack = [(1 << root, rows[root] & allowed, 0)]
-        while stack:
-            subset, cand, forb = stack.pop()
-            verts = _bits(subset)
-            k = len(verts)
-            nbrs = [_bits(rows[v] & subset) for v in verts]
-            if sum(map(len, nbrs)) == 2 * (k - 1):
-                for m, nb in zip(verts, nbrs):
-                    for i, a in enumerate(nb):
-                        if a > m:
-                            edge_counts[m * n + a] += 1
-                            edge_sums[m * n + a] += k
-                        base = (m * n + a) * n
-                        for b in nb[i + 1 :]:
-                            cherry_counts[base + b] += 1
-                            cherry_sums[base + b] += k
-            else:
-                _add_local(
-                    rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts, cherry_sums
-                )
-            processed = 0
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                grown = subset | b
-                nf = forb | processed
-                stack.append(
-                    (grown, (cand | rows[b.bit_length() - 1]) & allowed & ~grown & ~nf, nf)
-                )
-                processed |= b
+    for subset in _connected_sets(rows, _rooted(n)):
+        verts = _bits(subset)
+        k = len(verts)
+        nbrs = [_bits(rows[v] & subset) for v in verts]
+        if sum(map(len, nbrs)) == 2 * (k - 1):
+            for m, nb in zip(verts, nbrs):
+                for i, a in enumerate(nb):
+                    if a > m:
+                        edge_counts[m * n + a] += 1
+                        edge_sums[m * n + a] += k
+                    base = (m * n + a) * n
+                    for b in nb[i + 1 :]:
+                        cherry_counts[base + b] += 1
+                        cherry_sums[base + b] += k
+        else:
+            _add_local(
+                rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts, cherry_sums
+            )
     edges = {(u, v): (edge_counts[u * n + v], edge_sums[u * n + v]) for u, v in g.edges()}
     cherries = {}
     for m in range(n):
@@ -472,14 +451,7 @@ def _add_local(rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts,
     n = len(rows)
     k = len(verts)
     local = {v: i for i, v in enumerate(verts)}
-    mat = []
-    for i in range(1, k):
-        row_mask = rows[verts[i]]
-        deg = (row_mask & subset).bit_count()
-        mat.append(
-            [deg if i == j else -((row_mask >> verts[j]) & 1) for j in range(1, k)]
-        )
-    kappa, adj = _adjugate(mat)
+    kappa, adj = _adjugate(_reduced_laplacian(rows, verts, subset))
     # the adjugate padded with a zero row and column for the dropped verts[0]
     y = [[0] * k] + [[0] + row for row in adj]
     trees_through = [[0] * k for _ in range(k)]
@@ -556,28 +528,11 @@ def spanning_fraction(g: Graph) -> Fraction:
 def average_connected_set_size(g: Graph) -> Fraction:
     """Mean cardinality over all non-empty connected vertex sets."""
     _require_connected(g)
-    n = g.n
-    rows = g.rows
-    all_bits = (1 << n) - 1
     sets = 0
     size_sum = 0
-    for root in range(n):
-        allowed = all_bits & ~((1 << (root + 1)) - 1)
-        stack = [(1 << root, 1, rows[root] & allowed, 0)]
-        while stack:
-            subset, k, cand, forb = stack.pop()
-            sets += 1
-            size_sum += k
-            processed = 0
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                grown = subset | b
-                nf = forb | processed
-                stack.append(
-                    (grown, k + 1, (cand | rows[b.bit_length() - 1]) & allowed & ~grown & ~nf, nf)
-                )
-                processed |= b
+    for subset in _connected_sets(g.rows, _rooted(g.n)):
+        sets += 1
+        size_sum += subset.bit_count()
     return Fraction(size_sum, sets)
 
 
@@ -594,8 +549,6 @@ def census_by_subtree_enumeration(g: Graph) -> SubtreeCensus:
     appears exactly once.  Exponential in the subtree count; capped at
     n <= 8.
     """
-    if not g.simple:
-        raise ValueError("subtree enumeration requires a simple graph")
     n = g.n
     if n > ORACLE_MAX_VERTICES:
         raise ValueError(f"subtree enumeration capped at {ORACLE_MAX_VERTICES} vertices")

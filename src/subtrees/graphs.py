@@ -2,9 +2,6 @@
 
 The representation keeps one adjacency bitmask per vertex, so connectivity
 tests and connected-set enumeration reduce to machine-word bit operations.
-Edge multiplicities (needed transiently when counting spanning trees of
-contracted graphs) live in a sparse side table; simple graphs never
-allocate it.
 
 All operations are pure: a :class:`Graph` is immutable after construction
 and safe to share across workers.
@@ -24,19 +21,16 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """An undirected labelled graph without loops.
+    """A simple undirected labelled graph.
 
-    ``rows[v]`` is the bitmask of neighbours of ``v`` (the simple support).
-    ``mult`` maps normalised edges to multiplicities >= 2 and is ``None``
-    for simple graphs.
+    ``rows[v]`` is the bitmask of neighbours of ``v``.
     """
 
-    __slots__ = ("n", "rows", "mult")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[int, ...], mult: dict[Edge, int] | None = None):
+    def __init__(self, n: int, rows: tuple[int, ...]):
         self.n = n
         self.rows = rows
-        self.mult = mult
 
     # -- construction ----------------------------------------------------
 
@@ -57,63 +51,12 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
-    @staticmethod
-    def from_multi_edges(n: int, edges: Iterable[tuple[int, int, int]]) -> "Graph":
-        """Build a multigraph from ``(u, v, multiplicity)`` triples."""
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-        rows = [0] * n
-        mult: dict[Edge, int] = {}
-        for u, v, m in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if m < 1:
-                raise ValueError(f"multiplicity {m} < 1 on edge ({u},{v})")
-            if (rows[u] >> v) & 1:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            if m >= 2:
-                mult[_norm_edge(u, v)] = m
-        return Graph(n, tuple(rows), mult or None)
-
-    @staticmethod
-    def from_adjacency(matrix: list[list[int]]) -> "Graph":
-        """Build from a symmetric multiplicity matrix with zero diagonal."""
-        n = len(matrix)
-        triples = []
-        for u in range(n):
-            if len(matrix[u]) != n:
-                raise ValueError("adjacency matrix not square")
-            if matrix[u][u] != 0:
-                raise ValueError(f"nonzero diagonal at {u}")
-            for v in range(u + 1, n):
-                if matrix[u][v] != matrix[v][u]:
-                    raise ValueError(f"asymmetric entries at ({u},{v})")
-                if matrix[u][v] < 0:
-                    raise ValueError(f"negative multiplicity at ({u},{v})")
-                if matrix[u][v]:
-                    triples.append((u, v, matrix[u][v]))
-        return Graph.from_multi_edges(n, triples)
-
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def simple(self) -> bool:
-        return self.mult is None
-
-    def multiplicity(self, u: int, v: int) -> int:
-        if not (self.rows[u] >> v) & 1:
-            return 0
-        if self.mult is None:
-            return 1
-        return self.mult.get(_norm_edge(u, v), 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        """Number of distinct neighbours (multiplicities not counted)."""
         return self.rows[v].bit_count()
 
     def edges(self) -> Iterator[Edge]:
@@ -130,21 +73,8 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        mat = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.edges():
-            m = self.multiplicity(u, v)
-            mat[u][v] = m
-            mat[v][u] = m
-        return mat
-
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.rows == other.rows
-            and self.mult == other.mult
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
         return hash((self.n, self.rows))
@@ -154,10 +84,6 @@ class Graph:
 
     # -- edit operations ---------------------------------------------------
 
-    def _require_simple(self, op: str) -> None:
-        if self.mult is not None:
-            raise ValueError(f"{op} requires a simple graph")
-
     def add_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError("cannot add a loop")
@@ -166,17 +92,17 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows), self.mult)
+        return Graph(self.n, tuple(rows))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if u == v:
             raise ValueError("no loops exist")
-        if self.multiplicity(u, v) != 1:
-            raise ValueError(f"({u},{v}) is not a single edge")
+        if not self.has_edge(u, v):
+            raise ValueError(f"({u},{v}) is not an edge")
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows), self.mult)
+        return Graph(self.n, tuple(rows))
 
     def add_edges(self, edges: Iterable[Edge]) -> "Graph":
         g = self
@@ -187,13 +113,12 @@ class Graph:
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge into one vertex.
 
-        Parallel edges arising from the merge collapse to multiplicity 1 and
-        the loop vanishes (simple-graph contraction).  The merged vertex
+        Parallel edges arising from the merge collapse to one edge and the
+        loop vanishes (simple-graph contraction).  The merged vertex
         takes the smaller label; labels above the larger one shift down.
         """
         if not self.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge")
-        self._require_simple("contract_edge")
         lo, hi = _norm_edge(u, v)
         n = self.n
         relabel = [0] * n
@@ -209,7 +134,6 @@ class Graph:
         return Graph.from_edges(n - 1, sorted(edges))
 
     def complement(self) -> "Graph":
-        self._require_simple("complement")
         n = self.n
         full = (1 << n) - 1
         rows = tuple((full & ~self.rows[v]) & ~(1 << v) for v in range(n))
@@ -217,7 +141,6 @@ class Graph:
 
     def relabel(self, perm: list[int]) -> "Graph":
         """Apply a permutation: vertex v of the result is ``perm[v]`` of self."""
-        self._require_simple("relabel")
         n = self.n
         inv = [0] * n
         for new, old in enumerate(perm):
@@ -253,7 +176,7 @@ class Graph:
         return self.component_mask(0) == (1 << self.n) - 1
 
     def is_tree(self) -> bool:
-        return self.simple and self.edge_count == self.n - 1 and self.is_connected()
+        return self.edge_count == self.n - 1 and self.is_connected()
 
     def is_cut_vertex(self, v: int) -> bool:
         if self.n == 1:
@@ -265,8 +188,6 @@ class Graph:
     def is_bridge(self, u: int, v: int) -> bool:
         if not self.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge")
-        if self.multiplicity(u, v) > 1:
-            return False
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -280,9 +201,7 @@ _G6_HEADER = ">>graph6<<"
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode a simple graph in graph6 (6-bit groups, bias 63)."""
-    if not g.simple:
-        raise ValueError("graph6 encodes simple graphs only")
+    """Encode a graph in graph6 (6-bit groups, bias 63)."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -360,7 +279,6 @@ def maximal_matchings(g: Graph) -> Iterator[tuple[Edge, ...]]:
     indices, so the stream is duplicate-free and deterministic.  The empty
     matching is yielded iff the graph has no edges.
     """
-    g._require_simple("maximal_matchings")
     edges = sorted(g.edges())
     masks = [(1 << u) | (1 << v) for u, v in edges]
 

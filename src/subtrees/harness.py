@@ -629,8 +629,6 @@ def classify_edge_additions(g: Graph) -> EdgeAdditionReport:
     One exact mean computation per class.  Class order follows the first
     (lexicographically smallest) representative.
     """
-    if not g.simple:
-        raise ValueError("classification requires a simple graph")
     if g.n > 24:
         raise ValueError("edge-addition classification capped at 24 vertices")
     base = census(g).mean

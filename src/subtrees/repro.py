@@ -13,12 +13,13 @@ from typing import Callable
 from .census import SubtreeConstraint, census, census_containing
 from .closedforms import JoinSpec, join_subtree_counts
 from .families import (
+    FamilySpec,
     barbell,
+    build_family,
     clique,
     complete_bipartite,
     cycle,
-    modified_barbell,
-    modified_double_broom,
+    family_labels,
     petersen,
 )
 from .canon import generate_connected, generate_trees
@@ -69,7 +70,12 @@ def repro_barbell_matchings() -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _local_means_run(g, v1: int, hubs: tuple[int, int], name: str) -> tuple[bool, list[str]]:
+def _local_means_run(spec: FamilySpec, name: str) -> tuple[bool, list[str]]:
+    # local means at the one bridge vertex and at its edges to both hubs
+    g = build_family(spec)
+    labels = family_labels(spec)
+    (v1,) = labels["bridge"]
+    hubs = (labels["hub1"], labels["hub2"])
     c = census(g)
     mu = c.mean
     mu_v = c.mean_at_vertex(v1)
@@ -93,14 +99,14 @@ def repro_dstar_local() -> tuple[bool, list[str]]:
     """Bridged barbell on 16 vertices (two 5-cliques glued to an 8-cycle):
     the bridge vertex has local mean below the global mean, and both of its
     edges sit below that again."""
-    g = modified_barbell(16, 5, 1)
-    return _local_means_run(g, 15, (4, 10), "modified barbell(16,5,1)")
+    spec = FamilySpec("modified_barbell", n=16, w=5, a=1)
+    return _local_means_run(spec, "modified barbell(16,5,1)")
 
 
 def repro_dbstar_local() -> tuple[bool, list[str]]:
     """Same non-monotone pattern on the 23-vertex bridged double broom."""
-    g = modified_double_broom(23, 8, 1)
-    return _local_means_run(g, 22, (7, 14), "modified double broom(23,8,1)")
+    spec = FamilySpec("modified_double_broom", n=23, w=8, a=1)
+    return _local_means_run(spec, "modified double broom(23,8,1)")
 
 
 def _join_deletion(pairs: list[tuple[int, int]]) -> tuple[bool, list[str]]:

@@ -5,7 +5,10 @@ list live in a :class:`ScanState` that is persisted every
 ``checkpoint_every`` graphs.  Resuming truncates the output back to the
 last synced byte offset and skips the consumed prefix of the input, so an
 interrupted-and-resumed scan reproduces a single-pass run byte for byte
-(up to the informational ``runtime_ms`` field).
+(up to the informational ``runtime_ms`` field).  The checkpoint holds a
+fingerprint of the input it has seen: the number of graph6 lines taken
+and the SHA-256 of those lines (normalised, one per line).  A resume
+whose input does not start with the same lines raises :class:`ScanError`.
 
 Input is validated before anything is written: a malformed graph6 line
 or a disconnected graph raises :class:`ScanError` naming the line.
@@ -46,6 +49,8 @@ class ScanState:
     tallies: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     output_bytes: int = 0
+    # (graph6 lines taken, SHA-256 hex of them), or None before the first save
+    fingerprint: tuple[int, str] | None = None
 
     def record(self, verdict: CheckVerdict) -> None:
         per_check = self.tallies.setdefault(
@@ -74,6 +79,7 @@ def save_state(state: ScanState, path: str) -> None:
         "tallies": state.tallies,
         "violations": state.violations,
         "output_bytes": state.output_bytes,
+        "fingerprint": state.fingerprint,
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -90,7 +96,19 @@ def load_state(path: str) -> ScanState:
         tallies=payload["tallies"],
         violations=payload["violations"],
         output_bytes=payload["output_bytes"],
+        fingerprint=tuple(payload["fingerprint"]) if payload.get("fingerprint") else None,
     )
+
+
+def _prefix_digest(texts: list[str], k: int):
+    # hashlib loads OpenSSL, about 3.6 MB of resident memory, so only a
+    # scan that keeps a checkpoint imports it
+    import hashlib
+
+    digest = hashlib.sha256()
+    for text in texts[:k]:
+        digest.update(text.encode() + b"\n")
+    return digest
 
 
 def verdict_record(verdict: CheckVerdict) -> dict:
@@ -188,6 +206,14 @@ def scan(
         if not g.is_connected():
             raise ScanError(f"disconnected graph at line {lineno}: checks need connected graphs")
         texts.append(text)
+    if not fresh:
+        taken, sha256 = state.fingerprint or (state.consumed, None)
+        if _prefix_digest(texts, taken).hexdigest() != sha256:
+            raise ScanError(
+                f"checkpoint {checkpoint_path} does not match this input: its fingerprint "
+                f"of the first {taken} graphs differs or is missing"
+            )
+    digest = _prefix_digest(texts, state.consumed) if checkpoint_path else None
     todo = texts[state.consumed :]
     if limit is not None:
         todo = todo[: max(0, limit - state.consumed)]
@@ -198,29 +224,34 @@ def scan(
             out.truncate(state.output_bytes)
             out.seek(state.output_bytes)
 
-        def handle(verdicts: list[CheckVerdict]) -> None:
+        def handle(text: str, verdicts: list[CheckVerdict]) -> None:
             for verdict in verdicts:
                 out.write(verdict_jsonl(verdict).encode() + b"\n")
                 state.record(verdict)
             state.consumed += 1
-            if checkpoint_path and state.consumed % checkpoint_every == 0:
-                out.flush()
-                state.output_bytes = out.tell()
-                save_state(state, checkpoint_path)
+            if checkpoint_path:
+                digest.update(text.encode() + b"\n")
+                if state.consumed % checkpoint_every == 0:
+                    out.flush()
+                    state.output_bytes = out.tell()
+                    state.fingerprint = (state.consumed, digest.hexdigest())
+                    save_state(state, checkpoint_path)
 
         names = tuple(checks)
         if jobs > 1 and len(todo) > 1:
             with multiprocessing.Pool(jobs) as pool:
-                for verdicts in pool.imap(
+                verdict_lists = pool.imap(
                     _run_checks_by_name, ((t, names) for t in todo), chunksize=8
-                ):
-                    handle(verdicts)
+                )
+                for text, verdicts in zip(todo, verdict_lists):
+                    handle(text, verdicts)
         else:
             memo: dict = {}
             for text in todo:
-                handle(_run_checks(text, names, memo))
+                handle(text, _run_checks(text, names, memo))
         out.flush()
         state.output_bytes = out.tell()
     if checkpoint_path:
+        state.fingerprint = (state.consumed, digest.hexdigest())
         save_state(state, checkpoint_path)
     return state

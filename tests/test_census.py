@@ -29,7 +29,7 @@ from subtrees import (
     spanning_tree_count,
     star_graph,
 )
-from subtrees.census import _adjugate, _det_bareiss, local_census
+from subtrees.census import _adjugate, _connected_sets, _det_bareiss, _rooted, local_census
 from conftest import naive_census_counts, random_connected_graph, random_graph
 
 
@@ -107,25 +107,7 @@ def test_spanning_tree_count_formulas():
     assert spanning_tree_count(cycle(4)) == 4
     assert spanning_tree_count(clique(4).delete_edge(0, 1)) == 8
     assert spanning_tree_count(Graph.from_edges(4, [(0, 1), (2, 3)])) == 0
-    # multigraph: doubled edge of K_2 has two spanning trees
-    assert spanning_tree_count(Graph.from_multi_edges(2, [(0, 1, 2)])) == 2
-    # theta graph: 4-cycle with a doubled chord
-    theta = Graph.from_multi_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 2)])
-    plain = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    assert spanning_tree_count(theta) == spanning_tree_count(plain) + naive_theta_extra(plain)
 
-
-def naive_theta_extra(plain: Graph) -> int:
-    # duplicating edge (0,2) adds one extra copy of every spanning tree using it
-    total = 0
-    edges = list(plain.edges())
-    from itertools import combinations
-
-    for sub in combinations(edges, 3):
-        g = Graph.from_edges(4, list(sub))
-        if g.is_connected() and (0, 2) in sub:
-            total += 1
-    return total
 
 
 def test_census_containing_hand_values():
@@ -204,6 +186,29 @@ def brute_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]
     return count, order
 
 
+def test_census_containing_two_component_forest():
+    # one edge plus a vertex at distance >= 2 from it: the walk starts from
+    # a seed that is neither connected nor adjacent, in graphs with cut
+    # vertices
+    rng = random.Random(37)
+    tried = 0
+    while tried < 30:
+        g = random_connected_graph(rng, rng.randint(5, 7), 0.4)
+        if not any(g.is_cut_vertex(v) for v in range(g.n)):
+            continue
+        for u, v in g.edges():
+            near = g.rows[u] | g.rows[v] | (1 << u) | (1 << v)
+            far = [w for w in range(g.n) if not (near >> w) & 1]
+            if far:
+                break
+        else:
+            continue
+        tried += 1
+        w = far[rng.randrange(len(far))]
+        constraint = SubtreeConstraint(frozenset([u, v, w]), frozenset([(u, v)]))
+        assert census_containing(g, constraint) == brute_containing(g, constraint), (g, u, v, w)
+
+
 def test_constraint_validation():
     g = path_graph(4)
     with pytest.raises(ValueError):
@@ -221,6 +226,8 @@ def test_constraint_validation():
         )
     with pytest.raises(ValueError):
         mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset([0, 2])))
+    with pytest.raises(ValueError, match="negative"):
+        SubtreeConstraint(frozenset([-1]))
 
 
 def test_mean_subtree_order_path_formula():
@@ -300,18 +307,56 @@ def test_average_connected_set_size_values():
         assert t_counts >= 1
 
 
+def _connected_masks(g: Graph) -> list[int]:
+    # every non-empty vertex set, kept when it induces a connected graph
+    return [
+        m
+        for m in range(1, 1 << g.n)
+        if g.component_mask((m & -m).bit_length() - 1, m) == m
+    ]
+
+
+def test_connected_sets_yield_each_connected_set_once():
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            sets = list(_connected_sets(g.rows, _rooted(n)))
+            assert len(sets) == len(set(sets))
+            assert sorted(sets) == _connected_masks(g)
+
+
+def test_connected_sets_from_a_disconnected_seed():
+    # every superset whose components each meet the seed, once
+    for n in range(3, 6):
+        for g in generate_connected(n):
+            full = (1 << n) - 1
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if g.has_edge(a, b):
+                        continue
+                    seed = (1 << a) | (1 << b)
+                    sets = list(_connected_sets(g.rows, [(seed, full)]))
+                    expect = [
+                        m
+                        for m in range(1, 1 << n)
+                        if m & seed == seed
+                        and g.component_mask(a, m) | g.component_mask(b, m) == m
+                    ]
+                    assert len(sets) == len(set(sets))
+                    assert sorted(sets) == expect
+
+
+def test_average_connected_set_size_brute_force():
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            masks = _connected_masks(g)
+            expect = Fraction(sum(m.bit_count() for m in masks), len(masks))
+            assert average_connected_set_size(g) == expect
+
+
 def test_spanning_fraction_values():
     assert spanning_fraction(clique(3)) == Fraction(1, 3)
     for n in range(2, 9):
         assert spanning_fraction(star_graph(n)) == Fraction(1, (1 << (n - 1)) + n - 1)
-
-
-def test_census_rejects_multigraphs():
-    g = Graph.from_multi_edges(3, [(0, 1, 2), (1, 2, 1)])
-    with pytest.raises(ValueError):
-        census(g)
-    with pytest.raises(ValueError):
-        census_by_subtree_enumeration(g)
 
 
 # -- the local census: every edge and cherry from one pass -------------------
@@ -375,7 +420,3 @@ def test_adjugate_of_reduced_laplacians():
         ]
         assert product == [[kappa * (i == j) for j in range(size)] for i in range(size)]
 
-
-def test_local_census_rejects_multigraphs():
-    with pytest.raises(ValueError):
-        local_census(Graph.from_multi_edges(3, [(0, 1, 2), (1, 2, 1)]))

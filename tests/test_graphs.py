@@ -61,12 +61,6 @@ def test_graph6_malformed():
         from_graph6("~~????")  # order beyond 64
 
 
-def test_graph6_rejects_multigraph():
-    g = Graph.from_multi_edges(3, [(0, 1, 2), (1, 2, 1)])
-    with pytest.raises(ValueError):
-        to_graph6(g)
-
-
 def test_add_delete_edge():
     p3 = path_graph(3)
     assert p3.add_edge(0, 2) == clique(3)
@@ -103,25 +97,6 @@ def test_predicates():
     assert path_graph(4).is_tree()
     assert not cycle(4).is_tree()
     assert Graph.from_edges(4, [(0, 1), (2, 3)]).is_connected() is False
-
-
-def test_multigraph_fields():
-    g = Graph.from_multi_edges(3, [(0, 1, 3), (1, 2, 1)])
-    assert not g.simple
-    assert g.multiplicity(0, 1) == 3
-    assert g.multiplicity(1, 0) == 3
-    assert g.multiplicity(1, 2) == 1
-    assert g.multiplicity(0, 2) == 0
-    assert g.adjacency_matrix() == [[0, 3, 0], [3, 0, 1], [0, 1, 0]]
-
-
-def test_from_adjacency_validation():
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([[0, 1], [0, 0]])  # asymmetric
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([[1]])  # diagonal
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([[0, -1], [-1, 0]])  # negative
 
 
 def test_complement():

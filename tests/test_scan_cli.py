@@ -114,6 +114,45 @@ def test_scan_checkpoint_check_mismatch(tmp_path):
         scan(universe_lines(4), ["max-clique"], str(out), checkpoint_path=str(ckpt))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_resume_on_different_input_fails(tmp_path, jobs):
+    out = tmp_path / "out.jsonl"
+    ckpt = tmp_path / "ck.json"
+    checks = ["min-path"]
+    kwargs = {"checkpoint_path": str(ckpt), "checkpoint_every": 4, "jobs": jobs}
+    scan(universe_lines(5), checks, str(out), limit=10, **kwargs)
+    assert load_state(str(ckpt)).consumed == 10
+    partial = out.read_bytes()
+    with pytest.raises(ScanError, match="does not match this input"):
+        scan(universe_lines(6), checks, str(out), **kwargs)
+    assert out.read_bytes() == partial
+    assert load_state(str(ckpt)).consumed == 10
+    # one changed graph inside the consumed prefix is caught too
+    lines = universe_lines(5)
+    lines[3], lines[4] = lines[4], lines[3]
+    with pytest.raises(ScanError, match="does not match this input"):
+        scan(lines, checks, str(out), **kwargs)
+    # the fingerprint covers normalised lines, so blank lines and
+    # surrounding whitespace do not matter, and the scan still resumes
+    padded = ["\n"] + ["  " + line.strip() + " \n" for line in universe_lines(5)]
+    state = scan(padded, checks, str(out), **kwargs)
+    assert state.consumed == 21
+    single = tmp_path / "single.jsonl"
+    scan(universe_lines(5), checks, str(single))
+    assert read_jsonl_no_runtime(out) == read_jsonl_no_runtime(single)
+
+
+def test_scan_resume_without_fingerprint_fails(tmp_path):
+    out = tmp_path / "out.jsonl"
+    ckpt = tmp_path / "ck.json"
+    scan(universe_lines(5), ["min-path"], str(out), checkpoint_path=str(ckpt), limit=10)
+    payload = json.loads(ckpt.read_text())
+    del payload["fingerprint"]
+    ckpt.write_text(json.dumps(payload))
+    with pytest.raises(ScanError, match="does not match this input"):
+        scan(universe_lines(5), ["min-path"], str(out), checkpoint_path=str(ckpt))
+
+
 def test_scan_checkpoint_without_output(tmp_path):
     out = tmp_path / "out.jsonl"
     ckpt = tmp_path / "c.json"
@@ -259,6 +298,21 @@ def test_cli_scan_checkpoint_resume(tmp_path):
     assert final["consumed"] == 21
     assert final["tallies"]["min-path"]["holds"] == 21
     assert len(read_jsonl_no_runtime(out)) == 21
+
+
+def test_cli_scan_resume_on_different_input_exits_3(tmp_path):
+    out = tmp_path / "out.jsonl"
+    ckpt = tmp_path / "state.json"
+    small = tmp_path / "order5.g6"
+    small.write_text("".join(universe_lines(5)))
+    large = tmp_path / "order6.g6"
+    large.write_text("".join(universe_lines(6)))
+    args = ["--checks", "min-path", "--output", str(out), "--checkpoint", str(ckpt)]
+    assert run_cli("scan", str(small), *args, "--limit", "10").returncode == 0
+    r = run_cli("scan", str(large), *args)
+    assert r.returncode == 3
+    assert "does not match this input" in r.stderr
+    assert len(read_jsonl_no_runtime(out)) == 10
 
 
 def test_cli_repro_exit_codes():
