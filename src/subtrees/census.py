@@ -7,7 +7,12 @@ extend-or-forbid walk, :func:`_connected_sets`, grows the sets for every
 census here (from each root with smaller roots forbidden, or from the
 required vertices of an anchored census), and one builder,
 :func:`_reduced_laplacian`, gives the matrix whose determinant or
-adjugate counts the trees.  All arithmetic is exact: counts are Python
+adjugate counts the trees.  :func:`census` and :func:`census_containing`
+read that count per core: a leaf's edge lies in every spanning tree, so
+deleting leaves (those outside the required forest, for an anchored
+census) keeps the count, and the sets of a graph whose cycles sit on
+paths, brooms or pendant trees share a few cores.  Each call memoises
+the count by the core's mask.  All arithmetic is exact: counts are Python
 integers, determinants use fraction-free Bareiss elimination, and means
 are ``Fraction`` values.
 
@@ -176,6 +181,25 @@ def _rooted(n: int) -> Iterator[tuple[int, int]]:
         yield 1 << root, all_bits & ~((2 << root) - 1)
 
 
+def _core(rows: tuple[int, ...], subset: int, keep: int) -> int:
+    """``subset`` after repeatedly deleting its degree-1 vertices outside ``keep``.
+
+    A leaf's edge lies in every spanning tree, so deleting the leaf keeps
+    the spanning-tree count, also of the trees containing a forest inside
+    ``keep``.  With ``keep`` 0 the 2-core is left, or one vertex of a tree.
+    """
+    core = subset
+    todo = subset & ~keep
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        nb = rows[b.bit_length() - 1] & core
+        if nb and nb & (nb - 1) == 0:  # degree 1
+            core ^= b
+            todo |= nb & ~keep  # its neighbour may be a leaf now
+    return core
+
+
 # -- census ------------------------------------------------------------------
 
 
@@ -222,16 +246,19 @@ def census(g: Graph) -> SubtreeCensus:
     counts = [0] * (n + 1)
     vertex_counts = [0] * n
     vertex_order_sums = [0] * n
+    kappas: dict[int, int] = {}
     for subset in _connected_sets(rows, _rooted(n)):
         verts = _bits(subset)
         k = len(verts)
-        twice_edges = 0
-        for v in verts:
-            twice_edges += (rows[v] & subset).bit_count()
-        if twice_edges == 2 * (k - 1):
-            kappa = 1
+        core = _core(rows, subset, 0)
+        if core & (core - 1) == 0:
+            kappa = 1  # a tree strips down to one vertex
         else:
-            kappa = _det_bareiss(_reduced_laplacian(rows, verts, subset))
+            kappa = kappas.get(core)
+            if kappa is None:
+                kappa = kappas[core] = _det_bareiss(
+                    _reduced_laplacian(rows, _bits(core), core)
+                )
         counts[k] += kappa
         k_kappa = k * kappa
         for v in verts:
@@ -359,24 +386,22 @@ def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int
     rows = g.rows
     req_blocks = _forest_blocks(constraint)
     req_mask = sum(req_blocks)
+    forest = len(req_blocks) > 1
+    kappas: dict[int, int] = {}
     count = 0
     order_sum = 0
-    # a forest seed is disconnected, so some grown sets are too
     for subset in _connected_sets(rows, [(req_mask, (1 << g.n) - 1)]):
-        low = subset & -subset
-        if g.component_mask(low.bit_length() - 1, subset) != subset:
-            continue
+        # a forest seed is disconnected, so some grown sets are too; a
+        # tree seed grows connected sets only
+        if forest:
+            low = subset & -subset
+            if g.component_mask(low.bit_length() - 1, subset) != subset:
+                continue
         k = subset.bit_count()
-        twice_edges = 0
-        m = subset
-        while m:
-            b = m & -m
-            m ^= b
-            twice_edges += (rows[b.bit_length() - 1] & subset).bit_count()
-        if twice_edges == 2 * (k - 1):
-            kappa = 1
-        else:
-            kappa = _kappa_contracted(rows, subset, req_blocks, req_mask)
+        core = _core(rows, subset, req_mask)
+        kappa = kappas.get(core)
+        if kappa is None:
+            kappa = kappas[core] = _kappa_contracted(rows, core, req_blocks, req_mask)
         count += kappa
         order_sum += k * kappa
     return count, order_sum

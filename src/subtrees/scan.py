@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import from_graph6
+from .graphs import Graph, from_graph6
 from .harness import CHECKS, CheckContext, CheckVerdict, FAILS
 
 
@@ -146,8 +146,7 @@ def record_csv_row(record: dict) -> list[str]:
     return row
 
 
-def _run_checks(text: str, names: tuple[str, ...], memo: dict) -> list[CheckVerdict]:
-    g = from_graph6(text)
+def _run_checks(g: Graph, names: tuple[str, ...], memo: dict) -> list[CheckVerdict]:
     ctx = CheckContext(g, memo)
     return [CHECKS[name](g, ctx=ctx) for name in names]
 
@@ -159,7 +158,7 @@ _worker_memo: dict = {}
 
 def _run_checks_by_name(args: tuple[str, tuple[str, ...]]) -> list[CheckVerdict]:
     text, names = args
-    return _run_checks(text, names, _worker_memo)
+    return _run_checks(from_graph6(text), names, _worker_memo)
 
 
 def scan(
@@ -193,8 +192,10 @@ def scan(
     elif state.consumed > 0 and not os.path.exists(out_path):
         raise ScanError(f"checkpoint expects existing output at {out_path}")
 
-    # normalise, validate and skip the consumed prefix
+    # normalise, validate and skip the consumed prefix; a serial scan keeps
+    # the decoded graphs to run, pool workers are sent the text
     texts: list[str] = []
+    graphs: list[Graph] | None = [] if jobs <= 1 else None
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -206,6 +207,8 @@ def scan(
         if not g.is_connected():
             raise ScanError(f"disconnected graph at line {lineno}: checks need connected graphs")
         texts.append(text)
+        if graphs is not None:
+            graphs.append(g)
     if not fresh:
         taken, sha256 = state.fingerprint or (state.consumed, None)
         if _prefix_digest(texts, taken).hexdigest() != sha256:
@@ -247,8 +250,9 @@ def scan(
                     handle(text, verdicts)
         else:
             memo: dict = {}
-            for text in todo:
-                handle(text, _run_checks(text, names, memo))
+            decoded = graphs[state.consumed :] if graphs is not None else map(from_graph6, todo)
+            for text, g in zip(todo, decoded):
+                handle(text, _run_checks(g, names, memo))
         out.flush()
         state.output_bytes = out.tell()
     if checkpoint_path:

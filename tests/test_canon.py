@@ -111,7 +111,7 @@ def test_canonical_labelling_achieves_certificate():
         assert canonical_form(relabelled) == canonical_form(g)
 
 
-def test_canonical_form_rejects_large_and_multigraphs():
+def test_canonical_form_rejects_large():
     with pytest.raises(ValueError):
         canonical_form(Graph(33, tuple([0] * 33)))
 

@@ -1,6 +1,7 @@
 """Census correctness: oracle equivalence, hand counts, exact identities."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,14 @@ from subtrees import (
     spanning_tree_count,
     star_graph,
 )
-from subtrees.census import _adjugate, _connected_sets, _det_bareiss, _rooted, local_census
+from subtrees.census import (
+    _adjugate,
+    _connected_sets,
+    _core,
+    _det_bareiss,
+    _rooted,
+    local_census,
+)
 from conftest import naive_census_counts, random_connected_graph, random_graph
 
 
@@ -420,3 +428,130 @@ def test_adjugate_of_reduced_laplacians():
         ]
         assert product == [[kappa * (i == j) for j in range(size)] for i in range(size)]
 
+
+
+# -- spanning-tree counts read per 2-core ------------------------------------
+
+
+def _cored_graph(rng) -> Graph:
+    # a cycle or a clique with pendant trees hung on it, randomly labelled
+    k = rng.randint(3, 5)
+    n = rng.randint(k + 1, 8)
+    if rng.random() < 0.5:
+        edges = [(i, (i + 1) % k) for i in range(k)]
+    else:
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges += [(rng.randrange(v), v) for v in range(k, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _grown_tree(rng, g: Graph, root: int, size: int) -> tuple[set, set]:
+    # a random subtree of g on up to `size` edges, grown from `root`
+    verts, edges = {root}, set()
+    for _ in range(size):
+        frontier = [(a, b) for a, b in g.edges() if (a in verts) != (b in verts)]
+        if not frontier:
+            break
+        a, b = rng.choice(frontier)
+        verts |= {a, b}
+        edges.add((a, b))
+    return verts, edges
+
+
+def test_core_strips_leaves_outside_keep():
+    rng = random.Random(71)
+    for _ in range(60):
+        g = _cored_graph(rng)
+        full = (1 << g.n) - 1
+        # the 2-core: delete every leaf, round by round, until none is left
+        core = full
+        while True:
+            leaves = [
+                v for v in range(g.n) if (core >> v) & 1 and (g.rows[v] & core).bit_count() == 1
+            ]
+            if not leaves:
+                break
+            for v in leaves:
+                core &= ~(1 << v)
+        assert _core(g.rows, full, 0) == core
+        leaf = next(v for v in range(g.n) if g.degree(v) == 1)
+        assert _core(g.rows, full, 1 << leaf) >> leaf & 1
+    assert _core(path_graph(5).rows, 0b11111, 0).bit_count() == 1
+    assert _core(path_graph(5).rows, 0b11111, 0b00101) == 0b00111
+
+
+def test_census_on_cored_graphs_matches_oracles():
+    rng = random.Random(73)
+    for _ in range(80):
+        g = _cored_graph(rng)
+        c = census(g)
+        assert c == census_by_subtree_enumeration(g), g
+        assert list(c.counts) == naive_census_counts(g), g
+
+
+def test_census_containing_on_cored_graphs_matches_brute_force():
+    # vertex, edge, tree and two-component forest constraints, each also
+    # containing a leaf of the graph, which the core must keep
+    rng = random.Random(79)
+    for _ in range(60):
+        g = _cored_graph(rng)
+        leaf = rng.choice([v for v in range(g.n) if g.degree(v) == 1])
+        (stem,) = (w for w in range(g.n) if g.has_edge(leaf, w))
+        tree_v, tree_e = _grown_tree(rng, g, leaf, rng.randint(2, 3))
+        constraints = [
+            SubtreeConstraint(frozenset([leaf])),
+            SubtreeConstraint(frozenset([rng.randrange(g.n)])),
+            SubtreeConstraint(frozenset([leaf, stem]), frozenset([(leaf, stem)])),
+            SubtreeConstraint(frozenset(tree_v), frozenset(tree_e)),
+        ]
+        near = g.rows[leaf] | g.rows[stem] | (1 << leaf) | (1 << stem)
+        far = [w for w in range(g.n) if not (near >> w) & 1]
+        if far:
+            w = rng.choice(far)
+            constraints.append(
+                SubtreeConstraint(frozenset([leaf, stem, w]), frozenset([(leaf, stem)]))
+            )
+        far = [w for w in range(g.n) if w not in tree_v and not g.has_edge(w, leaf)]
+        if far:
+            constraints.append(
+                SubtreeConstraint(frozenset(tree_v | {rng.choice(far)}), frozenset(tree_e))
+            )
+        for constraint in constraints:
+            assert census_containing(g, constraint) == brute_containing(g, constraint), (
+                g,
+                constraint,
+            )
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_census_computes_one_determinant_per_core(monkeypatch):
+    # the package re-exports the function `census` under its submodule's
+    # name, so the module is reached through sys.modules
+    calls = _counted(monkeypatch, sys.modules["subtrees.census"], "_det_bareiss")
+    census(modified_double_broom(9, 3, 1))
+    assert len(calls) == 1  # every set with a cycle shares the one cycle
+    calls.clear()
+    census(modified_barbell(16, 5, 1))
+    assert len(calls) == 418
+
+
+def test_tree_constraint_skips_the_connectivity_filter(monkeypatch):
+    calls = _counted(monkeypatch, Graph, "component_mask")
+    g = modified_barbell(9, 3, 1)
+    census_containing(g, SubtreeConstraint(frozenset([0, 1]), frozenset([(0, 1)])))
+    assert calls == []
+    census_containing(g, SubtreeConstraint(frozenset([0, 8])))
+    assert calls

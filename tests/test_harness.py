@@ -400,13 +400,13 @@ def test_structural_shape_tests_match_certificates():
 
 
 def test_scan_memo_holds_one_mean_per_certificate():
-    from subtrees import CHECKS, canonical_form, census, to_graph6
+    from subtrees import CHECKS, canonical_form, census
     from subtrees.scan import _run_checks
 
     universe = [g for n in range(1, 7) for g in generate_connected(n)]
     memo: dict = {}
     for g in universe:
-        _run_checks(to_graph6(g), tuple(CHECKS), memo)
+        _run_checks(g, tuple(CHECKS), memo)
     # every neighbour of a connected graph of order <= 6 is again one of
     # them, and every one of them looked a neighbour up, so the memo holds
     # exactly their certificates, each with its mean and nothing more
