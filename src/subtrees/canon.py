@@ -4,9 +4,11 @@ The certificate is the lexicographically minimal row-major upper-triangle
 adjacency bitstring over the labellings explored by an
 individualisation-refinement search.  Equitable refinement keeps the
 ordered partition isomorphism-invariant, so equal certificates are
-equivalent to isomorphism.  Automorphisms discovered at equal-code leaves
-prune sibling branches, which keeps highly symmetric inputs (cliques,
-barbells) tractable.
+equivalent to isomorphism.  Twin swaps and the automorphisms discovered
+at equal-code leaves prune sibling branches, which keeps highly symmetric
+inputs (cliques, barbells) tractable.  :func:`certify` returns them with
+the certificate, and :func:`_orbit_reps`, the one orbit routine, groups
+vertices in the search and edges, non-edges or matchings for the checks.
 """
 
 from __future__ import annotations
@@ -63,35 +65,59 @@ def _leaf_code(rows: tuple[int, ...], order: list[int], n: int) -> int:
     return code
 
 
-def _orbit_reps(n: int, gens: list[tuple[int, ...]], prefix: tuple[int, ...]) -> list[int]:
-    # Union-find over vertices under the generators that fix `prefix` pointwise.
-    parent = list(range(n))
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for g in gens:
-        if any(g[p] != p for p in prefix):
-            continue
-        for v in range(n):
-            a, b = find(v), find(g[v])
+def _image(sigma: tuple[int, ...], item):
+    """``item`` moved by the vertex permutation ``sigma``, in normal form.
+
+    An item is an edge ``(u, v)`` with ``u < v``, or a matching: a sorted
+    tuple of such edges.  Items are their own keys, so a list of them needs
+    no second copy to be indexed.
+    """
+    if item and isinstance(item[0], int):
+        u, v = sigma[item[0]], sigma[item[1]]
+        return (u, v) if u < v else (v, u)
+    return tuple(
+        sorted([(sigma[u], sigma[v]) if sigma[u] < sigma[v] else (sigma[v], sigma[u]) for u, v in item])
+    )
+
+
+def _orbit_reps(n: int, gens: list[tuple[int, ...]], items: list | None = None) -> list[int]:
+    """Union-find orbits under the group generated by ``gens``.
+
+    ``gens`` are permutations of the ``n`` vertices.  The orbits are of the
+    vertices, or of ``items`` (edges or matchings, see :func:`_image`), a
+    list that each generator maps onto itself.  Returns, per vertex or
+    item, the index of its orbit's root.  A transposition whose two
+    vertices the transpositions applied before it already join lies in the
+    group those generate, so it is skipped: a spanning forest of the twin
+    swaps gives the same orbits as all of them.
+    """
+    identity = tuple(range(n))
+    if items is None:
+        parent = list(identity)
+    else:
+        parent = list(range(len(items)))
+        index = {item: i for i, item in enumerate(items)}
+    twins = list(identity)
+    for sigma in gens:
+        moved = [v for v in identity if sigma[v] != v]
+        if len(moved) == 2:
+            a, b = _find(twins, moved[0]), _find(twins, moved[1])
+            if a == b:
+                continue
+            twins[a] = b
+        images = sigma if items is None else [index[_image(sigma, item)] for item in items]
+        for i, j in enumerate(images):
+            a, b = _find(parent, i), _find(parent, j)
             if a != b:
                 parent[a] = b
-    return [find(v) for v in range(n)]
-
-
-def _twin_pairs(rows: tuple[int, ...], n: int) -> list[tuple[int, int]]:
-    # swapping u and v is an automorphism iff their rows agree off the pair
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            keep = ~((1 << u) | (1 << v))
-            if rows[u] & keep == rows[v] & keep:
-                pairs.append((u, v))
-    return pairs
+    return [_find(parent, i) for i in range(len(parent))]
 
 
 def _canonical_search(rows: tuple[int, ...], n: int):
@@ -99,10 +125,14 @@ def _canonical_search(rows: tuple[int, ...], n: int):
     # seed with twin swaps: they collapse fat cells (leaf bundles, clique
     # cells) without waiting for the leaf-comparison harvest below
     gens: list[tuple[int, ...]] = []
-    for u, v in _twin_pairs(rows, n):
-        sigma = list(range(n))
-        sigma[u], sigma[v] = v, u
-        gens.append(tuple(sigma))
+    for u in range(n):
+        for v in range(u + 1, n):
+            # swapping u and v is an automorphism iff their rows agree off the pair
+            keep = ~((1 << u) | (1 << v))
+            if rows[u] & keep == rows[v] & keep:
+                sigma = list(range(n))
+                sigma[u], sigma[v] = v, u
+                gens.append(tuple(sigma))
 
     def rec(cells: list[list[int]], prefix: tuple[int, ...]) -> None:
         target_idx = -1
@@ -125,9 +155,13 @@ def _canonical_search(rows: tuple[int, ...], n: int):
             return
         target = cells[target_idx]
         tried: list[int] = []
+        known = -1  # how many generators `reps` was computed from
         for v in target:
             if tried:
-                reps = _orbit_reps(n, gens, prefix)
+                if known < len(gens):
+                    known = len(gens)
+                    fixing = [s for s in gens if all(s[p] == p for p in prefix)]
+                    reps = _orbit_reps(n, fixing)
                 if any(reps[v] == reps[u] for u in tried):
                     continue
             rest = [w for w in target if w != v]
@@ -141,14 +175,25 @@ def _canonical_search(rows: tuple[int, ...], n: int):
     return best[0], best[1], gens
 
 
+def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
+    """The certificate of ``g`` and automorphisms of ``g`` from the same search.
+
+    The automorphisms (vertex permutations, ``sigma[v]`` the image of v) are
+    the twin swaps and those found at equal-code leaves.  They generate a
+    subgroup of Aut(g), all of it on every connected graph of order <= 6;
+    orbits under them are sound for any Aut(g)-invariant list.
+    """
+    if g.n > MAX_CANON:
+        raise ValueError(f"canonical certificates support at most {MAX_CANON} vertices")
+    n = g.n
+    code, _, gens = _canonical_search(g.rows, n)
+    width = (n * (n - 1) // 2 + 7) // 8
+    return bytes([n]) + code.to_bytes(width, "big"), gens
+
+
 def canonical_form(g: Graph) -> bytes:
     """Labelling-invariant certificate; equal bytes iff isomorphic graphs."""
-    if g.n > MAX_CANON:
-        raise ValueError(f"canonical_form supports at most {MAX_CANON} vertices")
-    n = g.n
-    code, _, _ = _canonical_search(g.rows, n)
-    width = (n * (n - 1) // 2 + 7) // 8
-    return bytes([n]) + code.to_bytes(width, "big")
+    return certify(g)[0]
 
 
 def canonical_labelling(g: Graph) -> list[int]:
@@ -163,15 +208,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     return canonical_form(g) == canonical_form(h)
-
-
-def transposition_automorphisms(g: Graph) -> list[tuple[int, int]]:
-    """All vertex transpositions that are automorphisms (twin swaps).
-
-    Cheap but sound generators: useful for collapsing orbits before the
-    full canonical machinery runs.
-    """
-    return _twin_pairs(g.rows, g.n)
 
 
 # -- exhaustive generation ---------------------------------------------------

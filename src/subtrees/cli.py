@@ -26,7 +26,7 @@ from .census import (
     mean_subtree_order_at_tree,
 )
 from .canon import generate_connected
-from .families import build_family, parse_family
+from .families import FAMILIES, build_family, parse_family
 from .graphs import Graph, from_graph6, to_graph6
 from .harness import CHECKS
 from .repro import REPROS
@@ -184,14 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    kinds = ", ".join(f"{kind}({','.join(names)})" if names else kind for kind, (_, names) in FAMILIES.items())
     p = sub.add_parser(
         "compute",
         help="statistics for one graph",
         description="SOURCE is a graph6 string, a file holding one graph6 line, "
-        "'-' for stdin, or a family spec family:<kind>:<p1>[:<p2>[:<p3>]] with kinds "
-        "path, star, clique, cycle, barbell(n,w), modified_barbell(n,w,a), "
-        "double_broom(n,w), modified_double_broom(n,w,a), "
-        "join_clique_independent(n,m), petersen.",
+        f"'-' for stdin, or a family spec family:<kind>:<p1>[:<p2>[:<p3>]] with kinds {kinds}.",
     )
     p.add_argument("source")
     p.add_argument("--vertex", type=int, action="append", help="also report the local mean at this vertex")

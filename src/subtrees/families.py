@@ -12,19 +12,6 @@ from dataclasses import dataclass
 
 from .graphs import Edge, Graph
 
-FAMILY_KINDS = (
-    "path",
-    "star",
-    "clique",
-    "cycle",
-    "barbell",
-    "modified_barbell",
-    "double_broom",
-    "modified_double_broom",
-    "join_clique_independent",
-    "petersen",
-)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -37,8 +24,11 @@ class FamilySpec:
     m: int | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        for name in FAMILIES[self.kind][1]:
+            if getattr(self, name) is None:
+                raise ValueError(f"family {self.kind!r} needs parameter {name!r}")
 
 
 def path_graph(n: int) -> Graph:
@@ -153,32 +143,25 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
-_BUILDERS = {
-    "path": lambda s: path_graph(_req(s, "n")),
-    "star": lambda s: star_graph(_req(s, "n")),
-    "clique": lambda s: clique(_req(s, "n")),
-    "cycle": lambda s: cycle(_req(s, "n")),
-    "barbell": lambda s: barbell(_req(s, "n"), _req(s, "w")),
-    "modified_barbell": lambda s: modified_barbell(_req(s, "n"), _req(s, "w"), _req(s, "a")),
-    "double_broom": lambda s: double_broom(_req(s, "n"), _req(s, "w")),
-    "modified_double_broom": lambda s: modified_double_broom(
-        _req(s, "n"), _req(s, "w"), _req(s, "a")
-    ),
-    "join_clique_independent": lambda s: join_clique_independent(_req(s, "n"), _req(s, "m")),
-    "petersen": lambda s: petersen(),
+# kind -> (builder, the FamilySpec fields it takes, in order)
+FAMILIES = {
+    "path": (path_graph, ("n",)),
+    "star": (star_graph, ("n",)),
+    "clique": (clique, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "barbell": (barbell, ("n", "w")),
+    "modified_barbell": (modified_barbell, ("n", "w", "a")),
+    "double_broom": (double_broom, ("n", "w")),
+    "modified_double_broom": (modified_double_broom, ("n", "w", "a")),
+    "join_clique_independent": (join_clique_independent, ("n", "m")),
+    "petersen": (petersen, ()),
 }
-
-
-def _req(spec: FamilySpec, field: str) -> int:
-    value = getattr(spec, field)
-    if value is None:
-        raise ValueError(f"family {spec.kind!r} needs parameter {field!r}")
-    return value
 
 
 def build_family(spec: FamilySpec) -> Graph:
     """Build the graph described by ``spec``; order must stay <= 64."""
-    return _BUILDERS[spec.kind](spec)
+    builder, names = FAMILIES[spec.kind]
+    return builder(*(getattr(spec, name) for name in names))
 
 
 def family_labels(spec: FamilySpec) -> dict[str, object]:
@@ -209,25 +192,13 @@ def parse_family(text: str) -> FamilySpec:
     if parts[0] != "family" or len(parts) < 2:
         raise ValueError(f"not a family spec: {text!r}")
     kind = parts[1]
-    if kind not in FAMILY_KINDS:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
     try:
         params = [int(p) for p in parts[2:]]
     except ValueError:
         raise ValueError(f"non-integer family parameter in {text!r}") from None
-    names_by_kind = {
-        "path": ("n",),
-        "star": ("n",),
-        "clique": ("n",),
-        "cycle": ("n",),
-        "barbell": ("n", "w"),
-        "modified_barbell": ("n", "w", "a"),
-        "double_broom": ("n", "w"),
-        "modified_double_broom": ("n", "w", "a"),
-        "join_clique_independent": ("n", "m"),
-        "petersen": (),
-    }
-    names = names_by_kind[kind]
+    names = FAMILIES[kind][1]
     if len(params) != len(names):
         raise ValueError(
             f"family {kind!r} takes {len(names)} parameter(s) {names}, got {len(params)}"

@@ -14,9 +14,12 @@ or exact rationals; floating point appears only in human-facing report
 fields.
 
 Every check takes an optional :class:`CheckContext`.  Checks of one graph
-that share a context share its base census, certificate and local census
-(every edge and cherry anchored census); without one, each check builds a
-fresh context.
+that share a context share its base census, certificate with the
+automorphisms found beside it, and local census (every edge and cherry
+anchored census); without one, each check builds a fresh context.  The
+checks that compare g with its neighbours (g-e, g+e, g/e, g+matching)
+price one neighbour per automorphism orbit through
+:meth:`CheckContext.neighbour_means`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canon import MAX_CANON, canonical_form, transposition_automorphisms
+from .canon import MAX_CANON, _orbit_reps, canonical_form, certify
 from .census import (
     LocalCensus,
     SubtreeCensus,
@@ -78,14 +81,14 @@ def frac_str(x: Fraction) -> str:
 class CheckContext:
     """What the checks of one graph share.
 
-    The graph6 id, the base census, the canonical certificate and the
-    local census (every edge and cherry anchored census) are built on
-    first use and at most once.  ``memo`` maps a canonical certificate to
-    a mean subtree order; neighbour graphs (g-e, g+e, g/e, g+matching)
-    look their mean up there, so a memo that outlives the context (one per
-    scan, or per scan worker) computes each isomorphism class once.  It
-    holds ``Fraction`` means only, never whole censuses, so its size stays
-    small.
+    The graph6 id, the base census, the canonical certificate with the
+    automorphisms its search found, and the local census (every edge and
+    cherry anchored census) are built on first use and at most once.
+    ``memo`` maps a canonical certificate to a mean subtree order;
+    neighbour graphs (g-e, g+e, g/e, g+matching) look their mean up there,
+    so a memo that outlives the context (one per scan, or per scan worker)
+    computes each isomorphism class once.  It holds ``Fraction`` means
+    only, never whole censuses, so its size stays small.
     """
 
     def __init__(self, g: Graph, memo: dict[bytes, Fraction] | None = None):
@@ -95,7 +98,7 @@ class CheckContext:
         self.started = time.perf_counter()
         self._graph_id: str | None = None
         self._census: SubtreeCensus | None = None
-        self._certificate: bytes | None = None
+        self._certified: tuple[bytes, list[tuple[int, ...]]] | None = None
         self._local: LocalCensus | None = None
 
     def start(self) -> CheckContext:
@@ -128,10 +131,11 @@ class CheckContext:
         return self.census.mean
 
     @property
-    def certificate(self) -> bytes:
-        if self._certificate is None:
-            self._certificate = canonical_form(self.g)
-        return self._certificate
+    def certified(self) -> tuple[bytes, list[tuple[int, ...]]]:
+        """The certificate of g and generators of its automorphisms (:func:`certify`)."""
+        if self._certified is None:
+            self._certified = certify(self.g)
+        return self._certified
 
     @property
     def local_census(self) -> LocalCensus:
@@ -139,46 +143,45 @@ class CheckContext:
             self._local = local_census(self.g)
         return self._local
 
-    def anchored(self, constraint: SubtreeConstraint) -> tuple[int, int]:
-        """Count and total order of the subtrees containing ``constraint``.
-
-        A vertex is read from the base census, an edge or a cherry from the
-        local census; any other constraint runs :func:`census_containing`.
-        """
-        constraint.validate_for(self.g)
-        t = len(constraint.vertices)
-        if t == 1:
-            (v,) = constraint.vertices
-            return self.census.vertex_counts[v], self.census.vertex_order_sums[v]
-        if constraint.is_tree() and t == 2:
-            (edge,) = constraint.edges
-            return self.local_census.edges[edge]
-        if constraint.is_tree() and t == 3:
-            e, f = constraint.edges
-            (mid,) = set(e) & set(f)
-            a, b = sorted(constraint.vertices - {mid})
-            return self.local_census.cherries[(a, mid, b)]
-        return census_containing(self.g, constraint)
-
     def edge_mean(self, u: int, v: int) -> Fraction:
         nc, rc = self.local_census.edges[_norm_edge(u, v)]
         return Fraction(rc, nc)
 
-    def neighbour_mean(self, h: Graph) -> Fraction:
-        """Mean subtree order of ``h``, through the memo when it has a certificate.
+    def neighbour_means(self, items, build):
+        """Yield ``(item, mean, new)`` for each of ``items``, in their order.
 
-        Every lookup also files this graph's own mean, because in a
-        universe scan the neighbours of one graph are members of it.
+        ``mean`` is the mean subtree order of ``build(item)``.  ``items``
+        are edges or non-edges ``(u, v)`` with ``u < v``, or matchings
+        (sorted tuples of them), and every automorphism of g maps the list
+        onto itself.  Then g-e and g-sigma(e) are isomorphic for sigma in
+        Aut(g), so the mean is computed once per orbit of the automorphisms
+        :func:`certify` found, at the orbit's first item, which ``new``
+        marks.  The walk is lazy, so a check that stops at its first
+        witness finds the one a walk over every neighbour would.  A
+        neighbour with a certificate takes its mean through the memo, which
+        also gets g's own mean: in a universe scan the neighbours of one
+        graph are members of it.
         """
-        if h.n > MAX_CANON:
-            return census(h).mean
-        if self.g.n <= MAX_CANON and self.certificate not in self.memo:
-            self.memo[self.certificate] = self.mean
-        cert = canonical_form(h)
-        mean = self.memo.get(cert)
-        if mean is None:
-            mean = self.memo[cert] = census(h).mean
-        return mean
+        if self.g.n > MAX_CANON:
+            orbit = range(len(items))
+        else:
+            cert, gens = self.certified
+            if cert not in self.memo:
+                self.memo[cert] = self.mean
+            orbit = _orbit_reps(self.g.n, gens, items)
+        means: dict[int, Fraction] = {}
+        for item, root in zip(items, orbit):
+            new = root not in means
+            if new:
+                h = build(item)
+                if h.n > MAX_CANON:
+                    means[root] = census(h).mean
+                else:
+                    cert = canonical_form(h)
+                    if cert not in self.memo:
+                        self.memo[cert] = census(h).mean
+                    means[root] = self.memo[cert]
+            yield item, means[root], new
 
 
 def _start(g: Graph, ctx: CheckContext | None) -> CheckContext:
@@ -252,10 +255,8 @@ def check_edge_deletion_exists(g: Graph, *, ctx: CheckContext | None = None) -> 
     if g.is_tree():
         return ctx.verdict("edge-deletion-exists", REPORT, {"vacuous": "tree"})
     mu = ctx.mean
-    for u, v in g.edges():
-        if g.is_bridge(u, v):
-            continue
-        mu2 = ctx.neighbour_mean(g.delete_edge(u, v))
+    edges = [e for e in g.edges() if not g.is_bridge(*e)]
+    for (u, v), mu2, _ in ctx.neighbour_means(edges, lambda e: g.delete_edge(*e)):
         if mu2 < mu:
             witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
             return ctx.verdict("edge-deletion-exists", HOLDS, witness, mu)
@@ -270,14 +271,11 @@ def check_edge_addition_exists(g: Graph, *, ctx: CheckContext | None = None) -> 
     if _is_clique(g):
         return ctx.verdict("edge-addition-exists", REPORT, {"vacuous": "complete"})
     mu = ctx.mean
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.has_edge(u, v):
-                continue
-            mu2 = ctx.neighbour_mean(g.add_edge(u, v))
-            if mu2 > mu:
-                witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
-                return ctx.verdict("edge-addition-exists", HOLDS, witness, mu)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    for (u, v), mu2, _ in ctx.neighbour_means(non_edges, lambda e: g.add_edge(*e)):
+        if mu2 > mu:
+            witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
+            return ctx.verdict("edge-addition-exists", HOLDS, witness, mu)
     witness = {"found": False, "finding": True}
     return ctx.verdict("edge-addition-exists", REPORT, witness, mu)
 
@@ -297,8 +295,9 @@ def check_contraction(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerd
     min_edge = None
     violations = []
     equality_edges = []
-    for u, v in g.edges():
-        gap = mu - ctx.neighbour_mean(g.contract_edge(u, v))
+    edges = list(g.edges())
+    for (u, v), mu2, _ in ctx.neighbour_means(edges, lambda e: g.contract_edge(*e)):
+        gap = mu - mu2
         if min_gap is None or gap < min_gap:
             min_gap, min_edge = gap, (u, v)
         if gap < third:
@@ -502,56 +501,26 @@ def check_vertex_share_bound(g: Graph, *, ctx: CheckContext | None = None) -> Ch
     return ctx.verdict("vertex-share-bound", status, witness, c.mean)
 
 
-def _matching_orbits(g: Graph, matchings: list[tuple]) -> dict[int, list[int]]:
-    # Collapse matchings equivalent under twin-swap automorphisms of g.
-    perms = []
-    for u, v in transposition_automorphisms(g):
-        p = list(range(g.n))
-        p[u], p[v] = v, u
-        perms.append(p)
-    index = {frozenset(m): i for i, m in enumerate(matchings)}
-    parent = list(range(len(matchings)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if perms:
-        for i, m in enumerate(matchings):
-            for p in perms:
-                image = frozenset(
-                    (p[u], p[v]) if p[u] < p[v] else (p[v], p[u]) for u, v in m
-                )
-                j = index.get(image)
-                if j is not None and find(i) != find(j):
-                    parent[find(i)] = find(j)
-    orbits: dict[int, list[int]] = {}
-    for i in range(len(matchings)):
-        orbits.setdefault(find(i), []).append(i)
-    return orbits
-
-
 def check_matchings(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
     """Sign of the mean change when a maximal complement matching is added.
 
     Every maximal matching of the complement is classified; the mean is
-    computed once per isomorphism class of the augmented graph (twin-swap
-    orbits first, canonical certificates in the context's memo second).
+    computed once per orbit of the matchings under the automorphisms the
+    certificate search found (``orbits`` counts them), and once per
+    isomorphism class of the augmented graph through the context's memo.
     ``holds`` means every matching strictly lowers the mean.
     """
     ctx = _start(g, ctx)
     mu = ctx.mean
     matchings = list(maximal_matchings_of_complement(g))
-    orbits = _matching_orbits(g, matchings)
     tally = {-1: 0, 0: 0, 1: 0}
-    for root, members in orbits.items():
-        mu2 = ctx.neighbour_mean(g.add_edges(matchings[root]))
-        tally[(mu2 > mu) - (mu2 < mu)] += len(members)
+    orbits = 0
+    for _, mu2, new in ctx.neighbour_means(matchings, g.add_edges):
+        tally[(mu2 > mu) - (mu2 < mu)] += 1
+        orbits += new
     witness = {
         "matchings": len(matchings),
-        "orbits": len(orbits),
+        "orbits": orbits,
         "decrease": tally[-1],
         "unchanged": tally[0],
         "increase": tally[1],

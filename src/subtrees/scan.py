@@ -176,6 +176,8 @@ def scan(
     the checkpoint makes the next call resume.  Without a checkpoint path
     the scan always starts fresh and the output file is rewritten.
     """
+    if checkpoint_path and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise ScanError(f"unknown checks: {', '.join(unknown)}")

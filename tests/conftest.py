@@ -5,7 +5,7 @@ every edge subset, keep the trees) used to cross-check both the production
 census and the package's own enumeration oracle on tiny graphs.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from subtrees import Graph
 
@@ -54,3 +54,13 @@ def random_connected_graph(rng, n: int, p: float = 0.5) -> Graph:
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of ``g`` (``sigma[v]`` is the image of v), by brute force."""
+    edges = list(g.edges())
+    return [
+        sigma
+        for sigma in permutations(range(g.n))
+        if all(g.has_edge(sigma[u], sigma[v]) for u, v in edges)
+    ]

@@ -8,6 +8,7 @@ import pytest
 from subtrees import (
     Graph,
     are_isomorphic,
+    barbell,
     canonical_form,
     canonical_labelling,
     clique,
@@ -17,7 +18,8 @@ from subtrees import (
     path_graph,
     star_graph,
 )
-from conftest import random_graph
+from subtrees.canon import _orbit_reps, certify
+from conftest import automorphisms, random_graph
 
 ALL_PAIRS_4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -109,6 +111,95 @@ def test_canonical_labelling_achieves_certificate():
         order = canonical_labelling(g)
         relabelled = g.relabel(order)
         assert canonical_form(relabelled) == canonical_form(g)
+
+
+def _is_automorphism(g: Graph, sigma) -> bool:
+    return sorted(sigma) == list(range(g.n)) and all(
+        g.has_edge(sigma[u], sigma[v]) for u, v in g.edges()
+    )
+
+
+def test_certify_generators_are_automorphisms():
+    from subtrees import complete_bipartite, double_broom, modified_barbell, petersen
+
+    rng = random.Random(19)
+    graphs = [g for n in range(1, 8) for g in generate_connected(n)]
+    graphs += [random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
+    graphs += [barbell(14, 6), double_broom(14, 5), modified_barbell(16, 5, 1), clique(9),
+               complete_bipartite(4, 4), petersen(), cycle(16), star_graph(16)]
+    for g in graphs:
+        for sigma in certify(g)[1]:
+            assert _is_automorphism(g, sigma), (g, sigma)
+
+
+def _closure(n: int, gens) -> set:
+    # the group the permutations generate: close {identity} under composition
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        tau = frontier.pop()
+        for sigma in gens:
+            product = tuple(sigma[tau[v]] for v in range(n))
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return group
+
+
+def test_certify_generators_generate_the_whole_group_up_to_order_6():
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            assert _closure(n, certify(g)[1]) == set(automorphisms(g)), g
+
+
+def test_orbit_reps_match_brute_force_orbits():
+    # vertices, edges, non-edges and complement matchings of every
+    # connected graph of order <= 5, against orbits under all of Aut(g)
+    from subtrees import maximal_matchings_of_complement
+
+    for n in range(1, 6):
+        for g in generate_connected(n):
+            auts = automorphisms(g)
+            gens = certify(g)[1]
+            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            lists = [list(g.edges()), non_edges, list(maximal_matchings_of_complement(g))]
+            for items in [None] + lists:
+                reps = _orbit_reps(n, gens, items)
+                keys = list(range(n)) if items is None else [_key(m) for m in items]
+                for i, key in enumerate(keys):
+                    orbit = {j for j, other in enumerate(keys)
+                             if any(_move(sigma, key) == other for sigma in auts)}
+                    assert {j for j in range(len(keys)) if reps[j] == reps[i]} == orbit
+
+
+def _key(item):
+    if item and isinstance(item[0], int):
+        return frozenset(item)
+    return frozenset(map(frozenset, item))
+
+
+def _move(sigma, key):
+    if isinstance(key, int):
+        return sigma[key]
+    return frozenset(_move(sigma, part) for part in key)
+
+
+def test_orbit_reps_skips_transpositions_already_joined(monkeypatch):
+    # the twin swaps of K4 are its six transpositions; the first three that
+    # join new vertices form a spanning tree, which generates the other three
+    import subtrees.canon as canon
+
+    g = clique(4)
+    swaps = [sigma for sigma in certify(g)[1] if sum(sigma[v] != v for v in range(4)) == 2]
+    assert len(swaps) == 6
+    edges = list(g.edges())
+    assert len(set(_orbit_reps(4, swaps[:1], edges))) == 4
+    images = []
+    original = canon._image
+    monkeypatch.setattr(canon, "_image", lambda sigma, item: images.append(sigma) or original(sigma, item))
+    assert len(set(_orbit_reps(4, swaps, edges))) == 1
+    applied = set(images)
+    assert len(applied) == 3 and _closure(4, applied) == _closure(4, swaps)
 
 
 def test_canonical_form_rejects_large():

@@ -130,3 +130,17 @@ def test_parse_family():
         parse_family("graph:path:3")
     with pytest.raises(ValueError):
         parse_family("family:path:x")
+
+
+def test_family_table_drives_specs_parsing_and_building():
+    from subtrees.families import FAMILIES
+
+    sample = {"n": 9, "w": 3, "a": 1, "m": 2}
+    for kind, (builder, names) in FAMILIES.items():
+        params = [sample[name] for name in names]
+        spec = parse_family(":".join(["family", kind, *map(str, params)]))
+        assert spec == FamilySpec(kind, **dict(zip(names, params)))
+        assert build_family(spec) == builder(*params)
+        if names:
+            with pytest.raises(ValueError, match="needs parameter"):
+                FamilySpec(kind)

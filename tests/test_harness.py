@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from subtrees import (
+    CheckContext,
     barbell,
     check_contraction,
     check_edge_addition_exists,
@@ -21,6 +22,7 @@ from subtrees import (
     check_vertex_share_bound,
     classify_edge_additions,
     clique,
+    census,
     complete_bipartite,
     cycle,
     generate_connected,
@@ -311,32 +313,35 @@ def test_vertex_means_from_census_match_anchored_census():
 
     for n in range(1, 7):
         for g in generate_connected(n):
-            ctx = CheckContext(g)
+            c = CheckContext(g).census
             for v in range(n):
                 constraint = SubtreeConstraint(frozenset([v]))
-                assert ctx.anchored(constraint) == census_containing(g, constraint)
+                got = (c.vertex_counts[v], c.vertex_order_sums[v])
+                assert got == census_containing(g, constraint)
 
 
 def test_edge_and_cherry_means_from_local_census_match_anchored_census():
-    # edges and cherries come from the local census; a 2-vertex forest
-    # still goes through census_containing
     from subtrees import CheckContext
     from subtrees.census import SubtreeConstraint, census_containing
 
     for n in range(2, 7):
         for g in generate_connected(n):
-            ctx = CheckContext(g)
-            constraints = []
-            for u, v in g.edges():
-                constraints.append(SubtreeConstraint(frozenset([u, v]), frozenset([(v, u)])))
-                constraints.append(SubtreeConstraint(frozenset([u, v])))
-                for w in range(n):
-                    if w not in (u, v) and g.has_edge(v, w):
-                        constraints.append(
-                            SubtreeConstraint(frozenset([u, v, w]), frozenset([(u, v), (w, v)]))
-                        )
-            for constraint in constraints:
-                assert ctx.anchored(constraint) == census_containing(g, constraint), constraint
+            local = CheckContext(g).local_census
+            assert set(local.edges) == set(g.edges())
+            for (u, v), totals in local.edges.items():
+                constraint = SubtreeConstraint(frozenset([u, v]), frozenset([(v, u)]))
+                assert totals == census_containing(g, constraint), constraint
+            cherries = {
+                (a, m, b)
+                for m in range(n)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if m not in (a, b) and g.has_edge(a, m) and g.has_edge(m, b)
+            }
+            assert set(local.cherries) == cherries
+            for (a, m, b), totals in local.cherries.items():
+                constraint = SubtreeConstraint(frozenset([a, m, b]), frozenset([(a, m), (b, m)]))
+                assert totals == census_containing(g, constraint), constraint
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -412,3 +417,67 @@ def test_scan_memo_holds_one_mean_per_certificate():
     # exactly their certificates, each with its mean and nothing more
     assert memo == {canonical_form(g): census(g).mean for g in universe}
     assert all(type(mean) is Fraction for mean in memo.values())
+
+
+# -- neighbour checks over automorphism orbits ----------------------------------
+
+NEIGHBOUR_CHECKS = (
+    check_edge_deletion_exists,
+    check_edge_addition_exists,
+    check_contraction,
+    check_matchings,
+)
+
+
+def _neighbour_check_graphs() -> list:
+    from subtrees import double_broom, modified_barbell
+
+    graphs = [g for n in range(1, 7) for g in generate_connected(n)]
+    return graphs + [barbell(8, 3), double_broom(8, 3), modified_barbell(9, 3, 1)]
+
+
+class _EveryNeighbour(CheckContext):
+    """A context that censuses every candidate neighbour: no orbits, no memo."""
+
+    def neighbour_means(self, items, build):
+        for item in items:
+            yield item, census(build(item)).mean, True
+
+
+def _comparable(verdict) -> tuple:
+    witness = dict(verdict.witness)
+    if verdict.check == "matchings":
+        witness.pop("orbits")
+    return (verdict.check, verdict.graph_id, verdict.status, witness, verdict.mean)
+
+
+def test_neighbour_checks_match_a_census_of_every_neighbour():
+    for g in _neighbour_check_graphs():
+        for check in NEIGHBOUR_CHECKS:
+            expected = check(g, ctx=_EveryNeighbour(g))
+            assert _comparable(check(g)) == _comparable(expected), (check.__name__, g)
+
+
+def test_matching_orbits_are_the_automorphism_orbits_up_to_order_6():
+    from subtrees import maximal_matchings_of_complement
+    from conftest import automorphisms
+
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            auts = automorphisms(g)
+            orbits = {
+                min(
+                    tuple(sorted(tuple(sorted((sigma[u], sigma[v]))) for u, v in m))
+                    for sigma in auts
+                )
+                for m in maximal_matchings_of_complement(g)
+            }
+            assert check_matchings(g).witness["orbits"] == len(orbits), g
+
+
+def test_neighbour_means_prices_each_orbit_once(monkeypatch):
+    # the 64 maximal complement matchings of barbell(8, 3) fall into 13
+    # orbits, and each orbit certifies one augmented graph
+    priced = _count_calls(monkeypatch, "canonical_form")
+    verdict = check_matchings(barbell(8, 3))
+    assert len(priced) == verdict.witness["orbits"] < verdict.witness["matchings"]

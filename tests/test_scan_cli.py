@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,14 @@ def test_scan_resume_without_fingerprint_fails(tmp_path):
     ckpt.write_text(json.dumps(payload))
     with pytest.raises(ScanError, match="does not match this input"):
         scan(universe_lines(5), ["min-path"], str(out), checkpoint_path=str(ckpt))
+
+
+def test_scan_rejects_checkpoint_every_below_1(tmp_path):
+    out = tmp_path / "out.jsonl"
+    ckpt = tmp_path / "c.json"
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        scan(universe_lines(4), ["min-path"], str(out), checkpoint_path=str(ckpt), checkpoint_every=0)
+    assert not out.exists() and not ckpt.exists()
 
 
 def test_scan_checkpoint_without_output(tmp_path):
@@ -360,3 +370,29 @@ def test_cli_scan_runtimes_are_positive():
     working = [record for record in records if "vacuous" not in record["witness"]]
     assert len(working) > 112 * 10
     assert all(record["runtime_ms"] > 0 for record in working)
+
+
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_cli_scan_rejects_checkpoint_every_below_1(tmp_path, every):
+    out = tmp_path / "o.jsonl"
+    ckpt = tmp_path / "ck.json"
+    r = run_cli(
+        "scan", "--n", "4", "--checks", "min-path", "--jobs", "1",
+        "--output", str(out), "--checkpoint", str(ckpt), "--checkpoint-every", every,
+    )
+    assert r.returncode == 2
+    assert "checkpoint_every must be at least 1" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists() and not ckpt.exists()
+
+
+def test_python_dash_m_subtrees_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    r = subprocess.run(
+        [sys.executable, "-m", "subtrees", "repro", "join-deletion-2-6"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert "REPRODUCED" in r.stdout
