@@ -1,20 +1,27 @@
 """Exact subtree statistics of a graph.
 
 A subtree with vertex set A is a spanning tree of the induced subgraph
-G[A], so the census enumerates every connected vertex subset exactly once
-and adds the matrix-tree count of G[A] into the order-|A| bucket.  One
-extend-or-forbid walk, :func:`_connected_sets`, grows the sets for every
-census here (from each root with smaller roots forbidden, or from the
-required vertices of an anchored census), and one builder,
-:func:`_reduced_laplacian`, gives the matrix whose determinant or
-adjugate counts the trees.  :func:`census` and :func:`census_containing`
-read that count per core: a leaf's edge lies in every spanning tree, so
-deleting leaves (those outside the required forest, for an anchored
-census) keeps the count, and the sets of a graph whose cycles sit on
-paths, brooms or pendant trees share a few cores.  Each call memoises
-the count by the core's mask.  All arithmetic is exact: counts are Python
-integers, determinants use fraction-free Bareiss elimination, and means
-are ``Fraction`` values.
+G[A], so a census weights every connected vertex set A by the
+matrix-tree count kappa(G[A]).  The count is read block by block: a
+connected set meets each biconnected block of the graph in nothing, one
+vertex or a connected subset of that block, and kappa(G[A]) is the
+product of the kappa of those pieces.  :func:`_block_dp` finds the blocks
+with a Hopcroft-Tarjan search, enumerates only the connected subsets of
+each block with :func:`_connected_sets` (the one extend-or-forbid
+generator), weights each by a determinant of :func:`_reduced_laplacian`
+read per core (deleting leaves keeps the count, so subsets share cores),
+and folds the blocks into their top cut vertices, children first, as a
+dynamic program over the block-cut tree.  Per-vertex sums need only
+(count, order sum) pairs, which multiply as (a, s)(b, t) = (ab, at + bs),
+and a second, outside pass gives every vertex its totals; only the
+whole-graph counts by order are polynomials.  :func:`census`,
+:func:`census_containing` (whose required vertices fix the branches and
+block vertices every set must take) and
+:func:`average_connected_set_size` (every set weighted 1) share this one
+pass.  A 2-connected graph is a single block: its connected sets are
+enumerated once, as they are grown, and never stored.  All arithmetic is
+exact: counts are Python integers, determinants use fraction-free
+Bareiss elimination, and means are ``Fraction`` values.
 
 :func:`local_census` gives every edge and cherry (3-vertex path a-m-b)
 anchored census from one pass over the connected sets, through two
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Edge, Graph, _norm_edge
 
@@ -139,7 +146,9 @@ def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
 # -- connected sets ------------------------------------------------------------
 
 
-def _connected_sets(rows: tuple[int, ...], starts: Iterable[tuple[int, int]]) -> Iterator[int]:
+def _connected_sets(
+    rows: tuple[int, ...], starts: Iterable[tuple[int, int]], need: int = 0
+) -> Iterator[int]:
     """Bitmask of every set grown from each ``(seed, allowed)`` pair, once.
 
     Extend-or-forbid growth: a set is extended by one candidate (a vertex
@@ -148,7 +157,9 @@ def _connected_sets(rows: tuple[int, ...], starts: Iterable[tuple[int, int]]) ->
     the seed, with S minus the seed inside ``allowed`` and every component
     of G[S] meeting the seed, appears exactly once: a connected seed gives
     its connected supersets, a disconnected one also some disconnected
-    sets.  Sets are yielded as they are grown, never stored.
+    sets.  Only the sets containing ``need`` are yielded, and a branch
+    stops once it has forbidden a vertex of ``need``.  Sets are yielded as
+    they are grown, never stored.
     """
     for seed, allowed in starts:
         nbhd = 0
@@ -160,7 +171,8 @@ def _connected_sets(rows: tuple[int, ...], starts: Iterable[tuple[int, int]]) ->
         stack = [(seed, nbhd & allowed & ~seed, 0)]
         while stack:
             subset, cand, forb = stack.pop()
-            yield subset
+            if subset & need == need:
+                yield subset
             processed = 0
             while cand:
                 b = cand & -cand
@@ -170,6 +182,8 @@ def _connected_sets(rows: tuple[int, ...], starts: Iterable[tuple[int, int]]) ->
                 stack.append(
                     (grown, (cand | rows[b.bit_length() - 1]) & allowed & ~grown & ~nf, nf)
                 )
+                if b & need:
+                    break  # the later branches would forbid it
                 processed |= b
 
 
@@ -198,6 +212,219 @@ def _core(rows: tuple[int, ...], subset: int, keep: int) -> int:
             core ^= b
             todo |= nb & ~keep  # its neighbour may be a leaf now
     return core
+
+
+# -- block-cut tree ------------------------------------------------------------
+
+
+def _blocks(rows: tuple[int, ...], root: int) -> list[tuple[int, int]]:
+    """Blocks of the component of ``root`` as ``(top, mask)`` pairs.
+
+    An iterative Hopcroft-Tarjan search from ``root``: ``top`` is the
+    block's vertex nearest ``root`` (its parent cut vertex, or ``root``
+    itself), and every block comes after the blocks hanging below it.
+    An isolated ``root`` has no block.
+    """
+    depth = [0] * len(rows)  # discovery time + 1; 0 while undiscovered
+    low = depth[:]
+    depth[root] = low[root] = 1
+    tick = 1
+    path = [root]  # discovered vertices not yet assigned to a block
+    stack = [root]
+    todo = [rows[root]]  # neighbours each vertex on `stack` has still to try
+    blocks = []
+    while stack:
+        v = stack[-1]
+        left = todo[-1]
+        if left:
+            b = left & -left
+            todo[-1] = left ^ b
+            w = b.bit_length() - 1
+            if depth[w]:
+                if depth[w] < low[v]:
+                    low[v] = depth[w]
+            else:
+                tick += 1
+                depth[w] = low[w] = tick
+                path.append(w)
+                stack.append(w)
+                todo.append(rows[w])
+            continue
+        stack.pop()
+        todo.pop()
+        if stack:
+            u = stack[-1]
+            if low[v] >= depth[u]:  # u separates v's subtree: one block
+                mask = 1 << u
+                while True:
+                    x = path.pop()
+                    mask |= 1 << x
+                    if x == v:
+                        break
+                blocks.append((u, mask))
+            elif low[v] < low[u]:
+                low[u] = low[v]
+    return blocks
+
+
+# -- the block DP ------------------------------------------------------------
+
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _padd(acc: list[int], poly: list[int]) -> None:
+    if len(acc) < len(poly):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for i, x in enumerate(poly):
+        acc[i] += x
+
+
+def _pair(poly: list[int]) -> tuple[int, int]:
+    """(count, order sum) of an order polynomial: its value and slope at 1."""
+    return sum(poly), sum(k * c for k, c in enumerate(poly))
+
+
+def _block_dp(
+    rows: tuple[int, ...],
+    root: int,
+    *,
+    need: int = 0,
+    forest: Sequence[int] = (),
+    unit: bool = False,
+) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    """One pass over the blocks of the component of ``root``.
+
+    ``down[v]`` is the order polynomial (coefficient k: weighted sets of
+    order k) of the sets containing v inside v's branch away from
+    ``root``.  Blocks come children first, so a block with top vertex p
+    multiplies ``down[p]`` by 1 + the sum, over its subsets S through p,
+    of the weight of S times ``down[c]`` for every other c in S.  Until a
+    vertex tops a block its ``down`` is x, so the subsets are bucketed by
+    their vertices that top blocks, summed as powers of x, and each
+    bucket is multiplied by those vertices' ``down`` once.
+
+    With ``need`` 0 every subset of every block is visited, and ``total``
+    is the order polynomial of all connected sets of the component: those
+    whose top vertex is v are ``down[v]``, the others have a block subset
+    missing the block's top.  With ``need`` (holding ``root``) only the
+    subsets through each top are visited; a block whose branch holds a
+    required vertex has no 1 in its factor, and its subsets must contain
+    the vertices leading to the required ones, so ``down[root]`` counts
+    the sets containing all of ``need``.
+
+    A subset is weighted by its spanning-tree count, read per core, or by
+    the count of those containing the ``forest`` components inside its
+    block, or by 1 with ``unit``.  For :func:`census` (``need`` 0, no
+    ``unit``) ``full[v]`` is the (count, order sum) of the sets containing
+    v, from a second pass top down: the sets through v's parent block are
+    split by whether they reach its top p, whose outside factor
+    ``full[p] / (1 + T(p))`` is known only then.  Pairs multiply as
+    (a, s)(b, t) = (ab, at + bs).
+
+    Returns the component mask, ``down``, ``total`` and ``full``.
+    """
+    n = len(rows)
+    x = [0, 1]
+    down = [x] * n
+    pairs = [(1, 1)] * n  # the (count, order sum) of each `down`
+    heavy = 0  # tops of blocks seen so far: their `down` is not x
+    reqd = need  # required vertices, and tops with one below them
+    total: list[int] = []
+    kappas: dict[int, int] = {}
+    # per vertex c, the (count, order sum) of the subsets S of c's parent
+    # block that hold c, weighted by `down` of S's other vertices: S
+    # missing the block's top, and S reaching it (to be multiplied by the
+    # top's outside factor)
+    below = [[0] * n, [0] * n]
+    through = [[0] * n, [0] * n]
+    tops = []
+    tables = not need and not unit
+    comp = 1 << root
+    for top, block in _blocks(rows, root):
+        comp |= block
+        tbit = 1 << top
+        rest = block & ~tbit
+        hv = rest & heavy
+        lt = rest & ~heavy
+        must = rest & reqd
+        fblocks = [m for m in (c & block for c in forest) if m & (m - 1)] if forest else []
+        keep = sum(fblocks)
+        starts = [(tbit, rest)]
+        if not need:
+            starts += [(1 << v, rest & ~((2 << v) - 1)) for v in _bits(rest)]
+        keyed = hv | tbit
+        buckets: dict[int, tuple[list[int], int, int]] = {}
+        for s in _connected_sets(rows, starts, must):
+            if s & (s - 1) == 0:
+                continue
+            kappa = 1
+            if not unit:
+                core = _core(rows, s, keep)
+                if core & (core - 1):
+                    kappa = kappas.get(core)
+                    if kappa is None:
+                        kappa = kappas[core] = (
+                            _kappa_contracted(rows, core, fblocks, keep)
+                            if fblocks
+                            else _det_bareiss(_reduced_laplacian(rows, _bits(core), core))
+                        )
+            key = s & keyed  # the tops of blocks in S, and the block's own
+            entry = buckets.get(key)
+            if entry is None:
+                a, t = 1, 0
+                for c in _bits(key & hv) if hv else ():
+                    ca, ct = pairs[c]
+                    a, t = a * ca, a * ct + t * ca
+                entry = buckets[key] = ([0] * (block.bit_count() + 1), a, t)
+            acc, a, t = entry
+            j = (s & lt).bit_count()
+            acc[j] += kappa
+            if tables:
+                sa, ss = through if s & tbit else below
+                ka = kappa * a
+                ks = kappa * (t + j * a)
+                for c in _bits(s & ~tbit):
+                    sa[c] += ka
+                    ss[c] += ks
+        factor = [0 if must else 1]
+        for key, (acc, _, _) in buckets.items():
+            for c in _bits(key & hv) if hv else ():
+                acc = _pmul(acc, down[c])
+            _padd(factor if key & tbit else total, acc)
+        down[top] = _pmul(down[top], factor)
+        pairs[top] = _pair(down[top])
+        heavy |= tbit
+        if must:
+            reqd |= tbit
+        if tables:
+            tops.append((top, rest, _pair(factor)))
+    if need:
+        return comp, down, total, []
+    _padd(total, [0, (comp & ~heavy).bit_count()])
+    for v in _bits(heavy):
+        _padd(total, down[v])
+    if not tables:
+        return comp, down, total, []
+    full = pairs[:]
+    for top, rest, (fa, ft) in reversed(tops):
+        pa, ps = full[top]
+        ua = pa // fa  # full[top] / factor: the sets at top outside the block
+        us = (ps - ft * ua) // fa
+        for c in _bits(rest):
+            da, ds = pairs[c]
+            ta, ts = through[0][c], through[1][c]
+            full[c] = (
+                da + below[0][c] + ta * ua,
+                ds + below[1][c] + ta * us + ts * ua,
+            )
+    return comp, down, total, full
 
 
 # -- census ------------------------------------------------------------------
@@ -242,32 +469,24 @@ class SubtreeCensus:
 def census(g: Graph) -> SubtreeCensus:
     """Full subtree census; the graph may be disconnected."""
     n = g.n
-    rows = g.rows
     counts = [0] * (n + 1)
     vertex_counts = [0] * n
     vertex_order_sums = [0] * n
-    kappas: dict[int, int] = {}
-    for subset in _connected_sets(rows, _rooted(n)):
-        verts = _bits(subset)
-        k = len(verts)
-        core = _core(rows, subset, 0)
-        if core & (core - 1) == 0:
-            kappa = 1  # a tree strips down to one vertex
-        else:
-            kappa = kappas.get(core)
-            if kappa is None:
-                kappa = kappas[core] = _det_bareiss(
-                    _reduced_laplacian(rows, _bits(core), core)
-                )
-        counts[k] += kappa
-        k_kappa = k * kappa
-        for v in verts:
-            vertex_counts[v] += kappa
-            vertex_order_sums[v] += k_kappa
+    seen = 0
+    for root in range(n):
+        if (seen >> root) & 1:
+            continue
+        comp, _, total, full = _block_dp(g.rows, root)
+        seen |= comp
+        for k, c in enumerate(total):
+            if c:  # the polynomials carry zeros beyond order n
+                counts[k] += c
+        for v in _bits(comp):
+            vertex_counts[v], vertex_order_sums[v] = full[v]
     num = sum(counts)
-    total = sum(k * c for k, c in enumerate(counts))
+    order_sum = sum(k * c for k, c in enumerate(counts))
     return SubtreeCensus(
-        tuple(counts), num, total, tuple(vertex_counts), tuple(vertex_order_sums)
+        tuple(counts), num, order_sum, tuple(vertex_counts), tuple(vertex_order_sums)
     )
 
 
@@ -383,28 +602,13 @@ def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int
         c = census(g)
         return c.num_subtrees, c.order_sum
 
-    rows = g.rows
-    req_blocks = _forest_blocks(constraint)
-    req_mask = sum(req_blocks)
-    forest = len(req_blocks) > 1
-    kappas: dict[int, int] = {}
-    count = 0
-    order_sum = 0
-    for subset in _connected_sets(rows, [(req_mask, (1 << g.n) - 1)]):
-        # a forest seed is disconnected, so some grown sets are too; a
-        # tree seed grows connected sets only
-        if forest:
-            low = subset & -subset
-            if g.component_mask(low.bit_length() - 1, subset) != subset:
-                continue
-        k = subset.bit_count()
-        core = _core(rows, subset, req_mask)
-        kappa = kappas.get(core)
-        if kappa is None:
-            kappa = kappas[core] = _kappa_contracted(rows, core, req_blocks, req_mask)
-        count += kappa
-        order_sum += k * kappa
-    return count, order_sum
+    forest = _forest_blocks(constraint)
+    need = sum(forest)
+    root = min(constraint.vertices)
+    comp, down, _, _ = _block_dp(g.rows, root, need=need, forest=forest)
+    if need & ~comp:
+        return 0, 0  # the required vertices lie in different components
+    return _pair(down[root])
 
 
 @dataclass(frozen=True)
@@ -553,11 +757,8 @@ def spanning_fraction(g: Graph) -> Fraction:
 def average_connected_set_size(g: Graph) -> Fraction:
     """Mean cardinality over all non-empty connected vertex sets."""
     _require_connected(g)
-    sets = 0
-    size_sum = 0
-    for subset in _connected_sets(g.rows, _rooted(g.n)):
-        sets += 1
-        size_sum += subset.bit_count()
+    _, _, total, _ = _block_dp(g.rows, 0, unit=True)
+    sets, size_sum = _pair(total)
     return Fraction(size_sum, sets)
 
 

@@ -142,25 +142,28 @@ def cmd_scan(args: argparse.Namespace) -> int:
             out_path = tmp.name
     else:
         out_path = args.output
-    state = scan(
-        lines,
-        checks,
-        out_path,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        jobs=args.jobs,
-        limit=args.limit,
-    )
-    if args.output == "-":
-        with open(out_path) as fh:
-            if args.format == "csv":
-                writer = csv.writer(sys.stdout)
-                writer.writerow(CSV_FIELDS)
-                for line in fh:
-                    writer.writerow(record_csv_row(json.loads(line)))
-            else:
-                sys.stdout.write(fh.read())
-        os.unlink(out_path)
+    try:
+        state = scan(
+            lines,
+            checks,
+            out_path,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            jobs=args.jobs,
+            limit=args.limit,
+        )
+        if args.output == "-":
+            with open(out_path) as fh:
+                if args.format == "csv":
+                    writer = csv.writer(sys.stdout)
+                    writer.writerow(CSV_FIELDS)
+                    for line in fh:
+                        writer.writerow(record_csv_row(json.loads(line)))
+                else:
+                    sys.stdout.write(fh.read())
+    finally:
+        if args.output == "-":
+            os.unlink(out_path)
     print(state.tallies_json(), file=sys.stderr)
     return 0
 

@@ -3,6 +3,8 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -32,13 +34,21 @@ from subtrees import (
 )
 from subtrees.census import (
     _adjugate,
+    _bits,
+    _blocks,
     _connected_sets,
     _core,
     _det_bareiss,
     _rooted,
     local_census,
 )
-from conftest import naive_census_counts, random_connected_graph, random_graph
+from conftest import (
+    naive_census_counts,
+    random_connected_graph,
+    random_graph,
+    walk_census,
+    walk_census_containing,
+)
 
 
 def test_hand_counted_small_graphs():
@@ -545,13 +555,201 @@ def test_census_computes_one_determinant_per_core(monkeypatch):
     assert len(calls) == 1  # every set with a cycle shares the one cycle
     calls.clear()
     census(modified_barbell(16, 5, 1))
-    assert len(calls) == 418
+    # one per block subset with a cycle: the 16 subsets of order >= 3 of
+    # each 5-clique and the 8-cycle
+    assert len(calls) == 33
 
 
 def test_tree_constraint_skips_the_connectivity_filter(monkeypatch):
     calls = _counted(monkeypatch, Graph, "component_mask")
     g = modified_barbell(9, 3, 1)
     census_containing(g, SubtreeConstraint(frozenset([0, 1]), frozenset([(0, 1)])))
-    assert calls == []
     census_containing(g, SubtreeConstraint(frozenset([0, 8])))
-    assert calls
+    census_containing(g, SubtreeConstraint(frozenset([0, 1, 7]), frozenset([(0, 1)])))
+    assert calls == []
+
+
+# -- the block DP against the per-set walk --------------------------------------
+
+
+def _glued_blocks(rng, n: int) -> Graph:
+    # edges, cycles, cliques and cycles with chords glued at random
+    # vertices into a connected graph with cut vertices, randomly labelled
+    edges: set = set()
+    size = 1
+    while size < n:
+        k = min(rng.randint(2, 5), n - size + 1)  # the block's order
+        verts = [rng.randrange(size)] + list(range(size, size + k - 1))
+        ring = [(verts[i], verts[(i + 1) % k]) for i in range(k)] if k > 2 else []
+        kind = rng.choice(["clique", "cycle", "chords"]) if k > 3 else "clique"
+        if kind == "clique":
+            edges.update(combinations(verts, 2))
+        else:
+            edges.update(ring)
+            if kind == "chords":
+                edges.update(rng.sample(list(combinations(verts, 2)), 2))
+        size += k - 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, {tuple(sorted((perm[u], perm[v]))) for u, v in edges})
+
+
+def _constraints(rng, g: Graph) -> list[SubtreeConstraint]:
+    # a vertex, an edge, a grown tree and a two-component forest (the tree
+    # plus a vertex or an edge away from it)
+    out = [SubtreeConstraint(frozenset([rng.randrange(g.n)]))]
+    edges = list(g.edges())
+    if not edges:
+        return out
+    u, v = rng.choice(edges)
+    out.append(SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)])))
+    tree_v, tree_e = _grown_tree(rng, g, u, rng.randint(2, 4))
+    out.append(SubtreeConstraint(frozenset(tree_v), frozenset(tree_e)))
+    apart = [e for e in edges if not set(e) & tree_v]
+    if apart and rng.random() < 0.5:
+        a, b = rng.choice(apart)
+        out.append(SubtreeConstraint(frozenset(tree_v | {a, b}), frozenset(tree_e | {(a, b)})))
+    elif len(tree_v) < g.n:
+        w = rng.choice([w for w in range(g.n) if w not in tree_v])
+        out.append(SubtreeConstraint(frozenset(tree_v | {w}), frozenset(tree_e)))
+    return out
+
+
+def _assert_matches_walk(rng, g: Graph) -> None:
+    assert census(g) == walk_census(g), g
+    for constraint in _constraints(rng, g):
+        assert census_containing(g, constraint) == walk_census_containing(g, constraint), (
+            g,
+            constraint,
+        )
+
+
+def test_blocks_partition_the_edges_and_come_children_first():
+    rng = random.Random(89)
+    graphs = [_glued_blocks(rng, rng.randint(2, 12)) for _ in range(40)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 8), 0.35) for _ in range(40)]
+    for g in graphs:
+        root = rng.randrange(g.n)
+        blocks = _blocks(g.rows, root)
+        for u, v in g.edges():
+            holding = [m for _, m in blocks if (m >> u) & 1 and (m >> v) & 1]
+            assert len(holding) == 1, (g, u, v)
+        for i, (top, mask) in enumerate(blocks):
+            assert (mask >> top) & 1
+            verts = _bits(mask)
+            sub = Graph.from_edges(
+                len(verts),
+                [(a, b) for a, b in combinations(range(len(verts)), 2)
+                 if g.has_edge(verts[a], verts[b])],
+            )
+            assert sub.is_connected()
+            assert not any(sub.is_cut_vertex(v) for v in range(sub.n)), (g, mask)
+            # the top is the root or lies below the top of a later block
+            assert top == root or any(
+                (m >> top) & 1 and t != top for t, m in blocks[i + 1 :]
+            ), (g, blocks)
+        for v in range(g.n):
+            holding = sum((m >> v) & 1 for _, m in blocks)
+            assert g.is_cut_vertex(v) == (holding >= 2), (g, v)
+    assert _blocks(Graph(1, (0,)).rows, 0) == []
+
+
+def test_connected_sets_with_need_yield_the_supersets_of_need():
+    for n in range(2, 7):
+        for g in generate_connected(n):
+            full = (1 << n) - 1
+            for need in (0b10, (1 << (n - 1)) | 0b10, full & ~1):
+                sets = list(_connected_sets(g.rows, [(1, full & ~1)], need))
+                expect = [m for m in _connected_masks(g) if m & 1 and m & need == need]
+                assert len(sets) == len(set(sets))
+                assert sorted(sets) == expect
+
+
+def test_block_dp_matches_the_walk_on_every_connected_graph_to_order_7():
+    rng = random.Random(83)
+    for n in range(1, 8):
+        for g in generate_connected(n):
+            _assert_matches_walk(rng, g)
+
+
+def test_block_dp_matches_the_walk_on_graphs_with_cut_vertices_to_order_14():
+    rng = random.Random(97)
+    for _ in range(60):
+        g = _glued_blocks(rng, rng.randint(8, 14))
+        assert any(g.is_cut_vertex(v) for v in range(g.n))
+        _assert_matches_walk(rng, g)
+
+
+def test_block_dp_matches_the_walk_on_modified_double_brooms():
+    # w = 8 needs order 17: two 8-stars, their path and the bridge vertex
+    rng = random.Random(101)
+    for n in range(5, 18):
+        for w in range(2, (n - 1) // 2 + 1):
+            g = modified_double_broom(n, w, 1)
+            _assert_matches_walk(rng, g)
+            bridge, hubs = n - 1, (w - 1, n - 1 - w)
+            for hub in hubs:
+                e = (hub, bridge)
+                edge = SubtreeConstraint(frozenset(e), frozenset([e]))
+                assert census_containing(g, edge) == walk_census_containing(g, edge)
+
+
+def test_block_dp_matches_subtree_enumeration_to_order_8():
+    rng = random.Random(103)
+    graphs = [_glued_blocks(rng, rng.randint(2, 8)) for _ in range(60)]
+    graphs += [random_connected_graph(rng, 8, 0.3) for _ in range(20)]
+    for g in graphs:
+        oracle = census_by_subtree_enumeration(g)
+        assert census(g) == oracle, g
+        for v in range(g.n):
+            assert census_containing(g, SubtreeConstraint(frozenset([v]))) == (
+                oracle.vertex_counts[v],
+                oracle.vertex_order_sums[v],
+            )
+    for g in graphs[:30]:
+        for constraint in _constraints(rng, g):
+            assert census_containing(g, constraint) == brute_containing(g, constraint)
+
+
+def test_block_dp_closed_forms_at_order_64():
+    n = 64
+    c = census(path_graph(n))
+    assert c.counts == (0, *(n - k + 1 for k in range(1, n + 1)))
+    assert c.vertex_counts == tuple((v + 1) * (n - v) for v in range(n))
+    for i in (0, 20, 62):
+        edge = SubtreeConstraint(frozenset([i, i + 1]), frozenset([(i, i + 1)]))
+        assert census_containing(path_graph(n), edge)[0] == (i + 1) * (n - i - 1)
+    c = census(star_graph(n))
+    assert c.counts == (0, n, *(comb(n - 1, k - 1) for k in range(2, n + 1)))
+    assert c.vertex_counts == (1 << (n - 1), *([1 + (1 << (n - 2))] * (n - 1)))
+    g = cycle(n)
+    c = census(g)
+    assert c.counts == (0, *([n] * n))
+    assert c.vertex_counts == (n * (n + 1) // 2,) * n
+    # paths of k vertices through an edge: k - 1 of the n, up to k = n
+    edge = SubtreeConstraint(frozenset([5, 6]), frozenset([(5, 6)]))
+    assert census_containing(g, edge) == (
+        n * (n - 1) // 2,
+        sum(k * (k - 1) for k in range(2, n + 1)),
+    )
+    assert average_connected_set_size(path_graph(n)) == Fraction(
+        sum(k * (n - k + 1) for k in range(1, n + 1)), n * (n + 1) // 2
+    )
+    assert average_connected_set_size(cycle(n)) == Fraction(
+        n * sum(range(1, n)) + n, n * (n - 1) + 1
+    )
+
+
+def test_block_dp_on_modified_double_broom_64_8_1():
+    n = 64
+    g = modified_double_broom(n, 8, 1)
+    mirror = [n - 2 - v for v in range(n - 1)] + [n - 1]
+    assert g.relabel(mirror) == g
+    c = census(g)
+    assert sum(c.vertex_counts) == c.order_sum
+    assert sum(c.counts) == c.num_subtrees
+    assert all(c.vertex_counts[v] == c.vertex_counts[mirror[v]] for v in range(n))
+    assert all(c.vertex_order_sums[v] == c.vertex_order_sums[mirror[v]] for v in range(n))
+    for v in (0, 7, 30, n - 1):
+        vertex = SubtreeConstraint(frozenset([v]))
+        assert census_containing(g, vertex) == (c.vertex_counts[v], c.vertex_order_sums[v])

@@ -354,6 +354,21 @@ def test_cli_scan_rejects_disconnected_before_writing(tmp_path, jobs):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_scan_to_stdout_leaves_no_temporary_file(tmp_path, jobs):
+    # output for stdout goes through a temporary file, removed also when
+    # the scan fails
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    for stdin, code in (("Bw\n???bad\n", 3), ("Bw\n", 0)):
+        r = subprocess.run(
+            [sys.executable, "-m", "subtrees.cli", "scan", "-", "--checks", "min-path",
+             "--jobs", jobs],
+            capture_output=True, text=True, input=stdin, env=env,
+        )
+        assert r.returncode == code, r.stderr
+        assert list(tmp_path.glob("*.jsonl")) == []
+
+
 def test_cli_compute_tree_rejects_forest():
     r = run_cli("compute", "family:path:4", "--tree", "0,2")
     assert r.returncode == 2
