@@ -24,15 +24,22 @@ exact: counts are Python integers, determinants use fraction-free
 Bareiss elimination, and means are ``Fraction`` values.
 
 :func:`local_census` gives every edge and cherry (3-vertex path a-m-b)
-anchored census from one pass over the connected sets, through two
-identities on the integer adjugate M = kappa L0^-1 of each induced
-reduced Laplacian: the trees containing edge e number x_e^T M x_e
-(Kirchhoff), and those containing both edges e and f number
+anchored census, and the census itself, from the same block DP.  An
+edge or a cherry inside a block is split like a vertex, by whether the
+block subset reaches the block's top.  Its trees in a subset S are read
+off the core of S, from the integer adjugate M = kappa L0^-1 of the
+core's reduced Laplacian: the trees containing edge e number
+x_e^T M x_e (Kirchhoff), and those containing both edges e and f number
 (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa with Y(e,f) = x_e^T M x_f (the
-transfer-current theorem of Burton & Pemantle).  :func:`census_containing`
-counts the subtrees containing any one constraint; it serves constraints
-of order 4 or more, single-edge and single-tree queries, and the tests as
-the oracle of :func:`local_census`.
+transfer-current theorem of Burton & Pemantle).  An edge outside the
+core lies in every tree.  So there is one adjugate per distinct core,
+and the subsets sharing a core meet its edges and cherries once, with
+their weights summed.  A cherry whose two edges lie in different blocks
+at a cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair
+algebra.  :func:`census_containing` counts the subtrees containing any
+one constraint; it serves constraints of order 4 or more, single-edge
+and single-tree queries, and the tests as the oracle of
+:func:`local_census`.
 
 :func:`census_by_subtree_enumeration` is an independent slow oracle that
 lists subtrees one by one as growing edge sets; it shares no counting
@@ -48,13 +55,20 @@ from typing import Iterable, Iterator, Sequence
 from .graphs import Edge, Graph, _norm_edge
 
 
-def _bits(mask: int) -> list[int]:
+def _bits(mask: int) -> Sequence[int]:
+    """The set bits of ``mask``, ascending."""
+    if mask < 256:
+        return _SMALL_BITS[mask]
     out = []
     while mask:
         b = mask & -mask
         mask ^= b
         out.append(b.bit_length() - 1)
     return out
+
+
+# _bits of every mask below 2**8, shared, so read-only
+_SMALL_BITS = [tuple(i for i in range(8) if (m >> i) & 1) for m in range(256)]
 
 
 # -- determinants ------------------------------------------------------------
@@ -103,14 +117,13 @@ def spanning_tree_count(g: Graph) -> int:
 def _reduced_laplacian(rows: tuple[int, ...], verts: list[int], subset: int) -> list[list[int]]:
     """Laplacian of the graph induced on ``verts`` (bitmask ``subset``),
     without the row and column of ``verts[0]``."""
-    k = len(verts)
+    others = verts[1:]
     mat = []
-    for i in range(1, k):
-        row_mask = rows[verts[i]]
-        deg = (row_mask & subset).bit_count()
-        mat.append(
-            [deg if i == j else -((row_mask >> verts[j]) & 1) for j in range(1, k)]
-        )
+    for i, v in enumerate(others):
+        row_mask = rows[v]
+        row = [-((row_mask >> u) & 1) for u in others]
+        row[i] = (row_mask & subset).bit_count()
+        mat.append(row)
     return mat
 
 
@@ -120,12 +133,13 @@ def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
     Fraction-free Gauss-Jordan elimination on ``[mat | I]`` ends at
     ``[det I | adj]``, and every division in it is exact.  The pivots are
     the leading principal minors, all positive here, so no row swap is
-    needed.  Does not modify ``mat``.
+    needed.  It runs in place: after step k the left columns up to k and
+    the right columns after k are multiples of unit columns, so only the
+    others are stored, the right column k where the left one was.  Does
+    not modify ``mat``.
     """
     size = len(mat)
-    aug = [row + [0] * size for row in mat]
-    for i in range(size):
-        aug[i][size + i] = 1
+    aug = [row[:] for row in mat]
     prev = 1
     for k in range(size):
         ak = aug[k]
@@ -136,11 +150,14 @@ def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
             ai = aug[i]
             f = ai[k]
             if f:
-                aug[i] = [(pivot * a - f * b) // prev for a, b in zip(ai, ak)]
+                ai = [(pivot * a - f * b) // prev for a, b in zip(ai, ak)]
             elif pivot != prev:
-                aug[i] = [(pivot * a) // prev for a in ai]
+                ai = [(pivot * a) // prev for a in ai]
+            ai[k] = -f
+            aug[i] = ai
+        ak[k] = prev
         prev = pivot
-    return prev, [row[size:] for row in aug]
+    return prev, aug
 
 
 # -- connected sets ------------------------------------------------------------
@@ -185,14 +202,6 @@ def _connected_sets(
                 if b & need:
                     break  # the later branches would forbid it
                 processed |= b
-
-
-def _rooted(n: int) -> Iterator[tuple[int, int]]:
-    # One seed per root with smaller roots forbidden: every connected set
-    # of the graph is grown from its smallest vertex.
-    all_bits = (1 << n) - 1
-    for root in range(n):
-        yield 1 << root, all_bits & ~((2 << root) - 1)
 
 
 def _core(rows: tuple[int, ...], subset: int, keep: int) -> int:
@@ -291,6 +300,110 @@ def _pair(poly: list[int]) -> tuple[int, int]:
     return sum(poly), sum(k * c for k, c in enumerate(poly))
 
 
+def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, list[list[int]], dict]:
+    """kappa of G[core], its padded adjugate, and the trees through each edge.
+
+    With M = kappa L0^-1 the integer adjugate of the reduced Laplacian,
+    the trees containing edge e number Y(e,e) = x_e^T M x_e (Kirchhoff).
+    ``y`` is M with a zero row and column for the core's lowest vertex,
+    whose row L0 drops.  ``tees[m]`` is m's position i in the core and
+    the ``(j, c, trees through m-c)`` of its edges to core vertices c at
+    position j.
+    """
+    verts = _bits(core)
+    kappa, adj = _adjugate(_reduced_laplacian(rows, verts, core))
+    y = [[0] * len(verts)] + [[0] + row for row in adj]
+    tees = {}
+    for i, m in enumerate(verts):
+        ym = y[i]
+        row = rows[m]
+        tees[m] = (
+            i,
+            [(j, c, ym[i] + y[j][j] - 2 * ym[j]) for j, c in enumerate(verts) if (row >> c) & 1],
+        )
+    return kappa, y, tees
+
+
+def _add_core(n, kappa, y, tees, wa, ws, counts, sums):
+    # The trees of one core through each of its edges and cherries, times
+    # the summed weight (wa, ws) of the sets with that core.  Those through
+    # edges e and f number (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa, an exact
+    # division (the transfer-current theorem).
+    nn = n * n
+    for m, (im, nb) in tees.items():
+        ym = y[im]
+        dm = ym[im]
+        for x, (ia, a, t_am) in enumerate(nb):
+            if a > m:
+                e = m * n + a
+                counts[e] += t_am * wa
+                sums[e] += t_am * ws
+            ya = y[ia]
+            yma = ym[ia] - dm
+            base = nn + (m * n + a) * n
+            for ib, b, t_mb in nb[x + 1 :]:
+                # x_e = e_a - e_m and x_f = e_m - e_b; M is symmetric
+                cross = yma + ym[ib] - ya[ib]
+                t = (t_am * t_mb - cross * cross) // kappa
+                counts[base + b] += t * wa
+                sums[base + b] += t * ws
+
+
+def _local_keys(rows: tuple[int, ...], block: int) -> list[int]:
+    """Indices of the edges and cherries inside ``block``: edge u-v (u < v)
+    at u*n+v, cherry a-m-b (a < b) at n*n + (m*n+a)*n+b."""
+    n = len(rows)
+    nn = n * n
+    keys = []
+    for m in _bits(block):
+        nb = _bits(rows[m] & block)
+        keys += [m * n + a for a in nb if a > m]
+        for i, a in enumerate(nb):
+            base = nn + (m * n + a) * n
+            keys += [base + b for b in nb[i + 1 :]]
+    return keys
+
+
+def _add_pendants(rows, s, core, ka, ks, a, w, tees, counts, sums):
+    # One set S of a block whose core is smaller than S: its edges outside
+    # the core lie in all kappa trees, so each of them, and each cherry of
+    # two such edges, gets (ka, ks) = kappa (a, w); a cherry p-m-c with one
+    # core edge m-c gets t_mc (a, w).
+    n = len(rows)
+    nn = n * n
+    pend = s & ~core
+    reach = 0  # the neighbours of the pendant vertices
+    for p in _bits(pend):
+        nb = rows[p] & s
+        reach |= nb
+        # an edge of two pendant vertices is added from the smaller one
+        low = pend & ((1 << p) - 1)
+        nbl = _bits(nb)
+        for x, u in enumerate(nbl):
+            if not (low >> u) & 1:
+                i = p * n + u if p < u else u * n + p
+                counts[i] += ka
+                sums[i] += ks
+            base = nn + (p * n + u) * n
+            for v in nbl[x + 1 :]:
+                counts[base + v] += ka
+                sums[base + v] += ks
+    for m in _bits(reach & core):
+        pl = _bits(rows[m] & pend)
+        for x, u in enumerate(pl):
+            base = nn + (m * n + u) * n
+            for v in pl[x + 1 :]:
+                counts[base + v] += ka
+                sums[base + v] += ks
+        if tees:
+            for _, c, t in tees[m][1]:
+                ta, tw = t * a, t * w
+                for p in pl:
+                    i = nn + (m * n + p) * n + c if p < c else nn + (m * n + c) * n + p
+                    counts[i] += ta
+                    sums[i] += tw
+
+
 def _block_dp(
     rows: tuple[int, ...],
     root: int,
@@ -298,6 +411,7 @@ def _block_dp(
     need: int = 0,
     forest: Sequence[int] = (),
     unit: bool = False,
+    local: tuple[dict[int, int], dict[int, int]] | None = None,
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
     """One pass over the blocks of the component of ``root``.
 
@@ -328,6 +442,22 @@ def _block_dp(
     ``full[p] / (1 + T(p))`` is known only then.  Pairs multiply as
     (a, s)(b, t) = (ab, at + bs).
 
+    With ``local``, a pair of dicts (and ``need`` 0, no ``unit``), the
+    pass also adds there the count and the order sum of the subtrees
+    containing each edge and each cherry of the component, keyed as by
+    :func:`_local_keys`.  An edge or a cherry inside a block is split like
+    a vertex: its trees in each subset S of the block, times the ``down``
+    of S's other vertices, summed over the S missing the top and, times
+    the top's outside factor, over the S reaching it.  Its trees in S are
+    read off the core of S: an edge outside the core lies in all kappa
+    trees, and so does a cherry of two such edges, while a cherry with one
+    core edge e lies in the trees through e.  Inside the core they come
+    from one adjugate per core (:func:`_core_trees`), and they meet the
+    weights of the subsets sharing that core once, summed, in the outside
+    pass.  A cherry a-m-b whose edges lie in two blocks at the cut vertex
+    m is edge(a-m) edge(m-b) / vertex(m) in the pair algebra, an exact
+    division: the sets containing m are independent across m's blocks.
+
     Returns the component mask, ``down``, ``total`` and ``full``.
     """
     n = len(rows)
@@ -346,6 +476,13 @@ def _block_dp(
     through = [[0] * n, [0] * n]
     tops = []
     tables = not need and not unit
+    if local is not None:
+        # the same split, keyed as by _local_keys, for the edges and
+        # cherries outside the cores; per core, (kappa, y, tees) and the
+        # summed weights (a, w) of its sets through the top and below it
+        lbelow: list[dict[int, int]] = [{}, {}]
+        lthrough: list[dict[int, int]] = [{}, {}]
+        cores: dict[int, tuple[int, list[list[int]], dict]] = {}
     comp = 1 << root
     for top, block in _blocks(rows, root):
         comp |= block
@@ -361,6 +498,11 @@ def _block_dp(
             starts += [(1 << v, rest & ~((2 << v) - 1)) for v in _bits(rest)]
         keyed = hv | tbit
         buckets: dict[int, tuple[list[int], int, int]] = {}
+        if local is not None:
+            keys = _local_keys(rows, block)
+            for acc in (*lbelow, *lthrough):
+                acc.update(dict.fromkeys(keys, 0))
+            weights: dict[int, list[int]] = {}
         for s in _connected_sets(rows, starts, must):
             if s & (s - 1) == 0:
                 continue
@@ -370,11 +512,14 @@ def _block_dp(
                 if core & (core - 1):
                     kappa = kappas.get(core)
                     if kappa is None:
-                        kappa = kappas[core] = (
-                            _kappa_contracted(rows, core, fblocks, keep)
-                            if fblocks
-                            else _det_bareiss(_reduced_laplacian(rows, _bits(core), core))
-                        )
+                        if local is not None:
+                            cores[core] = info = _core_trees(rows, core)
+                            kappa = info[0]
+                        elif fblocks:
+                            kappa = _kappa_contracted(rows, core, fblocks, keep)
+                        else:
+                            kappa = _det_bareiss(_reduced_laplacian(rows, _bits(core), core))
+                        kappas[core] = kappa
             key = s & keyed  # the tops of blocks in S, and the block's own
             entry = buckets.get(key)
             if entry is None:
@@ -388,11 +533,28 @@ def _block_dp(
             acc[j] += kappa
             if tables:
                 sa, ss = through if s & tbit else below
+                w = t + j * a  # (a, w): the `down` pair of S but its top
                 ka = kappa * a
-                ks = kappa * (t + j * a)
+                ks = kappa * w
                 for c in _bits(s & ~tbit):
                     sa[c] += ka
                     ss[c] += ks
+                if local is not None:
+                    tees = None
+                    if core & (core - 1):
+                        tees = cores[core][2]
+                        wsum = weights.get(core)
+                        if wsum is None:
+                            wsum = weights[core] = [0, 0, 0, 0]
+                        if s & tbit:
+                            wsum[0] += a
+                            wsum[1] += w
+                        else:
+                            wsum[2] += a
+                            wsum[3] += w
+                    if core != s:
+                        la, ls = lthrough if s & tbit else lbelow
+                        _add_pendants(rows, s, core, ka, ks, a, w, tees, la, ls)
         factor = [0 if must else 1]
         for key, (acc, _, _) in buckets.items():
             for c in _bits(key & hv) if hv else ():
@@ -404,7 +566,7 @@ def _block_dp(
         if must:
             reqd |= tbit
         if tables:
-            tops.append((top, rest, _pair(factor)))
+            tops.append((top, rest, _pair(factor), (keys, weights) if local is not None else None))
     if need:
         return comp, down, total, []
     _padd(total, [0, (comp & ~heavy).bit_count()])
@@ -413,7 +575,7 @@ def _block_dp(
     if not tables:
         return comp, down, total, []
     full = pairs[:]
-    for top, rest, (fa, ft) in reversed(tops):
+    for top, rest, (fa, ft), inside in reversed(tops):
         pa, ps = full[top]
         ua = pa // fa  # full[top] / factor: the sets at top outside the block
         us = (ps - ft * ua) // fa
@@ -424,6 +586,35 @@ def _block_dp(
                 da + below[0][c] + ta * ua,
                 ds + below[1][c] + ta * us + ts * ua,
             )
+        if inside:
+            keys, weights = inside
+            counts, sums = local
+            for i in keys:
+                ta, ts = lthrough[0][i], lthrough[1][i]
+                counts[i] = lbelow[0][i] + ta * ua
+                sums[i] = lbelow[1][i] + ta * us + ts * ua
+            for core, (ta, tw, ba, bw) in weights.items():
+                kappa, y, tees = cores[core]
+                _add_core(n, kappa, y, tees, ba + ta * ua, bw + ta * us + tw * ua, counts, sums)
+    if local is not None:
+        # cherries across two blocks at a cut vertex m
+        counts, sums = local
+        nn = n * n
+        for m in _bits(comp):
+            nb = _bits(rows[m])
+            va, vs = full[m]
+            for i, u in enumerate(nb):
+                e = u * n + m if u < m else m * n + u
+                ea, es = counts[e], sums[e]
+                base = nn + (m * n + u) * n
+                for v in nb[i + 1 :]:
+                    if base + v in counts:
+                        continue  # u-m-v lies in one block
+                    f = m * n + v if m < v else v * n + m
+                    fa, fs = counts[f], sums[f]
+                    ca = ea * fa // va
+                    counts[base + v] = ca
+                    sums[base + v] = (ea * fs + es * fa - ca * vs) // va
     return comp, down, total, full
 
 
@@ -468,6 +659,13 @@ class SubtreeCensus:
 
 def census(g: Graph) -> SubtreeCensus:
     """Full subtree census; the graph may be disconnected."""
+    return _census(g)
+
+
+def _census(
+    g: Graph, local: tuple[dict[int, int], dict[int, int]] | None = None
+) -> SubtreeCensus:
+    # one block DP per component; `local` as for _block_dp
     n = g.n
     counts = [0] * (n + 1)
     vertex_counts = [0] * n
@@ -476,7 +674,7 @@ def census(g: Graph) -> SubtreeCensus:
     for root in range(n):
         if (seen >> root) & 1:
             continue
-        comp, _, total, full = _block_dp(g.rows, root)
+        comp, _, total, full = _block_dp(g.rows, root, local=local)
         seen |= comp
         for k, c in enumerate(total):
             if c:  # the polynomials carry zeros beyond order n
@@ -613,101 +811,42 @@ def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int
 
 @dataclass(frozen=True)
 class LocalCensus:
-    """Subtrees containing each edge and each cherry of a graph.
+    """Subtrees containing each edge and each cherry of a graph, and its census.
 
     ``edges[(u, v)]`` is the (count, order sum) of the subtrees containing
     the edge u-v, keyed u < v in ``Graph.edges()`` order.  ``cherries[(a,
     m, b)]`` is the same for the cherry a-m-b (both edges a-m and m-b),
     keyed a < b and ordered by middle vertex m, then a, then b.  Each entry
-    equals :func:`census_containing` of that constraint.
+    equals :func:`census_containing` of that constraint.  ``census`` is
+    :func:`census` of the graph, from the same pass.
     """
 
     edges: dict[Edge, tuple[int, int]]
     cherries: dict[tuple[int, int, int], tuple[int, int]]
+    census: SubtreeCensus
 
 
 def local_census(g: Graph) -> LocalCensus:
-    """Every edge and cherry anchored census from one pass over connected sets.
+    """Every edge and cherry anchored census, and the census, from one block DP.
 
-    For a connected set A with kappa spanning trees of G[A] and adjugate
-    M = kappa L0^-1 of its reduced Laplacian, the trees containing edge e
-    number Y(e,e) = x_e^T M x_e (Kirchhoff), and those containing both
-    edges e, f number (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa, an exact division
-    (the transfer-current theorem).  When G[A] is a tree each of its edges
-    and cherries counts once.
+    :func:`_block_dp` splits the trees through an edge or a cherry like
+    those through a vertex, reading them per core from one adjugate; the
+    graph may be disconnected.
     """
     n = g.n
-    rows = g.rows
     nn = n * n
-    # flat accumulators: edge u-v at u*n+v, cherry a-m-b at (m*n+a)*n+b
-    edge_counts = [0] * nn
-    edge_sums = [0] * nn
-    cherry_counts = [0] * (nn * n)
-    cherry_sums = [0] * (nn * n)
-    for subset in _connected_sets(rows, _rooted(n)):
-        verts = _bits(subset)
-        k = len(verts)
-        nbrs = [_bits(rows[v] & subset) for v in verts]
-        if sum(map(len, nbrs)) == 2 * (k - 1):
-            for m, nb in zip(verts, nbrs):
-                for i, a in enumerate(nb):
-                    if a > m:
-                        edge_counts[m * n + a] += 1
-                        edge_sums[m * n + a] += k
-                    base = (m * n + a) * n
-                    for b in nb[i + 1 :]:
-                        cherry_counts[base + b] += 1
-                        cherry_sums[base + b] += k
-        else:
-            _add_local(
-                rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts, cherry_sums
-            )
-    edges = {(u, v): (edge_counts[u * n + v], edge_sums[u * n + v]) for u, v in g.edges()}
+    counts: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    c = _census(g, (counts, sums))
+    edges = {(u, v): (counts[u * n + v], sums[u * n + v]) for u, v in g.edges()}
     cherries = {}
     for m in range(n):
-        nb = _bits(rows[m])
+        nb = _bits(g.rows[m])
         for i, a in enumerate(nb):
+            j = nn + (m * n + a) * n
             for b in nb[i + 1 :]:
-                j = (m * n + a) * n + b
-                cherries[(a, m, b)] = (cherry_counts[j], cherry_sums[j])
-    return LocalCensus(edges, cherries)
-
-
-def _add_local(rows, verts, subset, nbrs, edge_counts, edge_sums, cherry_counts, cherry_sums):
-    # One connected set A = `verts` whose induced graph has a cycle: add its
-    # spanning trees through each edge and each cherry to the accumulators
-    # of local_census.
-    n = len(rows)
-    k = len(verts)
-    local = {v: i for i, v in enumerate(verts)}
-    kappa, adj = _adjugate(_reduced_laplacian(rows, verts, subset))
-    # the adjugate padded with a zero row and column for the dropped verts[0]
-    y = [[0] * k] + [[0] + row for row in adj]
-    trees_through = [[0] * k for _ in range(k)]
-    for im, (m, nb) in enumerate(zip(verts, nbrs)):
-        ym = y[im]
-        for a in nb:
-            if a > m:
-                ia = local[a]
-                t = ym[im] + y[ia][ia] - 2 * ym[ia]
-                trees_through[im][ia] = trees_through[ia][im] = t
-                edge_counts[m * n + a] += t
-                edge_sums[m * n + a] += k * t
-    for im, (m, nb) in enumerate(zip(verts, nbrs)):
-        ym = y[im]
-        tm = trees_through[im]
-        for i, a in enumerate(nb):
-            ia = local[a]
-            ya = y[ia]
-            t_am = tm[ia]
-            base = (m * n + a) * n
-            for b in nb[i + 1 :]:
-                ib = local[b]
-                # x_e = e_a - e_m and x_f = e_m - e_b
-                cross = ya[im] - ya[ib] - ym[im] + ym[ib]
-                t = (t_am * tm[ib] - cross * cross) // kappa
-                cherry_counts[base + b] += t
-                cherry_sums[base + b] += k * t
+                cherries[(a, m, b)] = (counts[j + b], sums[j + b])
+    return LocalCensus(edges, cherries, c)
 
 
 # -- derived statistics --------------------------------------------------------

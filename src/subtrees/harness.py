@@ -16,8 +16,10 @@ fields.
 Every check takes an optional :class:`CheckContext`.  Checks of one graph
 that share a context share its base census, certificate with the
 automorphisms found beside it, and local census (every edge and cherry
-anchored census); without one, each check builds a fresh context.  The
-checks that compare g with its neighbours (g-e, g+e, g/e, g+matching)
+anchored census); without one, each check builds a fresh context.  A
+context made for the checks in :data:`LOCAL_CHECKS` reads its base census
+off the local census: one block DP gives both.  The checks
+that compare g with its neighbours (g-e, g+e, g/e, g+matching)
 price one neighbour per automorphism orbit through
 :meth:`CheckContext.neighbour_means`.
 """
@@ -84,6 +86,9 @@ class CheckContext:
     The graph6 id, the base census, the canonical certificate with the
     automorphisms its search found, and the local census (every edge and
     cherry anchored census) are built on first use and at most once.
+    With ``local`` set (the checks to run need the local census) the base
+    census is read from the local census, whose one pass gives both; a
+    context without it builds a local census only when a check asks.
     ``memo`` maps a canonical certificate to a mean subtree order;
     neighbour graphs (g-e, g+e, g/e, g+matching) look their mean up there,
     so a memo that outlives the context (one per scan, or per scan worker)
@@ -91,9 +96,12 @@ class CheckContext:
     only, never whole censuses, so its size stays small.
     """
 
-    def __init__(self, g: Graph, memo: dict[bytes, Fraction] | None = None):
+    def __init__(
+        self, g: Graph, memo: dict[bytes, Fraction] | None = None, *, local: bool = False
+    ):
         self.g = g
         self.memo = {} if memo is None else memo
+        self.local = local
         self.connected = g.is_connected()
         self.started = time.perf_counter()
         self._graph_id: str | None = None
@@ -123,7 +131,10 @@ class CheckContext:
     @property
     def census(self) -> SubtreeCensus:
         if self._census is None:
-            self._census = census(self.g)
+            if self.local or self._local is not None:
+                self._census = self.local_census.census
+            else:
+                self._census = census(self.g)
         return self._census
 
     @property
@@ -657,6 +668,10 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
 
 
 # -- registry for scans ---------------------------------------------------------
+
+# The checks that read the local census; a scan running one of them takes
+# each graph's base census from it.
+LOCAL_CHECKS = frozenset({"local-global", "local-mean-bound"})
 
 CHECKS = {
     "min-path": check_min_path,

@@ -15,9 +15,11 @@ or a disconnected graph raises :class:`ScanError` naming the line.
 
 The checks of one graph run in one :class:`~subtrees.harness.CheckContext`,
 which computes the base census, certificate and anchored censuses at most
-once.  A certificate-to-mean memo lives for one ``scan`` call (one per
-worker process when ``jobs`` > 1) and serves the means of neighbour graphs
-(g-e, g+e, g/e, g+matching), which in a universe scan recur across graphs.
+once; when the checks include one of ``LOCAL_CHECKS``, the base census is
+read off the local census, so each graph is enumerated once.  A
+certificate-to-mean memo lives for one ``scan`` call (one per worker
+process when ``jobs`` > 1) and serves the means of neighbour graphs (g-e,
+g+e, g/e, g+matching), which in a universe scan recur across graphs.
 The memo is unbounded: it holds one ``Fraction`` per isomorphism class seen.
 
 Every verdict is a pure function of its graph, so scans may also fan work
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graphs import Graph, from_graph6
-from .harness import CHECKS, CheckContext, CheckVerdict, FAILS
+from .harness import CHECKS, LOCAL_CHECKS, CheckContext, CheckVerdict, FAILS
 
 
 class ScanError(Exception):
@@ -147,7 +149,7 @@ def record_csv_row(record: dict) -> list[str]:
 
 
 def _run_checks(g: Graph, names: tuple[str, ...], memo: dict) -> list[CheckVerdict]:
-    ctx = CheckContext(g, memo)
+    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names))
     return [CHECKS[name](g, ctx=ctx) for name in names]
 
 

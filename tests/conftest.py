@@ -19,7 +19,6 @@ from subtrees.census import (
     _forest_blocks,
     _kappa_contracted,
     _reduced_laplacian,
-    _rooted,
 )
 
 
@@ -77,6 +76,14 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         for sigma in permutations(range(g.n))
         if all(g.has_edge(sigma[u], sigma[v]) for u, v in edges)
     ]
+
+
+def _rooted(n: int):
+    # One seed per root with smaller roots forbidden: every connected set
+    # of the graph is grown from its smallest vertex.
+    all_bits = (1 << n) - 1
+    for root in range(n):
+        yield 1 << root, all_bits & ~((2 << root) - 1)
 
 
 def walk_census(g: Graph) -> SubtreeCensus:

@@ -2,6 +2,8 @@
 
 import random
 import sys
+import time
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -39,10 +41,10 @@ from subtrees.census import (
     _connected_sets,
     _core,
     _det_bareiss,
-    _rooted,
     local_census,
 )
 from conftest import (
+    _rooted,
     naive_census_counts,
     random_connected_graph,
     random_graph,
@@ -753,3 +755,128 @@ def test_block_dp_on_modified_double_broom_64_8_1():
     for v in (0, 7, 30, n - 1):
         vertex = SubtreeConstraint(frozenset([v]))
         assert census_containing(g, vertex) == (c.vertex_counts[v], c.vertex_order_sums[v])
+
+
+# -- the local census inside the block DP ---------------------------------------
+
+
+def _edge(u: int, v: int) -> SubtreeConstraint:
+    return SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
+
+
+def _cherry(a: int, m: int, b: int) -> SubtreeConstraint:
+    return SubtreeConstraint(frozenset([a, m, b]), frozenset([(a, m), (m, b)]))
+
+
+def _cherries(g: Graph) -> list[tuple[int, int, int]]:
+    return [
+        (a, m, b)
+        for m in range(g.n)
+        for a in range(g.n)
+        for b in range(a + 1, g.n)
+        if g.has_edge(a, m) and g.has_edge(m, b)
+    ]
+
+
+def _assert_local_census_fields(g: Graph) -> None:
+    got = local_census(g).census
+    want = census(g)
+    for f in fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), (g, f.name)
+
+
+def _graphs_with_cut_vertices() -> list[Graph]:
+    rng = random.Random(97)  # the graphs of the walk test above
+    graphs = [_glued_blocks(rng, rng.randint(8, 14)) for _ in range(60)]
+    graphs += [
+        modified_double_broom(n, w, 1) for n in range(5, 18) for w in range(2, (n - 1) // 2 + 1)
+    ]
+    graphs += [barbell(n, w) for n, w in ((6, 3), (9, 3), (11, 4), (14, 6))]
+    return graphs
+
+
+def test_local_census_carries_the_census_of_every_connected_graph_to_order_7():
+    for n in range(1, 8):
+        for g in generate_connected(n):
+            _assert_local_census_fields(g)
+
+
+def test_local_census_matches_census_containing_on_graphs_with_cut_vertices():
+    for g in _graphs_with_cut_vertices():
+        _assert_local_census_matches_oracle(g)
+        _assert_local_census_fields(g)
+
+
+def test_local_census_of_disconnected_graphs():
+    rng = random.Random(107)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 9), 0.25)
+        _assert_local_census_matches_oracle(g)
+        _assert_local_census_fields(g)
+
+
+def test_cherry_across_two_blocks_is_edge_times_edge_over_vertex():
+    # in the (count, order sum) pair algebra: cherry (x) vertex(m) equals
+    # edge(a-m) (x) edge(m-b), and both divisions are exact
+    seen = 0
+    for g in _graphs_with_cut_vertices():
+        block_of = {}
+        for _, mask in _blocks(g.rows, 0):
+            for u, v in g.edges():
+                if (mask >> u) & 1 and (mask >> v) & 1:
+                    block_of[(u, v)] = block_of[(v, u)] = mask
+        for a, m, b in _cherries(g):
+            if block_of[(a, m)] == block_of[(m, b)]:
+                continue
+            seen += 1
+            ca, cs = census_containing(g, _cherry(a, m, b))
+            ea, es = census_containing(g, _edge(a, m))
+            fa, fs = census_containing(g, _edge(m, b))
+            va, vs = census_containing(g, SubtreeConstraint(frozenset([m])))
+            assert (ca * va, ca * vs + cs * va) == (ea * fa, ea * fs + es * fa), (g, a, m, b)
+            assert (ea * fa) % va == 0
+            assert (ea * fs + es * fa - ca * vs) % va == 0
+    assert seen > 1000
+
+
+def test_local_census_at_the_bridge_of_modified_double_broom_23_8_1():
+    # the walk over every connected set took about 27 s on this graph
+    g = modified_double_broom(23, 8, 1)
+    started = time.perf_counter()
+    local = local_census(g)
+    assert time.perf_counter() - started < 5
+    bridge = 22
+    assert [e for e in local.edges if bridge in e] == [(7, 22), (14, 22)]
+    for u, v in ((7, 22), (14, 22)):
+        assert local.edges[(u, v)] == census_containing(g, _edge(u, v))
+    at_bridge = [c for c in local.cherries if bridge in c]
+    assert len(at_bridge) == 1 + 2 * 8  # 7-22-14, and each hub's 8 other edges
+    for a, m, b in at_bridge:
+        assert local.cherries[(a, m, b)] == census_containing(g, _cherry(a, m, b))
+    _assert_local_census_fields(g)
+
+
+def test_local_census_closed_forms_at_order_64():
+    n = 64
+    local = local_census(path_graph(n))
+    # the intervals [l, r] with l <= i and r >= i + 1 (or i + 1 for a
+    # cherry centred at i) have mean order (n + 2)/2 (or (n + 3)/2)
+    for i in range(n - 1):
+        pairs = (i + 1) * (n - 1 - i)
+        assert 2 * local.edges[(i, i + 1)][1] == pairs * (n + 2)
+        assert local.edges[(i, i + 1)][0] == pairs
+    for i in range(1, n - 1):
+        pairs = i * (n - 1 - i)
+        assert local.cherries[(i - 1, i, i + 1)] == (pairs, pairs * (n + 3) // 2)
+    assert len(local.cherries) == n - 2
+    g = cycle(n)
+    local = local_census(g)
+    # paths of k vertices through an edge: k - 1 of the n, up to k = n;
+    # through two adjacent edges: k - 2
+    edge = (n * (n - 1) // 2, (n - 1) * n * (n + 1) // 3)
+    cherry = ((n - 2) * (n - 1) // 2, n * (n + 1) * (2 * n + 1) // 6 - n * (n + 1) + 1)
+    assert set(local.edges.values()) == {edge}
+    assert set(local.cherries.values()) == {cherry}
+    assert len(local.cherries) == n
+    assert local.edges[(5, 6)] == census_containing(g, _edge(5, 6))
+    assert local.cherries[(4, 5, 6)] == census_containing(g, _cherry(4, 5, 6))

@@ -375,6 +375,35 @@ def test_context_builds_local_census_at_most_once(monkeypatch):
     assert anchored == []
 
 
+def test_scan_with_a_local_check_takes_the_base_census_from_the_local_census(monkeypatch):
+    from subtrees import CHECKS
+    from subtrees.scan import _run_checks
+
+    graphs = (cycle(6), barbell(8, 3), complete_bipartite(3, 3))
+    # the verdicts of every check, each in a fresh context
+    alone = {g: {name: CHECKS[name](g) for name in CHECKS} for g in graphs}
+    censused = _count_calls(monkeypatch, "census")
+    built = _count_calls(monkeypatch, "local_census")
+    for g in graphs:
+        for names in (("local-global",), ("min-path", "local-mean-bound"), tuple(CHECKS)):
+            verdicts = _run_checks(g, names, {})
+            assert built == [(g,)], names
+            assert all(args[0] != g for args in censused), names  # neighbours only
+            for verdict in verdicts:
+                want = alone[g][verdict.check]
+                assert (verdict.status, verdict.witness, verdict.mean) == (
+                    want.status,
+                    want.witness,
+                    want.mean,
+                )
+            built.clear()
+            censused.clear()
+        _run_checks(g, ("min-path", "ratio-chain"), {})
+        assert built == []
+        assert censused == [(g,)]
+        censused.clear()
+
+
 def test_local_mean_bound_rejects_max_order_before_any_census(monkeypatch):
     import subtrees.harness as harness
 
