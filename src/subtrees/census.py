@@ -11,7 +11,11 @@ each block with :func:`_connected_sets` (the one extend-or-forbid
 generator), weights each by a determinant of :func:`_reduced_laplacian`
 read per core (deleting leaves keeps the count, so subsets share cores),
 and folds the blocks into their top cut vertices, children first, as a
-dynamic program over the block-cut tree.  Per-vertex sums need only
+dynamic program over the block-cut tree.  Every spanning-tree count is
+a determinant or adjugate of that one builder, a Laplacian grounded at a
+vertex set: at one vertex it counts all spanning trees, at a connected
+set T those containing a fixed spanning tree of T, which weights the
+sets of :func:`census_containing`.  Per-vertex sums need only
 (count, order sum) pairs, which multiply as (a, s)(b, t) = (ab, at + bs),
 and a second, outside pass gives every vertex its totals; only the
 whole-graph counts by order are polynomials.  :func:`census`,
@@ -75,23 +79,21 @@ _SMALL_BITS = [tuple(i for i in range(8) if (m >> i) & 1) for m in range(256)]
 
 
 def _det_bareiss(mat: list[list[int]]) -> int:
-    """Fraction-free integer determinant; destroys ``mat``."""
+    """Fraction-free determinant of a grounded Laplacian; destroys ``mat``.
+
+    The matrix is positive semidefinite and the pivot at step k is its
+    leading principal minor of order k + 1; if that minor is singular, so
+    is the matrix.  So no row swap is needed: a zero pivot means 0.
+    """
     size = len(mat)
     if size == 0:
         return 1
-    sign = 1
     prev = 1
     for k in range(size - 1):
-        if mat[k][k] == 0:
-            for i in range(k + 1, size):
-                if mat[i][k]:
-                    mat[k], mat[i] = mat[i], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         mk = mat[k]
         pivot = mk[k]
+        if not pivot:
+            return 0
         tail = mk[k + 1 :]
         for i in range(k + 1, size):
             mi = mat[i]
@@ -103,7 +105,7 @@ def _det_bareiss(mat: list[list[int]]) -> int:
             elif pivot != prev:
                 mi[k + 1 :] = [(pivot * a) // prev for a in mi[k + 1 :]]
         prev = pivot
-    return sign * mat[size - 1][size - 1]
+    return mat[size - 1][size - 1]
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -111,19 +113,41 @@ def spanning_tree_count(g: Graph) -> int:
 
     Disconnected graphs give 0 and a single vertex gives 1.
     """
-    return _det_bareiss(_reduced_laplacian(g.rows, list(range(g.n)), (1 << g.n) - 1))
+    full = (1 << g.n) - 1
+    return _det_bareiss(_reduced_laplacian(g.rows, full, full & -full))
 
 
-def _reduced_laplacian(rows: tuple[int, ...], verts: list[int], subset: int) -> list[list[int]]:
-    """Laplacian of the graph induced on ``verts`` (bitmask ``subset``),
-    without the row and column of ``verts[0]``."""
-    others = verts[1:]
+def _reduced_laplacian(
+    rows: tuple[int, ...], subset: int, ground: int, pieces: Sequence[int] = ()
+) -> list[list[int]]:
+    """Laplacian of G[``subset``] grounded at ``ground`` (its rows and
+    columns deleted), each vertex mask of ``pieces`` contracted to one row
+    and column.
+
+    The determinant counts the spanning trees of G[subset] containing a
+    fixed spanning tree of each connected set, ``ground`` and ``pieces``
+    (all-minors matrix-tree theorem, Chaiken 1982).  Adding a piece's rows
+    into one row and its columns into one column gives the Laplacian with
+    the piece merged to one vertex, its inner edges dropped.
+    """
+    keep = _bits(subset & ~ground)
     mat = []
-    for i, v in enumerate(others):
+    for i, v in enumerate(keep):
         row_mask = rows[v]
-        row = [-((row_mask >> u) & 1) for u in others]
+        row = [-((row_mask >> u) & 1) for u in keep]
         row[i] = (row_mask & subset).bit_count()
         mat.append(row)
+    if pieces:
+        drop = set()
+        for piece in pieces:
+            first, *others = [i for i, v in enumerate(keep) if (piece >> v) & 1]
+            for i in others:  # the rows into the first row, then the columns
+                mat[first] = [a + b for a, b in zip(mat[first], mat[i])]
+            for row in mat:
+                row[first] += sum(row[i] for i in others)
+            drop.update(others)
+        left = [i for i in range(len(keep)) if i not in drop]
+        mat = [[mat[i][j] for j in left] for i in left]
     return mat
 
 
@@ -311,7 +335,7 @@ def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, list[list[int]],
     position j.
     """
     verts = _bits(core)
-    kappa, adj = _adjugate(_reduced_laplacian(rows, verts, core))
+    kappa, adj = _adjugate(_reduced_laplacian(rows, core, core & -core))
     y = [[0] * len(verts)] + [[0] + row for row in adj]
     tees = {}
     for i, m in enumerate(verts):
@@ -408,7 +432,6 @@ def _block_dp(
     rows: tuple[int, ...],
     root: int,
     *,
-    need: int = 0,
     forest: Sequence[int] = (),
     unit: bool = False,
     local: tuple[dict[int, int], dict[int, int]] | None = None,
@@ -424,25 +447,29 @@ def _block_dp(
     their vertices that top blocks, summed as powers of x, and each
     bucket is multiplied by those vertices' ``down`` once.
 
-    With ``need`` 0 every subset of every block is visited, and ``total``
-    is the order polynomial of all connected sets of the component: those
-    whose top vertex is v are ``down[v]``, the others have a block subset
-    missing the block's top.  With ``need`` (holding ``root``) only the
-    subsets through each top are visited; a block whose branch holds a
-    required vertex has no 1 in its factor, and its subsets must contain
-    the vertices leading to the required ones, so ``down[root]`` counts
-    the sets containing all of ``need``.
+    Without a ``forest`` every subset of every block is visited, and
+    ``total`` is the order polynomial of all connected sets of the
+    component: those whose top vertex is v are ``down[v]``, the others have
+    a block subset missing the block's top.  With a ``forest`` (the vertex
+    masks of the required forest's components, ``root`` in one of them)
+    only the subsets through each top are visited; a block whose branch
+    holds a required vertex has no 1 in its factor, and its subsets must
+    contain the vertices leading to the required ones, so ``down[root]``
+    counts the sets containing every required vertex.
 
-    A subset is weighted by its spanning-tree count, read per core, or by
-    the count of those containing the ``forest`` components inside its
-    block, or by 1 with ``unit``.  For :func:`census` (``need`` 0, no
-    ``unit``) ``full[v]`` is the (count, order sum) of the sets containing
-    v, from a second pass top down: the sets through v's parent block are
-    split by whether they reach its top p, whose outside factor
-    ``full[p] / (1 + T(p))`` is known only then.  Pairs multiply as
-    (a, s)(b, t) = (ab, at + bs).
+    A subset is weighted by 1 with ``unit``, else by the spanning trees of
+    its core containing the ``forest``: :func:`_reduced_laplacian` grounded
+    at the forest's first piece in the block, its other pieces contracted,
+    or at the core's lowest vertex.  A piece is a component meeting the
+    block in two or more vertices, connected there (a path between two
+    vertices of a block stays in it); a tree has at most one per block.
+    For :func:`census` (no ``forest``, no ``unit``) ``full[v]`` is the
+    (count, order sum) of the sets containing v, from a second pass top
+    down: the sets through v's parent block are split by whether they
+    reach its top p, whose outside factor ``full[p] / (1 + T(p))`` is
+    known only then.  Pairs multiply as (a, s)(b, t) = (ab, at + bs).
 
-    With ``local``, a pair of dicts (and ``need`` 0, no ``unit``), the
+    With ``local``, a pair of dicts (and no ``forest``, no ``unit``), the
     pass also adds there the count and the order sum of the subtrees
     containing each edge and each cherry of the component, keyed as by
     :func:`_local_keys`.  An edge or a cherry inside a block is split like
@@ -461,6 +488,7 @@ def _block_dp(
     Returns the component mask, ``down``, ``total`` and ``full``.
     """
     n = len(rows)
+    need = sum(forest)
     x = [0, 1]
     down = [x] * n
     pairs = [(1, 1)] * n  # the (count, order sum) of each `down`
@@ -491,8 +519,9 @@ def _block_dp(
         hv = rest & heavy
         lt = rest & ~heavy
         must = rest & reqd
-        fblocks = [m for m in (c & block for c in forest) if m & (m - 1)] if forest else []
-        keep = sum(fblocks)
+        pieces = [m for m in (c & block for c in forest) if m & (m - 1)] if forest else []
+        keep = sum(pieces)
+        ground = pieces.pop(0) if pieces else 0
         starts = [(tbit, rest)]
         if not need:
             starts += [(1 << v, rest & ~((2 << v) - 1)) for v in _bits(rest)]
@@ -515,10 +544,10 @@ def _block_dp(
                         if local is not None:
                             cores[core] = info = _core_trees(rows, core)
                             kappa = info[0]
-                        elif fblocks:
-                            kappa = _kappa_contracted(rows, core, fblocks, keep)
                         else:
-                            kappa = _det_bareiss(_reduced_laplacian(rows, _bits(core), core))
+                            kappa = _det_bareiss(
+                                _reduced_laplacian(rows, core, ground or core & -core, pieces)
+                            )
                         kappas[core] = kappa
             key = s & keyed  # the tops of blocks in S, and the block's own
             entry = buckets.get(key)
@@ -752,43 +781,6 @@ def _forest_blocks(constraint: SubtreeConstraint) -> list[int]:
     return sorted(masks.values())
 
 
-def _kappa_contracted(
-    rows: tuple[int, ...], subset: int, req_block_masks: list[int], req_mask: int
-) -> int:
-    # Spanning trees of G[subset] containing the required forest: contract
-    # each forest component to a block, keep parallel edges, drop loops.
-    blocks = list(req_block_masks)
-    free = subset & ~req_mask
-    while free:
-        b = free & -free
-        free ^= b
-        blocks.append(b)
-    nb = len(blocks)
-    if nb == 1:
-        return 1
-    # per-block edge weight into every other block
-    mat = []
-    for i in range(1, nb):
-        bi = blocks[i]
-        outside = subset & ~bi
-        wrow = [0] * (nb - 1)
-        deg = 0
-        m = bi
-        while m:
-            b = m & -m
-            m ^= b
-            r = rows[b.bit_length() - 1]
-            deg += (r & outside).bit_count()
-            for j in range(1, nb):
-                if j != i:
-                    w = (r & blocks[j]).bit_count()
-                    if w:
-                        wrow[j - 1] -= w
-        wrow[i - 1] = deg
-        mat.append(wrow)
-    return _det_bareiss(mat)
-
-
 def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:
     """Count and total order of subtrees containing the whole constraint.
 
@@ -801,10 +793,9 @@ def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int
         return c.num_subtrees, c.order_sum
 
     forest = _forest_blocks(constraint)
-    need = sum(forest)
     root = min(constraint.vertices)
-    comp, down, _, _ = _block_dp(g.rows, root, need=need, forest=forest)
-    if need & ~comp:
+    comp, down, _, _ = _block_dp(g.rows, root, forest=forest)
+    if sum(forest) & ~comp:
         return 0, 0  # the required vertices lie in different components
     return _pair(down[root])
 
@@ -864,20 +855,12 @@ def mean_subtree_order(g: Graph) -> Fraction:
 
 
 def mean_subtree_order_at_vertex(g: Graph, v: int) -> Fraction:
-    _require_connected(g)
-    n_c, r_c = census_containing(g, SubtreeConstraint(frozenset([v])))
-    return Fraction(r_c, n_c)
+    return mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset([v])))
 
 
 def mean_subtree_order_at_edge(g: Graph, e: Edge) -> Fraction:
-    _require_connected(g)
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    n_c, r_c = census_containing(
-        g, SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-    )
-    return Fraction(r_c, n_c)
+    # census_containing validates the edge against g
+    return mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset(e), frozenset([e])))
 
 
 def mean_subtree_order_at_tree(g: Graph, constraint: SubtreeConstraint) -> Fraction:

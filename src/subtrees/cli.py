@@ -22,7 +22,7 @@ from .census import (
     SubtreeConstraint,
     average_connected_set_size,
     census,
-    census_containing,
+    mean_subtree_order_at_edge,
     mean_subtree_order_at_tree,
 )
 from .canon import generate_connected
@@ -91,10 +91,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         rows.append((f"mean_at_vertex_{v}", *_fraction_fields(c.mean_at_vertex(v))))
     for spec in args.edge or []:
         u, v = _parse_edge(spec)
-        nc, rc = census_containing(
-            g, SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-        )
-        rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(Fraction(rc, nc))))
+        rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(mean_subtree_order_at_edge(g, (u, v)))))
     for spec in args.tree or []:
         constraint = _parse_tree(spec)
         label = ",".join(str(v) for v in sorted(constraint.vertices))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .census import SubtreeConstraint, census, census_containing
+from .census import census, mean_subtree_order_at_edge
 from .closedforms import JoinSpec, join_subtree_counts
 from .families import (
     FamilySpec,
@@ -87,8 +87,7 @@ def _local_means_run(spec: FamilySpec, name: str) -> tuple[bool, list[str]]:
     lines.append(f"  mean > mean-at-vertex: {ok}")
     for hub in hubs:
         e = (min(hub, v1), max(hub, v1))
-        nc, rc = census_containing(g, SubtreeConstraint(frozenset(e), frozenset([e])))
-        mu_e = Fraction(rc, nc)
+        mu_e = mean_subtree_order_at_edge(g, e)
         this = mu_v > mu_e
         ok = ok and this
         lines.append(f"  mean at edge {e} = {_fmt(mu_e)}; mean-at-vertex > mean-at-edge: {this}")

@@ -89,16 +89,33 @@ def save_state(state: ScanState, path: str) -> None:
     os.replace(tmp, path)
 
 
+_STATE_FIELDS = {"checks": list, "consumed": int, "tallies": dict, "violations": list, "output_bytes": int}
+
+
 def load_state(path: str) -> ScanState:
+    """The state saved at ``path``; raises :class:`ScanError` naming the
+    file when it is not JSON, not an object, or lacks a field or has one
+    of the wrong type."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ScanError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ScanError(f"checkpoint {path} is not a JSON object")
+    for name, kind in _STATE_FIELDS.items():
+        value = payload.get(name)
+        # `type` rather than isinstance: JSON true is not a count
+        if type(value) is not kind or (kind is int and value < 0):
+            raise ScanError(f"checkpoint {path}: field {name!r} is missing or invalid")
+    fingerprint = payload.get("fingerprint")  # absent in checkpoints that predate it
+    if fingerprint is not None and not (
+        type(fingerprint) is list and [type(x) for x in fingerprint] == [int, str]
+    ):
+        raise ScanError(f"checkpoint {path}: field 'fingerprint' is invalid")
     return ScanState(
-        checks=payload["checks"],
-        consumed=payload["consumed"],
-        tallies=payload["tallies"],
-        violations=payload["violations"],
-        output_bytes=payload["output_bytes"],
-        fingerprint=tuple(payload["fingerprint"]) if payload.get("fingerprint") else None,
+        **{name: payload[name] for name in _STATE_FIELDS},
+        fingerprint=tuple(fingerprint) if fingerprint else None,
     )
 
 

@@ -6,6 +6,9 @@ census and the package's own enumeration oracle on tiny graphs.
 ``walk_census`` and ``walk_census_containing`` count by walking every
 connected set of the whole graph, one set at a time: the oracle of the
 block DP behind ``census`` and ``census_containing``.
+``_kappa_contracted`` is the contracted-quotient oracle of the grounded
+determinant: it builds the Laplacian of G[S] with each forest component
+merged to one vertex as a matrix of its own, grounded at the first one.
 """
 
 from itertools import combinations, permutations
@@ -17,7 +20,6 @@ from subtrees.census import (
     _core,
     _det_bareiss,
     _forest_blocks,
-    _kappa_contracted,
     _reduced_laplacian,
 )
 
@@ -101,7 +103,7 @@ def walk_census(g: Graph) -> SubtreeCensus:
         core = _core(rows, subset, 0)
         kappa = kappas.get(core)
         if kappa is None:
-            kappa = kappas[core] = _det_bareiss(_reduced_laplacian(rows, _bits(core), core))
+            kappa = kappas[core] = _det_bareiss(_reduced_laplacian(rows, core, core & -core))
         counts[k] += kappa
         for v in verts:
             vertex_counts[v] += kappa
@@ -111,6 +113,43 @@ def walk_census(g: Graph) -> SubtreeCensus:
     return SubtreeCensus(
         tuple(counts), num, total, tuple(vertex_counts), tuple(vertex_order_sums)
     )
+
+
+def _kappa_contracted(
+    rows: tuple[int, ...], subset: int, req_block_masks: list[int], req_mask: int
+) -> int:
+    # Spanning trees of G[subset] containing the required forest: contract
+    # each forest component to a block, keep parallel edges, drop loops.
+    blocks = list(req_block_masks)
+    free = subset & ~req_mask
+    while free:
+        b = free & -free
+        free ^= b
+        blocks.append(b)
+    nb = len(blocks)
+    if nb == 1:
+        return 1
+    # per-block edge weight into every other block
+    mat = []
+    for i in range(1, nb):
+        bi = blocks[i]
+        outside = subset & ~bi
+        wrow = [0] * (nb - 1)
+        deg = 0
+        m = bi
+        while m:
+            b = m & -m
+            m ^= b
+            r = rows[b.bit_length() - 1]
+            deg += (r & outside).bit_count()
+            for j in range(1, nb):
+                if j != i:
+                    w = (r & blocks[j]).bit_count()
+                    if w:
+                        wrow[j - 1] -= w
+        wrow[i - 1] = deg
+        mat.append(wrow)
+    return _det_bareiss(mat)
 
 
 def walk_census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:

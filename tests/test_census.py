@@ -41,9 +41,11 @@ from subtrees.census import (
     _connected_sets,
     _core,
     _det_bareiss,
+    _reduced_laplacian,
     local_census,
 )
 from conftest import (
+    _kappa_contracted,
     _rooted,
     naive_census_counts,
     random_connected_graph,
@@ -127,6 +129,20 @@ def test_spanning_tree_count_formulas():
     assert spanning_tree_count(cycle(4)) == 4
     assert spanning_tree_count(clique(4).delete_edge(0, 1)) == 8
     assert spanning_tree_count(Graph.from_edges(4, [(0, 1), (2, 3)])) == 0
+
+
+def test_spanning_tree_count_of_disconnected_graphs_is_0():
+    # a grounded Laplacian is positive semidefinite, so a zero pivot ends
+    # the elimination with 0; an isolated vertex 1 gives one at once
+    assert spanning_tree_count(Graph.from_edges(3, [(0, 2)])) == 0
+    rng = random.Random(71)
+    tried = 0
+    while tried < 200:
+        g = random_graph(rng, rng.randint(2, 9), rng.choice([0.2, 0.4, 0.6]))
+        if g.is_connected():
+            continue
+        tried += 1
+        assert spanning_tree_count(g) == 0, g
 
 
 
@@ -246,6 +262,9 @@ def test_constraint_validation():
         )
     with pytest.raises(ValueError):
         mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset([0, 2])))
+    for e in ((9, 0), (0, 2), (1, 1)):  # a vertex outside g, a non-edge, a loop
+        with pytest.raises(ValueError):
+            mean_subtree_order_at_edge(g, e)
     with pytest.raises(ValueError, match="negative"):
         SubtreeConstraint(frozenset([-1]))
 
@@ -470,6 +489,37 @@ def _grown_tree(rng, g: Graph, root: int, size: int) -> tuple[set, set]:
         verts |= {a, b}
         edges.add((a, b))
     return verts, edges
+
+
+def _grown_piece(rng, rows, s: int, root: int, size: int) -> int:
+    # a random connected vertex set of G[s] on up to `size` vertices
+    piece = 1 << root
+    for _ in range(size - 1):
+        frontier = [v for v in _bits(s & ~piece) if rows[v] & piece]
+        if not frontier:
+            break
+        piece |= 1 << rng.choice(frontier)
+    return piece
+
+
+def test_grounded_laplacian_matches_the_contracted_quotient():
+    # the trees of G[S] containing a tree, or a forest of two pieces: the
+    # Laplacian grounded at the first piece with the second contracted,
+    # against the contracted quotient built as a matrix of its own
+    rng = random.Random(73)
+    forests = 0
+    for _ in range(300):
+        g = random_connected_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5, 0.8]))
+        rows = g.rows
+        s = rng.choice([m for m in _connected_sets(rows, _rooted(g.n)) if m & (m - 1)])
+        pieces = [_grown_piece(rng, rows, s, rng.choice(_bits(s)), rng.randint(1, 4))]
+        rest = s & ~pieces[0]
+        if rest and rng.random() < 0.6:
+            pieces.append(_grown_piece(rng, rows, rest, rng.choice(_bits(rest)), rng.randint(2, 3)))
+            forests += pieces[1] & (pieces[1] - 1) != 0
+        grounded = _det_bareiss(_reduced_laplacian(rows, s, pieces[0], pieces[1:]))
+        assert grounded == _kappa_contracted(rows, s, pieces, sum(pieces)), (g, s, pieces)
+    assert forests >= 30
 
 
 def test_core_strips_leaves_outside_keep():

@@ -228,6 +228,8 @@ def test_cli_compute_jsonl_and_csv_match():
 
 def test_cli_compute_errors():
     assert run_cli("compute", "family:barbell:14").returncode == 2
+    r = run_cli("compute", "family:path:4", "--edge", "9,0")
+    assert r.returncode == 2 and "Traceback" not in r.stderr
     assert run_cli("compute", "zz-not-graph6-??").returncode == 2
     r = run_cli("compute", "family:path:0")
     assert r.returncode == 2
@@ -323,6 +325,41 @@ def test_cli_scan_resume_on_different_input_exits_3(tmp_path):
     assert r.returncode == 3
     assert "does not match this input" in r.stderr
     assert len(read_jsonl_no_runtime(out)) == 10
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"checks":["min-path"],"consumed":0}', "[1,2]", '{"checks":["min-pa'],
+    ids=["missing-field", "not-an-object", "truncated"],
+)
+def test_cli_scan_corrupt_checkpoint_exits_3(tmp_path, content):
+    out = tmp_path / "out.jsonl"
+    ckpt = tmp_path / "state.json"
+    out.write_text("kept\n")
+    ckpt.write_text(content)
+    r = run_cli(
+        "scan", "--n", "4", "--checks", "min-path", "--jobs", "1",
+        "--output", str(out), "--checkpoint", str(ckpt),
+    )
+    assert r.returncode == 3, r.stderr
+    assert str(ckpt) in r.stderr and "Traceback" not in r.stderr
+    assert out.read_text() == "kept\n" and ckpt.read_text() == content
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("consumed", True), ("consumed", -1), ("output_bytes", "0"), ("tallies", []),
+     ("fingerprint", [3])],
+)
+def test_load_state_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
+    ckpt = tmp_path / "state.json"
+    state = {"checks": ["min-path"], "consumed": 0, "tallies": {}, "violations": [],
+             "output_bytes": 0, "fingerprint": None}
+    ckpt.write_text(json.dumps({**state, field: value}))
+    with pytest.raises(ScanError, match=field):
+        load_state(str(ckpt))
+    ckpt.write_text(json.dumps(state))
+    assert load_state(str(ckpt)).consumed == 0
 
 
 def test_cli_repro_exit_codes():
