@@ -40,10 +40,10 @@ core lies in every tree.  So there is one adjugate per distinct core,
 and the subsets sharing a core meet its edges and cherries once, with
 their weights summed.  A cherry whose two edges lie in different blocks
 at a cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair
-algebra.  :func:`census_containing` counts the subtrees containing any
-one constraint; it serves constraints of order 4 or more, single-edge
-and single-tree queries, and the tests as the oracle of
-:func:`local_census`.
+algebra.  :func:`census_containing` counts the subtrees containing one
+constraint, a non-empty tree; it serves constraints of order 4 or more,
+single-vertex, single-edge and single-tree queries, and the tests as the
+oracle of :func:`local_census`.
 
 :func:`census_by_subtree_enumeration` is an independent slow oracle that
 lists subtrees one by one as growing edge sets; it shares no counting
@@ -117,18 +117,14 @@ def spanning_tree_count(g: Graph) -> int:
     return _det_bareiss(_reduced_laplacian(g.rows, full, full & -full))
 
 
-def _reduced_laplacian(
-    rows: tuple[int, ...], subset: int, ground: int, pieces: Sequence[int] = ()
-) -> list[list[int]]:
-    """Laplacian of G[``subset``] grounded at ``ground`` (its rows and
-    columns deleted), each vertex mask of ``pieces`` contracted to one row
-    and column.
+def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[list[int]]:
+    """Laplacian of G[``subset``] grounded at ``ground``: its rows and
+    columns deleted.
 
     The determinant counts the spanning trees of G[subset] containing a
-    fixed spanning tree of each connected set, ``ground`` and ``pieces``
-    (all-minors matrix-tree theorem, Chaiken 1982).  Adding a piece's rows
-    into one row and its columns into one column gives the Laplacian with
-    the piece merged to one vertex, its inner edges dropped.
+    fixed spanning tree of the connected set ``ground`` (all-minors
+    matrix-tree theorem, Chaiken 1982); grounded at one vertex, all of
+    them.
     """
     keep = _bits(subset & ~ground)
     mat = []
@@ -137,17 +133,6 @@ def _reduced_laplacian(
         row = [-((row_mask >> u) & 1) for u in keep]
         row[i] = (row_mask & subset).bit_count()
         mat.append(row)
-    if pieces:
-        drop = set()
-        for piece in pieces:
-            first, *others = [i for i, v in enumerate(keep) if (piece >> v) & 1]
-            for i in others:  # the rows into the first row, then the columns
-                mat[first] = [a + b for a, b in zip(mat[first], mat[i])]
-            for row in mat:
-                row[first] += sum(row[i] for i in others)
-            drop.update(others)
-        left = [i for i in range(len(keep)) if i not in drop]
-        mat = [[mat[i][j] for j in left] for i in left]
     return mat
 
 
@@ -190,26 +175,19 @@ def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
 def _connected_sets(
     rows: tuple[int, ...], starts: Iterable[tuple[int, int]], need: int = 0
 ) -> Iterator[int]:
-    """Bitmask of every set grown from each ``(seed, allowed)`` pair, once.
+    """Bitmask of every connected set grown from each ``(seed, allowed)``
+    pair, once; ``seed`` is one vertex bit.
 
     Extend-or-forbid growth: a set is extended by one candidate (a vertex
     of ``allowed`` next to it) at a time, and each candidate tried at a
-    node is forbidden to the later branches.  So every set S containing
-    the seed, with S minus the seed inside ``allowed`` and every component
-    of G[S] meeting the seed, appears exactly once: a connected seed gives
-    its connected supersets, a disconnected one also some disconnected
-    sets.  Only the sets containing ``need`` are yielded, and a branch
-    stops once it has forbidden a vertex of ``need``.  Sets are yielded as
-    they are grown, never stored.
+    node is forbidden to the later branches.  So every connected set
+    containing the seed, its other vertices inside ``allowed``, appears
+    exactly once.  Only the sets containing ``need`` are yielded, and a
+    branch stops once it has forbidden a vertex of ``need``.  Sets are
+    yielded as they are grown, never stored.
     """
     for seed, allowed in starts:
-        nbhd = 0
-        m = seed
-        while m:
-            b = m & -m
-            m ^= b
-            nbhd |= rows[b.bit_length() - 1]
-        stack = [(seed, nbhd & allowed & ~seed, 0)]
+        stack = [(seed, rows[seed.bit_length() - 1] & allowed & ~seed, 0)]
         while stack:
             subset, cand, forb = stack.pop()
             if subset & need == need:
@@ -232,7 +210,7 @@ def _core(rows: tuple[int, ...], subset: int, keep: int) -> int:
     """``subset`` after repeatedly deleting its degree-1 vertices outside ``keep``.
 
     A leaf's edge lies in every spanning tree, so deleting the leaf keeps
-    the spanning-tree count, also of the trees containing a forest inside
+    the spanning-tree count, also of the trees containing a tree on
     ``keep``.  With ``keep`` 0 the 2-core is left, or one vertex of a tree.
     """
     core = subset
@@ -432,7 +410,7 @@ def _block_dp(
     rows: tuple[int, ...],
     root: int,
     *,
-    forest: Sequence[int] = (),
+    tree: int = 0,
     unit: bool = False,
     local: tuple[dict[int, int], dict[int, int]] | None = None,
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
@@ -447,29 +425,29 @@ def _block_dp(
     their vertices that top blocks, summed as powers of x, and each
     bucket is multiplied by those vertices' ``down`` once.
 
-    Without a ``forest`` every subset of every block is visited, and
+    Without a ``tree`` every subset of every block is visited, and
     ``total`` is the order polynomial of all connected sets of the
     component: those whose top vertex is v are ``down[v]``, the others have
-    a block subset missing the block's top.  With a ``forest`` (the vertex
-    masks of the required forest's components, ``root`` in one of them)
-    only the subsets through each top are visited; a block whose branch
-    holds a required vertex has no 1 in its factor, and its subsets must
-    contain the vertices leading to the required ones, so ``down[root]``
-    counts the sets containing every required vertex.
+    a block subset missing the block's top.  With a ``tree`` (the vertex
+    mask of a required subtree, ``root`` among its vertices) only the
+    subsets through each top are visited; a block whose branch holds a
+    required vertex has no 1 in its factor, and its subsets must contain
+    the vertices leading to the required ones, so ``down[root]`` counts
+    the sets containing the whole tree.
 
     A subset is weighted by 1 with ``unit``, else by the spanning trees of
-    its core containing the ``forest``: :func:`_reduced_laplacian` grounded
-    at the forest's first piece in the block, its other pieces contracted,
-    or at the core's lowest vertex.  A piece is a component meeting the
-    block in two or more vertices, connected there (a path between two
-    vertices of a block stays in it); a tree has at most one per block.
-    For :func:`census` (no ``forest``, no ``unit``) ``full[v]`` is the
+    its core containing the ``tree``: :func:`_reduced_laplacian` grounded
+    at the tree's vertices in the block when there are two or more of
+    them, else at the core's lowest vertex.  A tree meets a block in at
+    most one connected piece (a path between two vertices of a block
+    stays in it), so one grounding serves the whole block.
+    For :func:`census` (no ``tree``, no ``unit``) ``full[v]`` is the
     (count, order sum) of the sets containing v, from a second pass top
     down: the sets through v's parent block are split by whether they
     reach its top p, whose outside factor ``full[p] / (1 + T(p))`` is
     known only then.  Pairs multiply as (a, s)(b, t) = (ab, at + bs).
 
-    With ``local``, a pair of dicts (and no ``forest``, no ``unit``), the
+    With ``local``, a pair of dicts (and no ``tree``, no ``unit``), the
     pass also adds there the count and the order sum of the subtrees
     containing each edge and each cherry of the component, keyed as by
     :func:`_local_keys`.  An edge or a cherry inside a block is split like
@@ -488,12 +466,11 @@ def _block_dp(
     Returns the component mask, ``down``, ``total`` and ``full``.
     """
     n = len(rows)
-    need = sum(forest)
     x = [0, 1]
     down = [x] * n
     pairs = [(1, 1)] * n  # the (count, order sum) of each `down`
     heavy = 0  # tops of blocks seen so far: their `down` is not x
-    reqd = need  # required vertices, and tops with one below them
+    reqd = tree  # required vertices, and tops with one below them
     total: list[int] = []
     kappas: dict[int, int] = {}
     # per vertex c, the (count, order sum) of the subsets S of c's parent
@@ -503,7 +480,7 @@ def _block_dp(
     below = [[0] * n, [0] * n]
     through = [[0] * n, [0] * n]
     tops = []
-    tables = not need and not unit
+    tables = not tree and not unit
     if local is not None:
         # the same split, keyed as by _local_keys, for the edges and
         # cherries outside the cores; per core, (kappa, y, tees) and the
@@ -519,11 +496,11 @@ def _block_dp(
         hv = rest & heavy
         lt = rest & ~heavy
         must = rest & reqd
-        pieces = [m for m in (c & block for c in forest) if m & (m - 1)] if forest else []
-        keep = sum(pieces)
-        ground = pieces.pop(0) if pieces else 0
+        ground = tree & block
+        if not ground & (ground - 1):
+            ground = 0
         starts = [(tbit, rest)]
-        if not need:
+        if not tree:
             starts += [(1 << v, rest & ~((2 << v) - 1)) for v in _bits(rest)]
         keyed = hv | tbit
         buckets: dict[int, tuple[list[int], int, int]] = {}
@@ -537,7 +514,7 @@ def _block_dp(
                 continue
             kappa = 1
             if not unit:
-                core = _core(rows, s, keep)
+                core = _core(rows, s, ground)
                 if core & (core - 1):
                     kappa = kappas.get(core)
                     if kappa is None:
@@ -546,7 +523,7 @@ def _block_dp(
                             kappa = info[0]
                         else:
                             kappa = _det_bareiss(
-                                _reduced_laplacian(rows, core, ground or core & -core, pieces)
+                                _reduced_laplacian(rows, core, ground or core & -core)
                             )
                         kappas[core] = kappa
             key = s & keyed  # the tops of blocks in S, and the block's own
@@ -596,7 +573,7 @@ def _block_dp(
             reqd |= tbit
         if tables:
             tops.append((top, rest, _pair(factor), (keys, weights) if local is not None else None))
-    if need:
+    if tree:
         return comp, down, total, []
     _padd(total, [0, (comp & ~heavy).bit_count()])
     for v in _bits(heavy):
@@ -722,30 +699,45 @@ def _census(
 
 @dataclass(frozen=True)
 class SubtreeConstraint:
-    """Vertices and forest edges every counted subtree must contain."""
+    """A non-empty tree, by its vertices and edges, that every counted
+    subtree must contain.
 
-    vertices: frozenset[int] = frozenset()
+    Raises ``ValueError`` unless the edges join the vertices into one tree.
+    """
+
+    vertices: frozenset[int]
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self):
         object.__setattr__(
             self, "edges", frozenset(_norm_edge(u, v) for u, v in self.edges)
         )
+        if not self.vertices:
+            raise ValueError("constraint must be a non-empty tree")
+        if min(self.vertices) < 0:
+            raise ValueError(f"negative constraint vertex {min(self.vertices)}")
+        parent = {v: v for v in self.vertices}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
         for u, v in self.edges:
             if u == v:
                 raise ValueError("constraint contains a loop")
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError("constraint edges must span required vertices")
-        if self.vertices and min(self.vertices) < 0:
-            raise ValueError(f"negative constraint vertex {min(self.vertices)}")
-        _forest_blocks(self)
-
-    @property
-    def empty(self) -> bool:
-        return not self.vertices
-
-    def is_tree(self) -> bool:
-        return len(self.vertices) >= 1 and len(self.edges) == len(self.vertices) - 1
+            a, b = find(u), find(v)
+            if a == b:
+                raise ValueError("constraint edges contain a cycle")
+            parent[a] = b
+        if len(self.edges) != len(self.vertices) - 1:
+            raise ValueError(
+                f"constraint must be a tree, not {len(self.vertices)} vertices "
+                f"and {len(self.edges)} edges"
+            )
 
     def validate_for(self, g: Graph) -> None:
         for v in self.vertices:
@@ -756,47 +748,12 @@ class SubtreeConstraint:
                 raise ValueError(f"constraint edge ({u},{v}) absent from graph")
 
 
-def _forest_blocks(constraint: SubtreeConstraint) -> list[int]:
-    """Sorted vertex masks of the components of the required forest.
-
-    Raises ``ValueError`` when the constraint edges contain a cycle.
-    """
-    parent = {v: v for v in constraint.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in constraint.edges:
-        a, b = find(u), find(v)
-        if a == b:
-            raise ValueError("constraint edges contain a cycle")
-        parent[a] = b
-    masks: dict[int, int] = {}
-    for v in constraint.vertices:
-        root = find(v)
-        masks[root] = masks.get(root, 0) | (1 << v)
-    return sorted(masks.values())
-
-
 def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:
-    """Count and total order of subtrees containing the whole constraint.
-
-    The empty constraint means "no restriction" and reproduces the full
-    census totals.
-    """
+    """Count and total order of the subtrees containing the constraint tree."""
     constraint.validate_for(g)
-    if constraint.empty:
-        c = census(g)
-        return c.num_subtrees, c.order_sum
-
-    forest = _forest_blocks(constraint)
     root = min(constraint.vertices)
-    comp, down, _, _ = _block_dp(g.rows, root, forest=forest)
-    if sum(forest) & ~comp:
-        return 0, 0  # the required vertices lie in different components
+    tree = sum(1 << v for v in constraint.vertices)
+    _, down, _, _ = _block_dp(g.rows, root, tree=tree)
     return _pair(down[root])
 
 
@@ -865,8 +822,6 @@ def mean_subtree_order_at_edge(g: Graph, e: Edge) -> Fraction:
 
 def mean_subtree_order_at_tree(g: Graph, constraint: SubtreeConstraint) -> Fraction:
     _require_connected(g)
-    if not constraint.is_tree():
-        raise ValueError("constraint must be a non-empty subtree")
     n_c, r_c = census_containing(g, constraint)
     return Fraction(r_c, n_c)
 

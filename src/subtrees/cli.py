@@ -37,20 +37,21 @@ def _fraction_fields(x: Fraction) -> tuple[str, str]:
     return f"{x.numerator}/{x.denominator}", f"{float(x):.12g}"
 
 
+def _one_graph6_line(fh, name: str) -> Graph:
+    lines = [ln.strip() for ln in fh if ln.strip()]
+    if len(lines) != 1:
+        raise ValueError(f"{name}: expected exactly one graph6 line, got {len(lines)}")
+    return from_graph6(lines[0])
+
+
 def _resolve_graph(source: str) -> Graph:
     if source.startswith("family:"):
         return build_family(parse_family(source))
     if source == "-":
-        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
-        if len(lines) != 1:
-            raise ValueError(f"expected exactly one graph6 line on stdin, got {len(lines)}")
-        return from_graph6(lines[0])
+        return _one_graph6_line(sys.stdin, "stdin")
     if os.path.exists(source):
         with open(source) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if len(lines) != 1:
-            raise ValueError(f"{source}: expected exactly one graph6 line, got {len(lines)}")
-        return from_graph6(lines[0])
+            return _one_graph6_line(fh, source)
     return from_graph6(source)
 
 
@@ -119,6 +120,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.format == "csv" and args.output != "-":
+        raise ValueError("--format csv writes to stdout only; --output FILE is always JSONL")
     if args.checks == "all":
         checks = list(CHECKS)
     else:
@@ -216,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=1000, metavar="N")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
     p.add_argument("--limit", type=int, help="stop after this many graphs (checkpoint keeps the rest)")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument(
+        "--format", choices=("jsonl", "csv"), default="jsonl", help="stdout format (csv needs --output -)"
+    )
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("repro", help="rerun a named reproduction")

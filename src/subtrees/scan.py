@@ -33,15 +33,19 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable
 
 from .graphs import Graph, from_graph6
-from .harness import CHECKS, LOCAL_CHECKS, CheckContext, CheckVerdict, FAILS
+from .harness import (
+    CHECKS, FAILS, HOLDS, LOCAL_CHECKS, REPORT, CheckContext, CheckVerdict, frac_str
+)
 
 
 class ScanError(Exception):
     pass
+
+
+STATUSES = (HOLDS, FAILS, REPORT)
 
 
 @dataclass
@@ -55,9 +59,7 @@ class ScanState:
     fingerprint: tuple[int, str] | None = None
 
     def record(self, verdict: CheckVerdict) -> None:
-        per_check = self.tallies.setdefault(
-            verdict.check, {"holds": 0, "fails": 0, "report-only": 0}
-        )
+        per_check = self.tallies.setdefault(verdict.check, dict.fromkeys(STATUSES, 0))
         per_check[verdict.status] += 1
         if verdict.status == FAILS or verdict.witness.get("finding"):
             self.violations.append(
@@ -95,7 +97,8 @@ _STATE_FIELDS = {"checks": list, "consumed": int, "tallies": dict, "violations":
 def load_state(path: str) -> ScanState:
     """The state saved at ``path``; raises :class:`ScanError` naming the
     file when it is not JSON, not an object, or lacks a field or has one
-    of the wrong type."""
+    of the wrong type: each tallies entry must map the three statuses to
+    counts, and each violation must be an object."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -108,6 +111,13 @@ def load_state(path: str) -> ScanState:
         # `type` rather than isinstance: JSON true is not a count
         if type(value) is not kind or (kind is int and value < 0):
             raise ScanError(f"checkpoint {path}: field {name!r} is missing or invalid")
+    for name, per_check in payload["tallies"].items():
+        if type(per_check) is not dict or set(per_check) != set(STATUSES) or any(
+            type(x) is not int or x < 0 for x in per_check.values()
+        ):
+            raise ScanError(f"checkpoint {path}: field 'tallies' is invalid at {name!r}")
+    if not all(type(v) is dict for v in payload["violations"]):
+        raise ScanError(f"checkpoint {path}: field 'violations' holds a non-object")
     fingerprint = payload.get("fingerprint")  # absent in checkpoints that predate it
     if fingerprint is not None and not (
         type(fingerprint) is list and [type(x) for x in fingerprint] == [int, str]
@@ -136,15 +146,11 @@ def verdict_record(verdict: CheckVerdict) -> dict:
         "graph": verdict.graph_id,
         "status": verdict.status,
         "witness": verdict.witness,
-        "mu": frac_or_none(verdict.mean),
+        "mu": None if verdict.mean is None else frac_str(verdict.mean),
         "mu_float": float(verdict.mean) if verdict.mean is not None else None,
         "runtime_ms": verdict.runtime_ms,
     }
     return record
-
-
-def frac_or_none(x: Fraction | None) -> str | None:
-    return None if x is None else f"{x.numerator}/{x.denominator}"
 
 
 def verdict_jsonl(verdict: CheckVerdict) -> str:

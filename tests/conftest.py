@@ -7,8 +7,8 @@ census and the package's own enumeration oracle on tiny graphs.
 connected set of the whole graph, one set at a time: the oracle of the
 block DP behind ``census`` and ``census_containing``.
 ``_kappa_contracted`` is the contracted-quotient oracle of the grounded
-determinant: it builds the Laplacian of G[S] with each forest component
-merged to one vertex as a matrix of its own, grounded at the first one.
+determinant: it builds the Laplacian of G[S] with one connected piece
+merged to one vertex as a matrix of its own, grounded at that vertex.
 """
 
 from itertools import combinations, permutations
@@ -19,7 +19,6 @@ from subtrees.census import (
     _connected_sets,
     _core,
     _det_bareiss,
-    _forest_blocks,
     _reduced_laplacian,
 )
 
@@ -115,13 +114,12 @@ def walk_census(g: Graph) -> SubtreeCensus:
     )
 
 
-def _kappa_contracted(
-    rows: tuple[int, ...], subset: int, req_block_masks: list[int], req_mask: int
-) -> int:
-    # Spanning trees of G[subset] containing the required forest: contract
-    # each forest component to a block, keep parallel edges, drop loops.
-    blocks = list(req_block_masks)
-    free = subset & ~req_mask
+def _kappa_contracted(rows: tuple[int, ...], subset: int, piece: int) -> int:
+    # Spanning trees of G[subset] containing a spanning tree of the
+    # connected set `piece`: contract the piece to one block, keep parallel
+    # edges, drop loops, and ground at the block.
+    blocks = [piece]
+    free = subset & ~piece
     while free:
         b = free & -free
         free ^= b
@@ -153,23 +151,17 @@ def _kappa_contracted(
 
 
 def walk_census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:
-    """``census_containing`` by the per-set walk: grow every set from the
-    required vertices, drop the disconnected ones, and count the spanning
-    trees containing the required forest with the forest contracted."""
+    """``census_containing`` by the per-set walk: every connected set of the
+    whole graph that holds the constraint tree, weighted by the spanning
+    trees of its core containing the tree, counted with the tree
+    contracted."""
     constraint.validate_for(g)
-    if constraint.empty:
-        c = walk_census(g)
-        return c.num_subtrees, c.order_sum
     rows = g.rows
-    req_blocks = _forest_blocks(constraint)
-    req_mask = sum(req_blocks)
+    tree = sum(1 << v for v in constraint.vertices)
     count = 0
     order_sum = 0
-    for subset in _connected_sets(rows, [(req_mask, (1 << g.n) - 1)]):
-        low = subset & -subset
-        if g.component_mask(low.bit_length() - 1, subset) != subset:
-            continue
-        kappa = _kappa_contracted(rows, _core(rows, subset, req_mask), req_blocks, req_mask)
+    for subset in _connected_sets(rows, _rooted(g.n), tree):
+        kappa = _kappa_contracted(rows, _core(rows, subset, tree), tree)
         count += kappa
         order_sum += subset.bit_count() * kappa
     return count, order_sum

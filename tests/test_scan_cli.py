@@ -327,10 +327,17 @@ def test_cli_scan_resume_on_different_input_exits_3(tmp_path):
     assert len(read_jsonl_no_runtime(out)) == 10
 
 
+_BAD_TALLIES = json.dumps(
+    {"checks": ["min-path"], "consumed": 0, "tallies": {"min-path": 3}, "violations": [],
+     "output_bytes": 5, "fingerprint": [0, "e3b0c44298fc1c149afbf4c8996fb924"
+                                           "27ae41e4649b934ca495991b7852b855"]}
+)
+
+
 @pytest.mark.parametrize(
     "content",
-    ['{"checks":["min-path"],"consumed":0}', "[1,2]", '{"checks":["min-pa'],
-    ids=["missing-field", "not-an-object", "truncated"],
+    ['{"checks":["min-path"],"consumed":0}', "[1,2]", '{"checks":["min-pa', _BAD_TALLIES],
+    ids=["missing-field", "not-an-object", "truncated", "bad-tallies"],
 )
 def test_cli_scan_corrupt_checkpoint_exits_3(tmp_path, content):
     out = tmp_path / "out.jsonl"
@@ -349,7 +356,10 @@ def test_cli_scan_corrupt_checkpoint_exits_3(tmp_path, content):
 @pytest.mark.parametrize(
     "field, value",
     [("consumed", True), ("consumed", -1), ("output_bytes", "0"), ("tallies", []),
-     ("fingerprint", [3])],
+     ("fingerprint", [3]), ("tallies", {"min-path": 3}), ("tallies", {"min-path": {"holds": 1}}),
+     ("tallies", {"min-path": {"holds": -1, "fails": 0, "report-only": 0}}),
+     ("tallies", {"min-path": {"holds": True, "fails": 0, "report-only": 0}}),
+     ("violations", [3]), ("violations", [["min-path", "Bw", "fails"]])],
 )
 def test_load_state_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
     ckpt = tmp_path / "state.json"
@@ -410,6 +420,24 @@ def test_cli_compute_tree_rejects_forest():
     r = run_cli("compute", "family:path:4", "--tree", "0,2")
     assert r.returncode == 2
     assert "mean_at_tree" not in r.stdout
+
+
+@pytest.mark.parametrize("two", ["Bw\nBw\n", "Bw\n\nCF\n"])
+def test_cli_compute_wants_exactly_one_graph6_line(tmp_path, two):
+    source = tmp_path / "two.g6"
+    source.write_text(two)
+    for r in (run_cli("compute", str(source)), run_cli("compute", "-", stdin=two)):
+        assert r.returncode == 2
+        assert "exactly one graph6 line, got 2" in r.stderr and r.stdout == ""
+
+
+def test_cli_scan_csv_to_a_file_is_refused(tmp_path):
+    out = tmp_path / "o.csv"
+    r = run_cli("scan", "--n", "4", "--checks", "min-path", "--jobs", "1",
+                "--format", "csv", "--output", str(out))
+    assert r.returncode == 2
+    assert "--format csv" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_cli_scan_runtimes_are_positive():
