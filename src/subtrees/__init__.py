@@ -40,7 +40,6 @@ from .census import (
     SubtreeConstraint,
     average_connected_set_size,
     census,
-    census_by_subtree_enumeration,
     census_containing,
     mean_subtree_order,
     mean_subtree_order_at_edge,

@@ -8,7 +8,16 @@ equivalent to isomorphism.  Twin swaps and the automorphisms discovered
 at equal-code leaves prune sibling branches, which keeps highly symmetric
 inputs (cliques, barbells) tractable.  :func:`certify` returns them with
 the certificate, and :func:`_orbit_reps`, the one orbit routine, groups
-vertices in the search and edges, non-edges or matchings for the checks.
+vertices in the search, attachment sets in the generator, and edges,
+non-edges or matchings for the checks.  The same search started from the
+partition (V - x, {x}) gives the rooted code of a vertex x: equal for two
+vertices exactly when an automorphism maps one to the other.
+
+Connected graphs are generated by canonical augmentation: each class of
+order n is built once, from the one order n-1 class left by deleting its
+canonical vertex, so no certificate store spans parents.  Trees are still
+generated by adding a leaf to every tree of order n-1 and deduplicating
+the results by certificate.
 """
 
 from __future__ import annotations
@@ -75,10 +84,17 @@ def _find(parent: list[int], x: int) -> int:
 def _image(sigma: tuple[int, ...], item):
     """``item`` moved by the vertex permutation ``sigma``, in normal form.
 
-    An item is an edge ``(u, v)`` with ``u < v``, or a matching: a sorted
-    tuple of such edges.  Items are their own keys, so a list of them needs
-    no second copy to be indexed.
+    An item is a vertex set as a bitmask, an edge ``(u, v)`` with
+    ``u < v``, or a matching: a sorted tuple of such edges.  Items are their
+    own keys, so a list of them needs no second copy to be indexed.
     """
+    if isinstance(item, int):
+        image = 0
+        while item:
+            b = item & -item
+            item ^= b
+            image |= 1 << sigma[b.bit_length() - 1]
+        return image
     if item and isinstance(item[0], int):
         u, v = sigma[item[0]], sigma[item[1]]
         return (u, v) if u < v else (v, u)
@@ -91,12 +107,12 @@ def _orbit_reps(n: int, gens: list[tuple[int, ...]], items: list | None = None) 
     """Union-find orbits under the group generated by ``gens``.
 
     ``gens`` are permutations of the ``n`` vertices.  The orbits are of the
-    vertices, or of ``items`` (edges or matchings, see :func:`_image`), a
-    list that each generator maps onto itself.  Returns, per vertex or
-    item, the index of its orbit's root.  A transposition whose two
-    vertices the transpositions applied before it already join lies in the
-    group those generate, so it is skipped: a spanning forest of the twin
-    swaps gives the same orbits as all of them.
+    vertices, or of ``items`` (vertex sets, edges or matchings, see
+    :func:`_image`), a list that each generator maps onto itself.  Returns,
+    per vertex or item, the index of its orbit's root.  A transposition
+    whose two vertices the transpositions applied before it already join
+    lies in the group those generate, so it is skipped: a spanning forest
+    of the twin swaps gives the same orbits as all of them.
     """
     identity = tuple(range(n))
     if items is None:
@@ -120,16 +136,29 @@ def _orbit_reps(n: int, gens: list[tuple[int, ...]], items: list | None = None) 
     return [_find(parent, i) for i in range(len(parent))]
 
 
-def _canonical_search(rows: tuple[int, ...], n: int):
+def _canonical_search(rows: tuple[int, ...], n: int, cells: list[list[int]] | None = None):
+    """The minimal leaf code, a labelling reaching it and the automorphisms found.
+
+    The search starts from the ordered partition ``cells`` (all vertices in
+    one cell by default), so the code is canonical for the graph together
+    with that partition, and every automorphism found preserves it.
+    """
+    if cells is None:
+        cells = [list(range(n))]
+    cell_of = [0] * n
+    for i, cell in enumerate(cells):
+        for v in cell:
+            cell_of[v] = i
     best: list = [None, None]  # [code, order]
     # seed with twin swaps: they collapse fat cells (leaf bundles, clique
     # cells) without waiting for the leaf-comparison harvest below
     gens: list[tuple[int, ...]] = []
     for u in range(n):
         for v in range(u + 1, n):
-            # swapping u and v is an automorphism iff their rows agree off the pair
+            # swapping u and v is an automorphism iff their rows agree off
+            # the pair; it preserves the partition iff they share a cell
             keep = ~((1 << u) | (1 << v))
-            if rows[u] & keep == rows[v] & keep:
+            if rows[u] & keep == rows[v] & keep and cell_of[u] == cell_of[v]:
                 sigma = list(range(n))
                 sigma[u], sigma[v] = v, u
                 gens.append(tuple(sigma))
@@ -170,8 +199,7 @@ def _canonical_search(rows: tuple[int, ...], n: int):
             rec(child, prefix + (v,))
             tried.append(v)
 
-    initial = _refine(rows, [list(range(n))], [(1 << n) - 1])
-    rec(initial, ())
+    rec(_refine(rows, cells, [_mask_of(cell) for cell in cells]), ())
     return best[0], best[1], gens
 
 
@@ -237,12 +265,101 @@ def _augment(parents: list[Graph], n: int, masks: Iterator[int]) -> list[Graph]:
     return list(seen.values())
 
 
+def _rooted_code(rows: tuple[int, ...], n: int, x: int) -> int:
+    """The leaf code of the graph searched from the partition (V - x, {x}).
+
+    Vertex x keeps the last position in every leaf, so equal codes of x in
+    G and y in H mean an isomorphism G -> H taking x to y, and conversely.
+    """
+    rest = [w for w in range(n) if w != x]
+    return _canonical_search(rows, n, [rest, [x]] if rest else [[x]])[0]
+
+
+def _rank(rows: tuple[int, ...], degree: list[int], x: int) -> tuple[int, int]:
+    """(degree, sum of neighbour degrees) of x: a cheap vertex invariant."""
+    total = 0
+    m = rows[x]
+    while m:
+        b = m & -m
+        m ^= b
+        total += degree[b.bit_length() - 1]
+    return degree[x], total
+
+
+def _is_canonical(g: Graph) -> bool:
+    """Whether the last vertex v of ``g`` is a canonical vertex of it.
+
+    The canonical vertices of a connected graph are one orbit of its
+    non-cut vertices: those of the largest :func:`_rank`, and among them
+    those of the smallest :func:`_rooted_code`.  The choice is
+    isomorphism-invariant, so g - v for a canonical v is the same class
+    however g is labelled.
+    """
+    n, rows = g.n, g.rows
+    v = n - 1
+    degree = [r.bit_count() for r in rows]
+    top = _rank(rows, degree, v)
+    tied = []
+    for x in range(v):
+        if degree[x] < top[0]:
+            continue
+        rank = _rank(rows, degree, x)
+        if rank >= top and not g.is_cut_vertex(x):
+            if rank > top:
+                return False
+            tied.append(x)
+    if not tied:
+        return True
+    code = _rooted_code(rows, n, v)
+    return all(_rooted_code(rows, n, x) >= code for x in tied)
+
+
+def _children(parent: Graph) -> list[Graph]:
+    """The one-vertex extensions of ``parent`` whose new vertex is canonical.
+
+    One attachment mask per orbit under the automorphisms :func:`certify`
+    finds, ascending.  Those may generate only part of Aut(parent), so two
+    masks can still give isomorphic children: children whose sorted ranks
+    agree are told apart by the rooted codes of their new vertices.
+    """
+    n = parent.n + 1
+    v = n - 1
+    _, gens = certify(parent)
+    masks = range(1, 1 << v)  # a non-empty attachment keeps the child connected
+    tried: set[int] = set()
+    kept: list[Graph] = []
+    by_ranks: dict[tuple, list[Graph]] = {}
+    for mask, root in zip(masks, _orbit_reps(v, gens, masks)):
+        if root in tried:
+            continue
+        tried.add(root)
+        rows = [r | 1 << v if mask >> u & 1 else r for u, r in enumerate(parent.rows)]
+        rows.append(mask)
+        child = Graph(n, tuple(rows))
+        if not _is_canonical(child):
+            continue
+        degree = [r.bit_count() for r in rows]
+        same = by_ranks.setdefault(tuple(sorted(_rank(rows, degree, x) for x in range(n))), [])
+        if same:
+            code = _rooted_code(rows, n, v)
+            if any(_rooted_code(c.rows, n, v) == code for c in same):
+                continue
+        same.append(child)
+        kept.append(child)
+    return kept
+
+
 def generate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs of order n.
 
-    Built by vertex augmentation from order n-1 with certificate
-    deduplication; deterministic order.  The built-in generator stops at
-    n = 8; larger orders must be supplied externally as graph6 streams.
+    Built by McKay's canonical augmentation ("Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998): a child G + v of an order n-1
+    representative is kept only when v is a canonical vertex of it (see
+    :func:`_is_canonical`), so each class comes from exactly one parent,
+    with no store of certificates across parents.  Deterministic order:
+    parents in order, then attachment masks ascending.  The built-in
+    generator stops at n = 8; larger orders must be supplied externally as
+    graph6 streams.
     """
     if not 1 <= n <= MAX_GENERATE:
         raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
@@ -250,9 +367,7 @@ def generate_connected(n: int) -> Iterator[Graph]:
         if n == 1:
             _connected_cache[1] = [Graph(1, (0,))]
         else:
-            parents = list(generate_connected(n - 1))
-            # attaching the new vertex to a nonempty set keeps the graph connected
-            _connected_cache[n] = _augment(parents, n, iter(range(1, 1 << (n - 1))))
+            _connected_cache[n] = [c for p in generate_connected(n - 1) for c in _children(p)]
     yield from _connected_cache[n]
 
 

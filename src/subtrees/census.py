@@ -45,9 +45,9 @@ constraint, a non-empty tree; it serves constraints of order 4 or more,
 single-vertex, single-edge and single-tree queries, and the tests as the
 oracle of :func:`local_census`.
 
-:func:`census_by_subtree_enumeration` is an independent slow oracle that
-lists subtrees one by one as growing edge sets; it shares no counting
-machinery with :func:`census` and exists to cross-check it.
+The tests keep the independent slow oracles: a walk that lists subtrees
+one by one as growing edge sets, sharing no counting machinery with
+:func:`census`, and per-set walks over the whole graph.
 """
 
 from __future__ import annotations
@@ -837,53 +837,3 @@ def average_connected_set_size(g: Graph) -> Fraction:
     _, _, total, _ = _block_dp(g.rows, 0, unit=True)
     sets, size_sum = _pair(total)
     return Fraction(size_sum, sets)
-
-
-# -- independent oracle ---------------------------------------------------------
-
-ORACLE_MAX_VERTICES = 8
-
-
-def census_by_subtree_enumeration(g: Graph) -> SubtreeCensus:
-    """Slow oracle: list every subtree explicitly as a growing edge set.
-
-    Subtrees are grown from their minimum vertex, adding one frontier edge
-    at a time with earlier frontier edges forbidden, so each subtree
-    appears exactly once.  Exponential in the subtree count; capped at
-    n <= 8.
-    """
-    n = g.n
-    if n > ORACLE_MAX_VERTICES:
-        raise ValueError(f"subtree enumeration capped at {ORACLE_MAX_VERTICES} vertices")
-    rows = g.rows
-    counts = [0] * (n + 1)
-    vertex_counts = [0] * n
-    vertex_order_sums = [0] * n
-
-    def account(wmask: int) -> None:
-        verts = _bits(wmask)
-        k = len(verts)
-        counts[k] += 1
-        for v in verts:
-            vertex_counts[v] += 1
-            vertex_order_sums[v] += k
-
-    all_bits = (1 << n) - 1
-    for root in range(n):
-        account(1 << root)
-        allowed = all_bits & ~((1 << (root + 1)) - 1)
-        start_cand = tuple((root, v) for v in _bits(rows[root] & allowed))
-        stack = [(1 << root, start_cand)]
-        while stack:
-            wmask, cand = stack.pop()
-            for i, (_, v) in enumerate(cand):
-                grown = wmask | (1 << v)
-                nxt = [e for e in cand[i + 1 :] if not (grown >> e[1]) & 1]
-                nxt.extend((v, z) for z in _bits(rows[v] & allowed & ~grown))
-                account(grown)
-                stack.append((grown, tuple(nxt)))
-    num = sum(counts)
-    total = sum(k * c for k, c in enumerate(counts))
-    return SubtreeCensus(
-        tuple(counts), num, total, tuple(vertex_counts), tuple(vertex_order_sums)
-    )

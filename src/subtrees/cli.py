@@ -22,12 +22,12 @@ from .census import (
     SubtreeConstraint,
     average_connected_set_size,
     census,
-    mean_subtree_order_at_edge,
+    local_census,
     mean_subtree_order_at_tree,
 )
 from .canon import generate_connected
 from .families import FAMILIES, build_family, parse_family
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import Graph, _norm_edge, from_graph6, to_graph6
 from .harness import CHECKS
 from .repro import REPROS
 from .scan import CSV_FIELDS, ScanError, record_csv_row, scan
@@ -77,7 +77,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     g = _resolve_graph(args.source)
     if not g.is_connected():
         raise ValueError("graph is disconnected; the mean subtree order is undefined")
-    c = census(g)
+    # the local census holds every edge's subtrees, and the census itself
+    local = local_census(g) if args.edge else None
+    c = local.census if local else census(g)
     rows: list[tuple[str, str, str]] = [("n", str(g.n), "")]
     for k in range(1, g.n + 1):
         rows.append((f"s_{k}", str(c.counts[k]), ""))
@@ -92,7 +94,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
         rows.append((f"mean_at_vertex_{v}", *_fraction_fields(c.mean_at_vertex(v))))
     for spec in args.edge or []:
         u, v = _parse_edge(spec)
-        rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(mean_subtree_order_at_edge(g, (u, v)))))
+        SubtreeConstraint(frozenset((u, v)), frozenset([(u, v)])).validate_for(g)
+        count, order_sum = local.edges[_norm_edge(u, v)]
+        rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(Fraction(order_sum, count))))
     for spec in args.tree or []:
         constraint = _parse_tree(spec)
         label = ",".join(str(v) for v in sorted(constraint.vertices))

@@ -1,19 +1,25 @@
 """Shared oracles for the test suite.
 
+``census_by_subtree_enumeration`` lists every subtree one by one as a
+growing edge set, sharing no counting machinery with the census.
 ``naive_census_counts`` is a third, maximally dumb counting route (iterate
 every edge subset, keep the trees) used to cross-check both the production
-census and the package's own enumeration oracle on tiny graphs.
+census and that enumeration oracle on tiny graphs.
 ``walk_census`` and ``walk_census_containing`` count by walking every
 connected set of the whole graph, one set at a time: the oracle of the
 block DP behind ``census`` and ``census_containing``.
 ``_kappa_contracted`` is the contracted-quotient oracle of the grounded
 determinant: it builds the Laplacian of G[S] with one connected piece
 merged to one vertex as a matrix of its own, grounded at that vertex.
+``connected_by_dedupe`` generates the connected universe the way the
+package once did, deduplicating every one-vertex extension by certificate
+in one dict: the oracle of the canonical augmentation behind
+``generate_connected``.
 """
 
 from itertools import combinations, permutations
 
-from subtrees import Graph, SubtreeCensus, SubtreeConstraint
+from subtrees import Graph, SubtreeCensus, SubtreeConstraint, canonical_form
 from subtrees.census import (
     _bits,
     _connected_sets,
@@ -55,6 +61,70 @@ def naive_census_counts(g: Graph) -> list[int]:
                 # r+1 vertices, r edges, no cycle: exactly one component
                 counts[r + 1] += 1
     return counts
+
+
+ORACLE_MAX_VERTICES = 8
+
+
+def census_by_subtree_enumeration(g: Graph) -> SubtreeCensus:
+    """Slow oracle: list every subtree explicitly as a growing edge set.
+
+    Subtrees are grown from their minimum vertex, adding one frontier edge
+    at a time with earlier frontier edges forbidden, so each subtree
+    appears exactly once.  Exponential in the subtree count; capped at
+    n <= 8.
+    """
+    n = g.n
+    if n > ORACLE_MAX_VERTICES:
+        raise ValueError(f"subtree enumeration capped at {ORACLE_MAX_VERTICES} vertices")
+    rows = g.rows
+    counts = [0] * (n + 1)
+    vertex_counts = [0] * n
+    vertex_order_sums = [0] * n
+
+    def account(wmask: int) -> None:
+        verts = _bits(wmask)
+        k = len(verts)
+        counts[k] += 1
+        for v in verts:
+            vertex_counts[v] += 1
+            vertex_order_sums[v] += k
+
+    all_bits = (1 << n) - 1
+    for root in range(n):
+        account(1 << root)
+        allowed = all_bits & ~((1 << (root + 1)) - 1)
+        start_cand = tuple((root, v) for v in _bits(rows[root] & allowed))
+        stack = [(1 << root, start_cand)]
+        while stack:
+            wmask, cand = stack.pop()
+            for i, (_, v) in enumerate(cand):
+                grown = wmask | (1 << v)
+                nxt = [e for e in cand[i + 1 :] if not (grown >> e[1]) & 1]
+                nxt.extend((v, z) for z in _bits(rows[v] & allowed & ~grown))
+                account(grown)
+                stack.append((grown, tuple(nxt)))
+    num = sum(counts)
+    total = sum(k * c for k, c in enumerate(counts))
+    return SubtreeCensus(
+        tuple(counts), num, total, tuple(vertex_counts), tuple(vertex_order_sums)
+    )
+
+
+def connected_by_dedupe(n: int) -> list[Graph]:
+    """One graph per class of connected graphs of order n: every one-vertex
+    extension of every class of order n - 1, deduplicated by certificate."""
+    graphs = [Graph(1, (0,))]
+    for k in range(2, n + 1):
+        v = k - 1
+        seen: dict[bytes, Graph] = {}
+        for parent in graphs:
+            for mask in range(1, 1 << v):
+                rows = [r | 1 << v if mask >> u & 1 else r for u, r in enumerate(parent.rows)]
+                child = Graph(k, tuple(rows) + (mask,))
+                seen.setdefault(canonical_form(child), child)
+        graphs = list(seen.values())
+    return graphs
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -19,7 +19,6 @@ from subtrees import (
     JoinSpec,
     barbell,
     census,
-    census_by_subtree_enumeration,
     check_contraction,
     check_local_global,
     check_local_mean_bound,
@@ -50,6 +49,8 @@ from subtrees.census import SubtreeConstraint, census_containing
 from subtrees.harness import HOLDS, CheckContext
 from subtrees.repro import repro_transitive_suite
 from subtrees.scan import load_state, save_state, scan
+
+from conftest import census_by_subtree_enumeration
 
 
 def report(criterion: int, budget_s: float, started: float, detail: str) -> None:

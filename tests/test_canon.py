@@ -1,7 +1,12 @@
 """Canonical certificates and exhaustive generation."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +23,9 @@ from subtrees import (
     path_graph,
     star_graph,
 )
-from subtrees.canon import _orbit_reps, certify
-from conftest import automorphisms, random_graph
+import subtrees.canon as canon
+from subtrees.canon import _orbit_reps, _rooted_code, certify
+from conftest import automorphisms, connected_by_dedupe, random_graph
 
 ALL_PAIRS_4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -202,12 +208,24 @@ def test_orbit_reps_skips_transpositions_already_joined(monkeypatch):
     assert len(applied) == 3 and _closure(4, applied) == _closure(4, swaps)
 
 
+def test_rooted_codes_agree_exactly_on_orbits():
+    # x and y have equal rooted codes iff an automorphism maps x to y, on
+    # every connected graph of order <= 6
+    for n in range(1, 7):
+        for g in generate_connected(n):
+            auts = automorphisms(g)
+            codes = [_rooted_code(g.rows, n, x) for x in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    assert (codes[x] == codes[y]) == any(s[x] == y for s in auts), (g, x, y)
+
+
 def test_canonical_form_rejects_large():
     with pytest.raises(ValueError):
         canonical_form(Graph(33, tuple([0] * 33)))
 
 
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def test_generate_connected_counts():
@@ -235,10 +253,52 @@ def test_generate_connected_yields_distinct_connected_representatives():
         assert len(set(certs)) == len(certs)
 
 
-def test_generate_connected_deterministic_order():
+def _certificates(graphs) -> list[bytes]:
+    return sorted(canonical_form(g) for g in graphs)
+
+
+def test_generate_connected_matches_dedupe_oracle():
+    for n in range(1, 8):
+        assert _certificates(generate_connected(n)) == _certificates(connected_by_dedupe(n)), n
+
+
+@pytest.mark.slow
+def test_generate_connected_matches_dedupe_oracle_at_order_8():
+    graphs, oracle = list(generate_connected(8)), connected_by_dedupe(8)
+    assert _certificates(graphs) == _certificates(oracle)
+    assert Counter(g.edge_count for g in graphs) == Counter(g.edge_count for g in oracle)
+
+
+def test_generate_connected_dedupes_masks_of_one_orbit(monkeypatch):
+    # with no automorphisms known, every attachment mask is tried, so
+    # isomorphic children of one parent meet and only one may stay
+    monkeypatch.setattr(canon, "_connected_cache", {})
+    monkeypatch.setattr(canon, "certify", lambda g, certify=certify: (certify(g)[0], []))
+    for n in range(1, 8):
+        assert _certificates(generate_connected(n)) == _certificates(connected_by_dedupe(n)), n
+
+
+def test_generate_connected_deterministic_order(monkeypatch):
+    monkeypatch.setattr(canon, "_connected_cache", {})
     first = [canonical_form(g) for g in generate_connected(6)]
+    canon._connected_cache.clear()
     second = [canonical_form(g) for g in generate_connected(6)]
     assert first == second
+
+
+def test_cli_generate_ignores_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "subtrees", "generate", "7"],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "12345")
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 853
 
 
 def test_generate_connected_caps_at_8():

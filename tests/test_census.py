@@ -16,7 +16,6 @@ from subtrees import (
     average_connected_set_size,
     barbell,
     census,
-    census_by_subtree_enumeration,
     census_containing,
     clique,
     cycle,
@@ -46,6 +45,7 @@ from subtrees.census import (
 from conftest import (
     _kappa_contracted,
     _rooted,
+    census_by_subtree_enumeration,
     naive_census_counts,
     random_connected_graph,
     random_graph,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,20 @@ def test_cli_compute_local_means():
     assert "mean_at_vertex_1" in r.stdout and "2/1" in r.stdout
 
 
+def test_cli_compute_edge_means_match_anchored_census():
+    from subtrees import build_family, census, mean_subtree_order_at_edge, parse_family
+
+    spec = "family:barbell:8:3"
+    g = build_family(parse_family(spec))
+    edges = [(0, 1), (3, 2), (5, 4), (7, 6), (2, 1)]
+    r = run_cli("compute", spec, "--format", "jsonl", *[f"--edge={u},{v}" for u, v in edges])
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    for u, v in edges:
+        assert Fraction(payload[f"mean_at_edge_{u}_{v}"]["exact"]) == mean_subtree_order_at_edge(g, (u, v))
+    assert payload["subtrees"]["exact"] == str(census(g).num_subtrees)
+
+
 def test_cli_compute_jsonl_and_csv_match():
     j = run_cli("compute", "family:cycle:5", "--format", "jsonl")
     c = run_cli("compute", "family:cycle:5", "--format", "csv")
@@ -230,6 +245,7 @@ def test_cli_compute_errors():
     assert run_cli("compute", "family:barbell:14").returncode == 2
     r = run_cli("compute", "family:path:4", "--edge", "9,0")
     assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert r.stderr == "error: constraint vertex 9 outside graph\n"
     assert run_cli("compute", "zz-not-graph6-??").returncode == 2
     r = run_cli("compute", "family:path:0")
     assert r.returncode == 2
