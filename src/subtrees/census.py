@@ -11,11 +11,14 @@ each block with :func:`_connected_sets` (the one extend-or-forbid
 generator), weights each by a determinant of :func:`_reduced_laplacian`
 read per core (deleting leaves keeps the count, so subsets share cores),
 and folds the blocks into their top cut vertices, children first, as a
-dynamic program over the block-cut tree.  Every spanning-tree count is
-a determinant or adjugate of that one builder, a Laplacian grounded at a
-vertex set: at one vertex it counts all spanning trees, at a connected
-set T those containing a fixed spanning tree of T, which weights the
-sets of :func:`census_containing`.  Per-vertex sums need only
+dynamic program over the block-cut tree.  Graphs of one universe share
+most of their cores too, so :func:`_kappa` keeps the determinants in one
+bounded memo for the whole process, keyed by the core's induced rows.
+Every spanning-tree count is a determinant or adjugate of that one
+builder, a Laplacian grounded at a vertex set: at one vertex it counts
+all spanning trees, at a connected set T those containing a fixed
+spanning tree of T, which weights the sets of
+:func:`census_containing`.  Per-vertex sums need only
 (count, order sum) pairs, which multiply as (a, s)(b, t) = (ab, at + bs),
 and a second, outside pass gives every vertex its totals; only the
 whole-graph counts by order are polynomials.  :func:`census`,
@@ -63,6 +66,8 @@ def _bits(mask: int) -> Sequence[int]:
     """The set bits of ``mask``, ascending."""
     if mask < 256:
         return _SMALL_BITS[mask]
+    if mask < 65536:
+        return _SMALL_BITS[mask & 255] + _HIGH_BITS[mask >> 8]
     out = []
     while mask:
         b = mask & -mask
@@ -71,8 +76,10 @@ def _bits(mask: int) -> Sequence[int]:
     return out
 
 
-# _bits of every mask below 2**8, shared, so read-only
+# _bits of every mask below 2**8, and of every mask below 2**16 without
+# its low byte, by its high byte; shared, so read-only
 _SMALL_BITS = [tuple(i for i in range(8) if (m >> i) & 1) for m in range(256)]
+_HIGH_BITS = [tuple(i + 8 for i in bits) for bits in _SMALL_BITS]
 
 
 # -- determinants ------------------------------------------------------------
@@ -134,6 +141,35 @@ def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[
         row[i] = (row_mask & subset).bit_count()
         mat.append(row)
     return mat
+
+
+# Determinants shared by every census in the process, keyed as by _kappa.
+# A full memo is cleared, not pruned.  Forked workers inherit a copy; as
+# every value is a function of its key, no result depends on what it holds.
+_KAPPA_LIMIT = 1024
+_kappa_memo: dict[tuple[int, ...], int] = {}
+
+
+def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
+    """Spanning trees of the connected set ``core`` (two or more vertices)
+    containing a fixed spanning tree of ``ground``, or all of them when
+    ``ground`` is 0.
+
+    The key is ``ground`` and the rows of ``core``'s vertices masked to
+    ``core``: every vertex has a neighbour in the core, so they give the
+    core and its labelled induced subgraph, hence the grounded Laplacian.
+    Graphs of one universe share most of their cores, so the determinant
+    is looked up in :data:`_kappa_memo` first.
+    """
+    key = (ground, *[rows[v] & core for v in _bits(core)])
+    kappa = _kappa_memo.get(key)
+    if kappa is None:
+        if len(_kappa_memo) >= _KAPPA_LIMIT:
+            _kappa_memo.clear()
+        kappa = _kappa_memo[key] = _det_bareiss(
+            _reduced_laplacian(rows, core, ground or core & -core)
+        )
+    return kappa
 
 
 def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -440,7 +476,10 @@ def _block_dp(
     at the tree's vertices in the block when there are two or more of
     them, else at the core's lowest vertex.  A tree meets a block in at
     most one connected piece (a path between two vertices of a block
-    stays in it), so one grounding serves the whole block.
+    stays in it), so one grounding serves the whole block.  A core's
+    count is looked up by its mask in a dict of this call, and on a miss
+    in the process memo of :func:`_kappa`; with ``local`` it comes with
+    the core's adjugate from :func:`_core_trees`, once per call.
     For :func:`census` (no ``tree``, no ``unit``) ``full[v]`` is the
     (count, order sum) of the sets containing v, from a second pass top
     down: the sets through v's parent block are split by whether they
@@ -516,16 +555,15 @@ def _block_dp(
             if not unit:
                 core = _core(rows, s, ground)
                 if core & (core - 1):
-                    kappa = kappas.get(core)
-                    if kappa is None:
-                        if local is not None:
-                            cores[core] = info = _core_trees(rows, core)
-                            kappa = info[0]
-                        else:
-                            kappa = _det_bareiss(
-                                _reduced_laplacian(rows, core, ground or core & -core)
-                            )
-                        kappas[core] = kappa
+                    if local is not None:
+                        info = cores.get(core)
+                        if info is None:
+                            info = cores[core] = _core_trees(rows, core)
+                        kappa = info[0]
+                    else:
+                        kappa = kappas.get(core)
+                        if kappa is None:
+                            kappa = kappas[core] = _kappa(rows, core, ground)
             key = s & keyed  # the tops of blocks in S, and the block's own
             entry = buckets.get(key)
             if entry is None:

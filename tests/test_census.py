@@ -1,5 +1,6 @@
 """Census correctness: oracle equivalence, hand counts, exact identities."""
 
+import functools
 import random
 import sys
 import time
@@ -542,15 +543,101 @@ def _counted(monkeypatch, owner, name: str) -> list:
 
 def test_census_computes_one_determinant_per_core(monkeypatch):
     # the package re-exports the function `census` under its submodule's
-    # name, so the module is reached through sys.modules
-    calls = _counted(monkeypatch, sys.modules["subtrees.census"], "_det_bareiss")
+    # name, so the module is reached through sys.modules; an empty process
+    # memo makes the counts those of one census alone
+    module = sys.modules["subtrees.census"]
+    monkeypatch.setattr(module, "_kappa_memo", {})
+    calls = _counted(monkeypatch, module, "_det_bareiss")
     census(modified_double_broom(9, 3, 1))
     assert len(calls) == 1  # every set with a cycle shares the one cycle
+    module._kappa_memo.clear()
     calls.clear()
-    census(modified_barbell(16, 5, 1))
+    g = modified_barbell(16, 5, 1)
+    census(g)
     # one per block subset with a cycle: the 16 subsets of order >= 3 of
     # each 5-clique and the 8-cycle
     assert len(calls) == 33
+    calls.clear()
+    census(g)
+    assert calls == []  # every core is in the process memo now
+
+
+class _WatchedMemo(dict):
+    """A memo that records the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+@functools.cache
+def _memo_cases() -> tuple[Graph, ...]:
+    # every connected graph of order <= 7 and its g-e and g+e neighbours,
+    # each labelled graph once: they share labels, so they meet the same
+    # core masks with other induced rows
+    graphs = {}
+    for n in range(1, 8):
+        for g in generate_connected(n):
+            graphs[g] = None
+            edges = set(g.edges())
+            for u, v in combinations(range(n), 2):
+                graphs[g.delete_edge(u, v) if (u, v) in edges else g.add_edge(u, v)] = None
+    return tuple(graphs)
+
+
+def _census_tallies(g: Graph) -> tuple:
+    c = census(g)
+    return c.counts, c.vertex_counts, c.vertex_order_sums, c.mean
+
+
+def _memo_results(cold: bool) -> list:
+    # the censuses of K4, plain and with the constraint edges (0,1) and
+    # (2,3), which ground its cores in two ways, then of every _memo_cases
+    # graph; with `cold`, each from an empty memo
+    memo = sys.modules["subtrees.census"]._kappa_memo
+    k4 = clique(4)
+    out = []
+    for g, e in [(k4, None), (k4, (0, 1)), (k4, (2, 3)), *((g, None) for g in _memo_cases())]:
+        if cold:
+            memo.clear()
+        if e is None:
+            out.append(_census_tallies(g))
+        else:
+            out.append(census_containing(g, SubtreeConstraint(frozenset(e), frozenset([e]))))
+    return out
+
+
+@functools.cache
+def _cold_memo_results() -> list:
+    return _memo_results(cold=True)
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
+    module = sys.modules["subtrees.census"]
+    monkeypatch.setattr(module, "_kappa_memo", {})
+    cold = _cold_memo_results()
+    assert cold[0][0] == (0, 4, 6, 12, 16)
+    assert cold[1:3] == [(13, 46), (13, 46)]
+    if limit is not None:
+        monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
+    memo = _WatchedMemo()
+    monkeypatch.setattr(module, "_kappa_memo", memo)
+    assert _memo_results(cold=False) == cold
+    assert memo.peak == module._KAPPA_LIMIT  # filled and cleared, never past it
+
+
+@pytest.mark.slow
+def test_warm_kappa_memo_matches_a_cold_one_on_every_order_8_graph(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", memo)
+    graphs = list(generate_connected(8))
+    warm = [_census_tallies(g) for g in graphs]
+    for g, tallies in zip(graphs, warm):
+        memo.clear()
+        assert _census_tallies(g) == tallies, g
 
 
 def test_tree_constraint_skips_the_connectivity_filter(monkeypatch):
