@@ -12,6 +12,7 @@ floats are informational, printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -130,25 +131,25 @@ def cmd_scan(args: argparse.Namespace) -> int:
         checks = list(CHECKS)
     else:
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    if args.n is not None:
-        lines = [to_graph6(g) for g in generate_connected(args.n)]
-    elif args.input == "-" or args.input is None:
-        lines = sys.stdin.readlines()
-    else:
-        with open(args.input) as fh:
-            lines = fh.readlines()
-    if args.output == "-":
-        if args.checkpoint:
-            raise ValueError("--checkpoint needs --output pointing at a file")
-        import tempfile
+    with contextlib.ExitStack() as stack:
+        if args.n is not None:
+            source = args.n
+        elif args.input == "-" or args.input is None:
+            source = sys.stdin
+        else:
+            source = stack.enter_context(open(args.input))
+        if args.output == "-":
+            if args.checkpoint:
+                raise ValueError("--checkpoint needs --output pointing at a file")
+            import tempfile
 
-        with tempfile.NamedTemporaryFile("w+", suffix=".jsonl", delete=False) as tmp:
-            out_path = tmp.name
-    else:
-        out_path = args.output
-    try:
+            with tempfile.NamedTemporaryFile("w+", suffix=".jsonl", delete=False) as tmp:
+                out_path = tmp.name
+            stack.callback(os.unlink, out_path)
+        else:
+            out_path = args.output
         state = scan(
-            lines,
+            source,
             checks,
             out_path,
             checkpoint_path=args.checkpoint,
@@ -165,9 +166,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
                         writer.writerow(record_csv_row(json.loads(line)))
                 else:
                     sys.stdout.write(fh.read())
-    finally:
-        if args.output == "-":
-            os.unlink(out_path)
     print(state.tallies_json(), file=sys.stderr)
     return 0
 

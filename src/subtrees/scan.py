@@ -13,6 +13,21 @@ whose input does not start with the same lines raises :class:`ScanError`.
 Input is validated before anything is written: a malformed graph6 line
 or a disconnected graph raises :class:`ScanError` naming the line.
 
+Work is done in units.  A unit of line input is one validated line, sent
+to a worker as its text and decoded graph.  A unit of a built-in universe
+(``scan(n, ...)``, ``subtrees scan --n N``) is one order n-1 parent from
+``generate_connected(n - 1)``: its worker generates the parent's children
+(``canon._children``) and checks them, so the universe is never held
+whole, and the graphs arrive in the order of ``subtrees generate n``, whose
+lines scan to the same records and the same fingerprint.  A worker returns
+per graph its graph6 text, its records already encoded as JSONL bytes and
+the fields :meth:`ScanState.record` tallies; the scan process takes the
+units in order and only writes, tallies, hashes and saves checkpoints.
+With one job the same unit function runs in-process.  A resume first
+re-expands the consumed units without running a check, to verify the
+fingerprint and find the graph to continue from, which may lie inside a
+parent's children.
+
 The checks of one graph run in one :class:`~subtrees.harness.CheckContext`,
 which computes the base census, certificate and anchored censuses at most
 once; when the checks include one of ``LOCAL_CHECKS``, the base census is
@@ -33,9 +48,11 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain, islice
+from typing import Callable, Iterable
 
-from .graphs import Graph, from_graph6
+from .canon import MAX_GENERATE, _children, generate_connected
+from .graphs import Graph, from_graph6, to_graph6
 from .harness import (
     CHECKS, FAILS, HOLDS, LOCAL_CHECKS, REPORT, CheckContext, CheckVerdict, frac_str
 )
@@ -58,13 +75,12 @@ class ScanState:
     # (graph6 lines taken, SHA-256 hex of them), or None before the first save
     fingerprint: tuple[int, str] | None = None
 
-    def record(self, verdict: CheckVerdict) -> None:
-        per_check = self.tallies.setdefault(verdict.check, dict.fromkeys(STATUSES, 0))
-        per_check[verdict.status] += 1
-        if verdict.status == FAILS or verdict.witness.get("finding"):
-            self.violations.append(
-                {"check": verdict.check, "graph": verdict.graph_id, "status": verdict.status}
-            )
+    def record(self, check: str, graph_id: str, status: str, finding: bool) -> None:
+        """Tally one verdict; ``finding`` is whether its witness reports one."""
+        per_check = self.tallies.setdefault(check, dict.fromkeys(STATUSES, 0))
+        per_check[status] += 1
+        if status == FAILS or finding:
+            self.violations.append({"check": check, "graph": graph_id, "status": status})
 
     def tallies_json(self) -> str:
         """Deterministic serialisation of the tallies and violations."""
@@ -129,17 +145,6 @@ def load_state(path: str) -> ScanState:
     )
 
 
-def _prefix_digest(texts: list[str], k: int):
-    # hashlib loads OpenSSL, about 3.6 MB of resident memory, so only a
-    # scan that keeps a checkpoint imports it
-    import hashlib
-
-    digest = hashlib.sha256()
-    for text in texts[:k]:
-        digest.update(text.encode() + b"\n")
-    return digest
-
-
 def verdict_record(verdict: CheckVerdict) -> dict:
     record = {
         "check": verdict.check,
@@ -176,18 +181,108 @@ def _run_checks(g: Graph, names: tuple[str, ...], memo: dict) -> list[CheckVerdi
     return [CHECKS[name](g, ctx=ctx) for name in names]
 
 
+# -- units of work -------------------------------------------------------------
+#
+# A unit is an item that expands to the graphs it holds, as (text, graph)
+# pairs in scan order: the text is what the checkpoint fingerprint hashes.
+
+Expand = Callable[..., list[tuple[str, Graph]]]
+
+
+def _one_line(line: tuple[str, Graph]) -> list[tuple[str, Graph]]:
+    """A validated input line, (text, graph), is a unit of one graph."""
+    return [line]
+
+
+def _children_of(parent: Graph) -> list[tuple[str, Graph]]:
+    """The order n+1 graphs generated from ``parent``, in generation order."""
+    return [(to_graph6(child), child) for child in _children(parent)]
+
+
+def _read_lines(lines: Iterable[str]) -> list[tuple[str, Graph]]:
+    """Every non-blank line, stripped, with its graph; raises
+    :class:`ScanError` naming the first malformed or disconnected line."""
+    units = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            g = from_graph6(text)
+        except ValueError as exc:
+            raise ScanError(f"malformed graph6 at line {lineno}: {exc}") from exc
+        if not g.is_connected():
+            raise ScanError(f"disconnected graph at line {lineno}: checks need connected graphs")
+        units.append((text, g))
+    return units
+
+
+def _universe_units(n: int) -> tuple[Expand, list]:
+    """``expand`` and the units of the order-n universe.
+
+    Its units are the order n-1 parents; the graphs come out in the order
+    of ``generate_connected(n)``.  Order 1 has no parent, so its one graph
+    is a line.
+    """
+    if not 1 <= n <= MAX_GENERATE:
+        raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
+    if n == 1:
+        return _one_line, [(to_graph6(g), g) for g in generate_connected(1)]
+    return _children_of, list(generate_connected(n - 1))
+
+
 # The certificate memo of a scan worker process.  Only pool workers write
 # it, so it lives exactly as long as the worker, which serves one scan.
 _worker_memo: dict = {}
 
 
-def _run_checks_by_name(args: tuple[str, tuple[str, ...]]) -> list[CheckVerdict]:
-    text, names = args
-    return _run_checks(from_graph6(text), names, _worker_memo)
+def _check_unit(task: tuple, memo: dict | None = None) -> list[tuple[str, bytes, list[tuple]]]:
+    """Run the checks over one unit's graphs ``expand(item)[skip:]``.
+
+    ``task`` is ``(expand, item, skip, names)``.  Per graph it returns the
+    graph's text, its finished JSONL records and, per verdict, the
+    arguments of :meth:`ScanState.record`, so the scan process neither
+    decodes, checks nor encodes.  A pool worker uses its process's memo.
+    """
+    expand, item, skip, names = task
+    if memo is None:
+        memo = _worker_memo
+    results = []
+    for text, g in expand(item)[skip:]:
+        verdicts = _run_checks(g, names, memo)
+        records = b"".join(verdict_jsonl(v).encode() + b"\n" for v in verdicts)
+        marks = [(v.check, v.graph_id, v.status, bool(v.witness.get("finding"))) for v in verdicts]
+        results.append((text, records, marks))
+    return results
+
+
+def _prefix(expand: Expand, units: list, k: int):
+    """The SHA-256 of the texts of the first ``k`` graphs, and where the
+    next graph lies: (digest, unit index, graphs to skip in that unit).
+
+    Expanding a unit only generates or decodes its graphs; no check runs.
+    A stream with fewer than ``k`` graphs hashes all of them.
+    """
+    # hashlib loads OpenSSL, about 3.6 MB of resident memory, so only a
+    # scan that keeps a checkpoint imports it
+    import hashlib
+
+    digest = hashlib.sha256()
+    count = 0
+    for index, item in enumerate(units):
+        if count == k:
+            return digest, index, 0
+        texts = [text for text, _ in expand(item)]
+        for text in texts[: k - count]:
+            digest.update(text.encode() + b"\n")
+        if count + len(texts) > k:
+            return digest, index, k - count
+        count += len(texts)
+    return digest, len(units), 0
 
 
 def scan(
-    lines: Iterable[str],
+    source: Iterable[str] | int,
     checks: list[str],
     out_path: str,
     checkpoint_path: str | None = None,
@@ -195,8 +290,11 @@ def scan(
     jobs: int = 1,
     limit: int | None = None,
 ) -> ScanState:
-    """Run the selected checks over a graph6 stream.
+    """Run the selected checks over a graph6 stream or a built-in universe.
 
+    ``source`` is an iterable of graph6 lines, or an order n: the connected
+    graphs of order n in the order of ``generate_connected(n)``, which a
+    scan of the lines of ``subtrees generate n`` matches record for record.
     ``limit`` stops after that many graphs (used to simulate interruption);
     the checkpoint makes the next call resume.  Without a checkpoint path
     the scan always starts fresh and the output file is rewritten.
@@ -219,34 +317,28 @@ def scan(
     elif state.consumed > 0 and not os.path.exists(out_path):
         raise ScanError(f"checkpoint expects existing output at {out_path}")
 
-    # normalise, validate and skip the consumed prefix; a serial scan keeps
-    # the decoded graphs to run, pool workers are sent the text
-    texts: list[str] = []
-    graphs: list[Graph] | None = [] if jobs <= 1 else None
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            g = from_graph6(text)
-        except ValueError as exc:
-            raise ScanError(f"malformed graph6 at line {lineno}: {exc}") from exc
-        if not g.is_connected():
-            raise ScanError(f"disconnected graph at line {lineno}: checks need connected graphs")
-        texts.append(text)
-        if graphs is not None:
-            graphs.append(g)
-    if not fresh:
-        taken, sha256 = state.fingerprint or (state.consumed, None)
-        if _prefix_digest(texts, taken).hexdigest() != sha256:
-            raise ScanError(
-                f"checkpoint {checkpoint_path} does not match this input: its fingerprint "
-                f"of the first {taken} graphs differs or is missing"
-            )
-    digest = _prefix_digest(texts, state.consumed) if checkpoint_path else None
-    todo = texts[state.consumed :]
-    if limit is not None:
-        todo = todo[: max(0, limit - state.consumed)]
+    if isinstance(source, int):
+        expand, units = _universe_units(source)
+    else:  # every line is validated before anything is written
+        expand, units = _one_line, _read_lines(source)
+
+    # find where the consumed graphs end, hashing their texts
+    digest, start, skip = None, 0, 0
+    if checkpoint_path:
+        digest, start, skip = _prefix(expand, units, state.consumed)
+        if not fresh:
+            taken, sha256 = state.fingerprint or (state.consumed, None)
+            seen = digest if taken == state.consumed else _prefix(expand, units, taken)[0]
+            if seen.hexdigest() != sha256:
+                raise ScanError(
+                    f"checkpoint {checkpoint_path} does not match this input: its fingerprint "
+                    f"of the first {taken} graphs differs or is missing"
+                )
+    budget = None if limit is None else max(0, limit - state.consumed)
+    # every unit holds at least one graph, so `budget` units are enough
+    todo = units[start:] if budget is None else units[start : start + budget]
+    names = tuple(checks)
+    tasks = ((expand, item, skip if i == 0 else 0, names) for i, item in enumerate(todo))
 
     mode = "r+b" if (not fresh and os.path.exists(out_path)) else "wb"
     with open(out_path, mode) as out:
@@ -254,10 +346,10 @@ def scan(
             out.truncate(state.output_bytes)
             out.seek(state.output_bytes)
 
-        def handle(text: str, verdicts: list[CheckVerdict]) -> None:
-            for verdict in verdicts:
-                out.write(verdict_jsonl(verdict).encode() + b"\n")
-                state.record(verdict)
+        def handle(text: str, records: bytes, marks: list[tuple]) -> None:
+            out.write(records)
+            for mark in marks:
+                state.record(*mark)
             state.consumed += 1
             if checkpoint_path:
                 digest.update(text.encode() + b"\n")
@@ -267,19 +359,16 @@ def scan(
                     state.fingerprint = (state.consumed, digest.hexdigest())
                     save_state(state, checkpoint_path)
 
-        names = tuple(checks)
+        def consume(results: Iterable[list]) -> None:
+            for graph in islice(chain.from_iterable(results), budget):
+                handle(*graph)
+
         if jobs > 1 and len(todo) > 1:
             with multiprocessing.Pool(jobs) as pool:
-                verdict_lists = pool.imap(
-                    _run_checks_by_name, ((t, names) for t in todo), chunksize=8
-                )
-                for text, verdicts in zip(todo, verdict_lists):
-                    handle(text, verdicts)
+                consume(pool.imap(_check_unit, tasks, chunksize=8))
         else:
             memo: dict = {}
-            decoded = graphs[state.consumed :] if graphs is not None else map(from_graph6, todo)
-            for text, g in zip(todo, decoded):
-                handle(text, _run_checks(g, names, memo))
+            consume(_check_unit(task, memo) for task in tasks)
         out.flush()
         state.output_bytes = out.tell()
     if checkpoint_path:

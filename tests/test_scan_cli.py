@@ -1,6 +1,8 @@
 """Streaming scans, checkpoint resume determinism, CLI surface."""
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -12,7 +14,11 @@ from pathlib import Path
 import pytest
 
 from subtrees import generate_connected, to_graph6
-from subtrees.scan import ScanError, load_state, scan
+from subtrees.canon import _children
+from subtrees.cli import main as cli_main
+from subtrees.scan import ScanError, ScanState, load_state, save_state, scan
+
+scan_module = sys.modules["subtrees.scan"]
 
 
 def universe_lines(n: int) -> list[str]:
@@ -93,8 +99,6 @@ def test_scan_resume_after_unsynced_tail(tmp_path):
     # simulate a crash where the state file lags behind the output
     state.consumed = 10
     state.output_bytes = min(state.output_bytes, _offset_of_line(out, 10))
-    from subtrees.scan import save_state
-
     save_state(state, str(ckpt))
     resumed = scan(lines, checks, str(out), checkpoint_path=str(ckpt))
     assert resumed.tallies_json() != ""
@@ -181,6 +185,129 @@ def test_scan_parallel_matches_serial(tmp_path):
     parallel = scan(lines, ["min-path", "ratio-chain"], str(parallel_out), jobs=2)
     assert serial.tallies_json() == parallel.tallies_json()
     assert read_jsonl_no_runtime(serial_out) == read_jsonl_no_runtime(parallel_out)
+
+
+def test_scan_state_records_fails_and_findings_as_violations():
+    state = ScanState(checks=["a", "b"])
+    state.record("a", "Bw", "holds", False)
+    state.record("a", "Bg", "fails", False)
+    state.record("b", "Bw", "report-only", True)
+    state.record("b", "Bg", "report-only", False)
+    assert state.tallies == {
+        "a": {"holds": 1, "fails": 1, "report-only": 0},
+        "b": {"holds": 0, "fails": 0, "report-only": 2},
+    }
+    assert state.violations == [
+        {"check": "a", "graph": "Bg", "status": "fails"},
+        {"check": "b", "graph": "Bw", "status": "report-only"},
+    ]
+
+
+# -- scanning the built-in universe: one unit of work per order n-1 parent ----------
+
+
+def children_per_parent(n: int) -> list[int]:
+    return [len(_children(p)) for p in generate_connected(n - 1)]
+
+
+def cli_scan(capsys, *args: str) -> tuple[int, str]:
+    """Exit code and stderr of the command line run in this process."""
+    code = cli_main(["scan", *args])
+    return code, capsys.readouterr().err
+
+
+@functools.cache
+def generated_lines(n: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["generate", str(n)]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_scan_n_equals_a_scan_of_generate_n(tmp_path, capsys, n, jobs):
+    # order 1 has no parent and order 2 a one-vertex parent
+    checks = "all" if n <= 6 else "min-path,ratio-chain,edge-deletion-exists"
+    lines = tmp_path / "universe.g6"
+    lines.write_text(generated_lines(n))
+    by_lines, by_n = tmp_path / "lines.jsonl", tmp_path / "n.jsonl"
+    code, line_tallies = cli_scan(capsys, str(lines), "--checks", checks, "--jobs", "1", "--output", str(by_lines))
+    assert code == 0, line_tallies
+    code, n_tallies = cli_scan(capsys, "--n", str(n), "--checks", checks, "--jobs", jobs, "--output", str(by_n))
+    assert code == 0, n_tallies
+    assert n_tallies == line_tallies
+    assert json.loads(n_tallies)["consumed"] == len(generated_lines(n).splitlines())
+    assert read_jsonl_no_runtime(by_n) == read_jsonl_no_runtime(by_lines)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_n_resumes_inside_a_parent(tmp_path, monkeypatch, jobs):
+    checks = ["min-path", "max-clique", "edge-addition-exists"]
+    single_out = tmp_path / "single.jsonl"
+    single = scan(6, checks, str(single_out), jobs=jobs)
+    assert single.consumed == 112
+
+    # stop strictly inside the children of the first parent with three or more
+    sizes = children_per_parent(6)
+    first = next(i for i, size in enumerate(sizes) if size >= 3)
+    limit = sum(sizes[:first]) + 1
+    out, ckpt = tmp_path / "part.jsonl", tmp_path / "part.json"
+    kwargs = {"checkpoint_path": str(ckpt), "checkpoint_every": 4, "jobs": jobs}
+    scan(6, checks, str(out), limit=limit, **kwargs)
+    saved = ckpt.read_text()
+    assert load_state(str(ckpt)).consumed == limit
+
+    # a resumed scan runs no check on a graph it has already consumed
+    checked = []
+    run_checks = scan_module._run_checks
+
+    def counting(g, names, memo):
+        checked.append(g.n)
+        return run_checks(g, names, memo)
+
+    monkeypatch.setattr(scan_module, "_run_checks", counting)
+    for _ in range(2):
+        checked.clear()
+        resumed = scan(6, checks, str(out), **kwargs)
+        if jobs == 1:  # forked workers count in their own copy of the list
+            assert len(checked) == 112 - limit
+        assert resumed.tallies_json() == single.tallies_json()
+        assert read_jsonl_no_runtime(out) == read_jsonl_no_runtime(single_out)
+        # again from the interrupted checkpoint: the output past it is replayed
+        ckpt.write_text(saved)
+
+
+@pytest.mark.parametrize("first_input", ["lines", "n"])
+def test_line_and_universe_checkpoints_are_interchangeable(tmp_path, capsys, first_input):
+    # both inputs take the same graph6 lines, so they fingerprint alike
+    lines = tmp_path / "universe.g6"
+    lines.write_text(generated_lines(6))
+    inputs = {"lines": [str(lines)], "n": ["--n", "6"]}
+    second_input = "n" if first_input == "lines" else "lines"
+    out, ckpt = tmp_path / "out.jsonl", tmp_path / "ck.json"
+    args = ["--checks", "min-path,max-clique", "--jobs", "2", "--output", str(out),
+            "--checkpoint", str(ckpt), "--checkpoint-every", "5"]
+    code, err = cli_scan(capsys, *inputs[first_input], *args, "--limit", "41")
+    assert code == 0, err
+    code, resumed = cli_scan(capsys, *inputs[second_input], *args)
+    assert code == 0, resumed
+    single = tmp_path / "single.jsonl"
+    code, tallies = cli_scan(capsys, "--n", "6", "--checks", "min-path,max-clique", "--output", str(single))
+    assert resumed == tallies
+    assert read_jsonl_no_runtime(out) == read_jsonl_no_runtime(single)
+
+
+def test_universe_checkpoint_is_refused_by_another_order(tmp_path, capsys):
+    out, ckpt = tmp_path / "out.jsonl", tmp_path / "ck.json"
+    args = ["--checks", "min-path", "--jobs", "1", "--output", str(out), "--checkpoint", str(ckpt)]
+    code, err = cli_scan(capsys, "--n", "6", *args, "--limit", "30")
+    assert code == 0, err
+    partial, saved = out.read_bytes(), ckpt.read_text()
+    code, err = cli_scan(capsys, "--n", "7", *args)
+    assert code == 3
+    assert "does not match this input" in err
+    assert out.read_bytes() == partial and ckpt.read_text() == saved
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -401,6 +528,8 @@ def test_cli_repro_exit_codes():
 def test_cli_usage_errors():
     assert run_cli().returncode == 2
     assert run_cli("scan").returncode == 2  # missing --checks
+    for n in ("0", "9"):  # outside the built-in universes
+        assert run_cli("scan", "--n", n, "--checks", "min-path").returncode == 2
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
