@@ -2,7 +2,8 @@
 """Exhaustive verification over every small connected graph.
 
 The generator produces one representative per isomorphism class (built by
-vertex augmentation with canonical-certificate deduplication), and the
+canonical augmentation: each class once, from the graph left by deleting
+its canonical vertex), and the
 check battery runs over the stream.  A JSONL line lands per (graph, check)
 and the tallies are checkpointed, so long scans survive interruptions.
 """

@@ -13,11 +13,9 @@ non-edges or matchings for the checks.  The same search started from the
 partition (V - x, {x}) gives the rooted code of a vertex x: equal for two
 vertices exactly when an automorphism maps one to the other.
 
-Connected graphs are generated by canonical augmentation: each class of
-order n is built once, from the one order n-1 class left by deleting its
-canonical vertex, so no certificate store spans parents.  Trees are still
-generated by adding a leaf to every tree of order n-1 and deduplicating
-the results by certificate.
+Connected graphs and trees are generated by canonical augmentation: each
+class of order n is built once, from the one order n-1 class left by
+deleting its canonical vertex, so no certificate store spans parents.
 """
 
 from __future__ import annotations
@@ -246,25 +244,6 @@ _connected_cache: dict[int, list[Graph]] = {}
 _tree_cache: dict[int, list[Graph]] = {}
 
 
-def _augment(parents: list[Graph], n: int, masks: Iterator[int]) -> list[Graph]:
-    seen: dict[bytes, Graph] = {}
-    mask_list = list(masks)
-    for parent in parents:
-        rows = parent.rows
-        for mask in mask_list:
-            new_rows = list(rows) + [mask]
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                new_rows[b.bit_length() - 1] |= 1 << (n - 1)
-            child = Graph(n, tuple(new_rows))
-            cert = canonical_form(child)
-            if cert not in seen:
-                seen[cert] = child
-    return list(seen.values())
-
-
 def _rooted_code(rows: tuple[int, ...], n: int, x: int) -> int:
     """The leaf code of the graph searched from the partition (V - x, {x}).
 
@@ -293,7 +272,9 @@ def _is_canonical(g: Graph) -> bool:
     non-cut vertices: those of the largest :func:`_rank`, and among them
     those of the smallest :func:`_rooted_code`.  The choice is
     isomorphism-invariant, so g - v for a canonical v is the same class
-    however g is labelled.
+    however g is labelled.  Deleting a non-cut vertex keeps g connected;
+    in a tree of order >= 2 the non-cut vertices are the leaves, so the
+    canonical vertex of a tree is a leaf and g - v is again a tree.
     """
     n, rows = g.n, g.rows
     v = n - 1
@@ -314,8 +295,14 @@ def _is_canonical(g: Graph) -> bool:
     return all(_rooted_code(rows, n, x) >= code for x in tied)
 
 
-def _children(parent: Graph) -> list[Graph]:
+def _children(parent: Graph, leaves: bool = False) -> list[Graph]:
     """The one-vertex extensions of ``parent`` whose new vertex is canonical.
+
+    The new vertex joins any non-empty set of parent vertices, which keeps
+    the child connected, or with ``leaves`` a single vertex, which keeps a
+    tree a tree.  Every tree of order n >= 2 arises this way from exactly
+    one tree of order n-1: its canonical vertex is a leaf (see
+    :func:`_is_canonical`), and deleting a leaf leaves a tree.
 
     One attachment mask per orbit under the automorphisms :func:`certify`
     finds, ascending.  Those may generate only part of Aut(parent), so two
@@ -325,7 +312,7 @@ def _children(parent: Graph) -> list[Graph]:
     n = parent.n + 1
     v = n - 1
     _, gens = certify(parent)
-    masks = range(1, 1 << v)  # a non-empty attachment keeps the child connected
+    masks = [1 << u for u in range(v)] if leaves else range(1, 1 << v)
     tried: set[int] = set()
     kept: list[Graph] = []
     by_ranks: dict[tuple, list[Graph]] = {}
@@ -349,6 +336,17 @@ def _children(parent: Graph) -> list[Graph]:
     return kept
 
 
+def _generate(n: int, cache: dict[int, list[Graph]], leaves: bool) -> list[Graph]:
+    """The children (:func:`_children`) of every order n-1 class in turn,
+    memoised per order in ``cache``."""
+    if n not in cache:
+        if n == 1:
+            cache[1] = [Graph(1, (0,))]
+        else:
+            cache[n] = [c for p in _generate(n - 1, cache, leaves) for c in _children(p, leaves)]
+    return cache[n]
+
+
 def generate_connected(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs of order n.
 
@@ -363,22 +361,15 @@ def generate_connected(n: int) -> Iterator[Graph]:
     """
     if not 1 <= n <= MAX_GENERATE:
         raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
-    if n not in _connected_cache:
-        if n == 1:
-            _connected_cache[1] = [Graph(1, (0,))]
-        else:
-            _connected_cache[n] = [c for p in generate_connected(n - 1) for c in _children(p)]
-    yield from _connected_cache[n]
+    yield from _generate(n, _connected_cache, False)
 
 
 def generate_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees of order n (n <= 16)."""
+    """One representative per isomorphism class of trees of order n (n <= 16).
+
+    The same canonical augmentation as :func:`generate_connected`, with
+    the new vertex attached as a leaf.
+    """
     if not 1 <= n <= 16:
         raise ValueError("tree generation supports 1 <= n <= 16")
-    if n not in _tree_cache:
-        if n == 1:
-            _tree_cache[1] = [Graph(1, (0,))]
-        else:
-            parents = list(generate_trees(n - 1))
-            _tree_cache[n] = _augment(parents, n, (1 << v for v in range(n - 1)))
-    yield from _tree_cache[n]
+    yield from _generate(n, _tree_cache, True)

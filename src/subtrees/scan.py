@@ -14,7 +14,8 @@ Input is validated before anything is written: a malformed graph6 line
 or a disconnected graph raises :class:`ScanError` naming the line.
 
 Work is done in units.  A unit of line input is one validated line, sent
-to a worker as its text and decoded graph.  A unit of a built-in universe
+to a worker as its text, which the worker decodes: the scan process holds
+only the texts of the lines it validated.  A unit of a built-in universe
 (``scan(n, ...)``, ``subtrees scan --n N``) is one order n-1 parent from
 ``generate_connected(n - 1)``: its worker generates the parent's children
 (``canon._children``) and checks them, so the universe is never held
@@ -189,9 +190,9 @@ def _run_checks(g: Graph, names: tuple[str, ...], memo: dict) -> list[CheckVerdi
 Expand = Callable[..., list[tuple[str, Graph]]]
 
 
-def _one_line(line: tuple[str, Graph]) -> list[tuple[str, Graph]]:
-    """A validated input line, (text, graph), is a unit of one graph."""
-    return [line]
+def _one_line(text: str) -> list[tuple[str, Graph]]:
+    """A validated input line is a unit of one graph, decoded here."""
+    return [(text, from_graph6(text))]
 
 
 def _children_of(parent: Graph) -> list[tuple[str, Graph]]:
@@ -199,10 +200,11 @@ def _children_of(parent: Graph) -> list[tuple[str, Graph]]:
     return [(to_graph6(child), child) for child in _children(parent)]
 
 
-def _read_lines(lines: Iterable[str]) -> list[tuple[str, Graph]]:
-    """Every non-blank line, stripped, with its graph; raises
-    :class:`ScanError` naming the first malformed or disconnected line."""
-    units = []
+def _read_lines(lines: Iterable[str]) -> list[str]:
+    """Every non-blank line, stripped; raises :class:`ScanError` naming
+    the first malformed or disconnected line.  Graphs are decoded to be
+    validated, then dropped: a unit decodes its line again."""
+    texts = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -213,8 +215,8 @@ def _read_lines(lines: Iterable[str]) -> list[tuple[str, Graph]]:
             raise ScanError(f"malformed graph6 at line {lineno}: {exc}") from exc
         if not g.is_connected():
             raise ScanError(f"disconnected graph at line {lineno}: checks need connected graphs")
-        units.append((text, g))
-    return units
+        texts.append(text)
+    return texts
 
 
 def _universe_units(n: int) -> tuple[Expand, list]:
@@ -227,7 +229,7 @@ def _universe_units(n: int) -> tuple[Expand, list]:
     if not 1 <= n <= MAX_GENERATE:
         raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
     if n == 1:
-        return _one_line, [(to_graph6(g), g) for g in generate_connected(1)]
+        return _one_line, [to_graph6(g) for g in generate_connected(1)]
     return _children_of, list(generate_connected(n - 1))
 
 

@@ -11,10 +11,11 @@ block DP behind ``census`` and ``census_containing``.
 ``_kappa_contracted`` is the contracted-quotient oracle of the grounded
 determinant: it builds the Laplacian of G[S] with one connected piece
 merged to one vertex as a matrix of its own, grounded at that vertex.
-``connected_by_dedupe`` generates the connected universe the way the
-package once did, deduplicating every one-vertex extension by certificate
-in one dict: the oracle of the canonical augmentation behind
-``generate_connected``.
+``connected_by_dedupe`` generates the connected universe, or with
+``leaves`` the tree universe, the way the package once did, deduplicating
+every one-vertex extension by certificate in one dict: the oracle of the
+canonical augmentation behind ``generate_connected`` and
+``generate_trees``.
 """
 
 from itertools import combinations, permutations
@@ -111,15 +112,16 @@ def census_by_subtree_enumeration(g: Graph) -> SubtreeCensus:
     )
 
 
-def connected_by_dedupe(n: int) -> list[Graph]:
-    """One graph per class of connected graphs of order n: every one-vertex
-    extension of every class of order n - 1, deduplicated by certificate."""
+def connected_by_dedupe(n: int, leaves: bool = False) -> list[Graph]:
+    """One graph per class of connected graphs of order n, or of trees with
+    ``leaves``: every one-vertex extension (every leaf attachment) of every
+    class of order n - 1, deduplicated by certificate."""
     graphs = [Graph(1, (0,))]
     for k in range(2, n + 1):
         v = k - 1
         seen: dict[bytes, Graph] = {}
         for parent in graphs:
-            for mask in range(1, 1 << v):
+            for mask in [1 << u for u in range(v)] if leaves else range(1, 1 << v):
                 rows = [r | 1 << v if mask >> u & 1 else r for u, r in enumerate(parent.rows)]
                 child = Graph(k, tuple(rows) + (mask,))
                 seen.setdefault(canonical_form(child), child)

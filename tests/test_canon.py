@@ -1,5 +1,6 @@
 """Canonical certificates and exhaustive generation."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -24,6 +25,7 @@ from subtrees import (
     star_graph,
 )
 import subtrees.canon as canon
+from subtrees.cli import main as cli_main
 from subtrees.canon import _orbit_reps, _rooted_code, certify
 from conftest import automorphisms, connected_by_dedupe, random_graph
 
@@ -278,6 +280,22 @@ def test_generate_connected_dedupes_masks_of_one_orbit(monkeypatch):
         assert _certificates(generate_connected(n)) == _certificates(connected_by_dedupe(n)), n
 
 
+def test_generate_trees_dedupes_masks_of_one_orbit(monkeypatch):
+    # the same for leaf attachments: every leaf is tried
+    monkeypatch.setattr(canon, "_tree_cache", {})
+    monkeypatch.setattr(canon, "certify", lambda g, certify=certify: (certify(g)[0], []))
+    for n in range(1, 11):
+        assert _certificates(generate_trees(n)) == _certificates(connected_by_dedupe(n, leaves=True)), n
+
+
+def test_generate_connected_fills_the_cache_the_benchmark_clears(monkeypatch):
+    # perfbench's universe-n8 workload empties `canon._connected_cache` by
+    # name before each round; a cache under another name would survive it
+    monkeypatch.setattr(canon, "_connected_cache", {})
+    list(generate_connected(5))
+    assert sorted(canon._connected_cache) == [1, 2, 3, 4, 5]
+
+
 def test_generate_connected_deterministic_order(monkeypatch):
     monkeypatch.setattr(canon, "_connected_cache", {})
     first = [canonical_form(g) for g in generate_connected(6)]
@@ -301,12 +319,26 @@ def test_cli_generate_ignores_hash_seed():
     assert len(outputs[0].splitlines()) == 853
 
 
+def test_cli_generate_7_prints_pinned_bytes(capsys):
+    # scan checkpoints fingerprint the lines of `generate N`: a change of
+    # generation order would invalidate them without an error
+    assert cli_main(["generate", "7"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "0f0d7ea0d3dfc0ffa340589b97da6730e02fab409324a6eb5b154042532ae7e4"
+    )
+
+
 def test_generate_connected_caps_at_8():
     with pytest.raises(ValueError):
         list(generate_connected(9))
 
 
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# Otter's counts of free trees (A000055)
+TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+    11: 235, 12: 551, 13: 1301, 14: 3159,
+}
 
 
 def test_generate_trees_counts():
@@ -314,6 +346,11 @@ def test_generate_trees_counts():
         trees = list(generate_trees(n))
         assert len(trees) == expect
         assert all(t.is_tree() for t in trees)
+
+
+def test_generate_trees_matches_dedupe_oracle():
+    for n in range(1, 13):
+        assert _certificates(generate_trees(n)) == _certificates(connected_by_dedupe(n, leaves=True)), n
 
 
 def test_symmetric_family_certificates():
