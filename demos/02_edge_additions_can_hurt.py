@@ -7,7 +7,7 @@ and *every* maximal matching of the complement lowers it when added as a
 whole.  Both facts are recomputed here from scratch with exact arithmetic.
 """
 
-from subtrees import barbell, census, check_matchings, classify_edge_additions
+from subtrees import barbell, census, classify_edge_additions, run_checks
 
 g = barbell(14, 6)
 base = census(g).mean
@@ -25,7 +25,7 @@ positive = report.positive_classes
 print(f"\nclasses that raise the mean: {len(positive)} out of {len(report.classes)}")
 
 print("\nnow add whole maximal matchings of the complement:")
-verdict = check_matchings(g)
+(verdict,) = run_checks(g, ["matchings"])
 w = verdict.witness
 print(
     f"  {w['matchings']} maximal matchings collapse into {w['orbits']} symmetry orbits;"

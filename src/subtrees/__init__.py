@@ -67,20 +67,10 @@ from .harness import (
     CheckContext,
     CheckVerdict,
     EdgeAdditionReport,
-    check_contraction,
-    check_edge_addition_exists,
-    check_edge_deletion_exists,
-    check_local_global,
-    check_local_mean_bound,
-    check_matchings,
-    check_max_clique,
-    check_min_path,
     check_monotonicity_reversal,
-    check_mu_vs_av,
-    check_ratio_chain,
     check_transitive_inequalities,
-    check_vertex_share_bound,
     classify_edge_additions,
+    run_checks,
 )
 from .repro import REPROS
 from .scan import ScanError, ScanState, scan

@@ -1,7 +1,10 @@
 """The conjecture-check battery.
 
-Every check is a pure function of its input graph and returns a
-:class:`CheckVerdict`.  Status semantics:
+Every check in :data:`CHECKS` is a function of one :class:`CheckContext`
+(a connected graph and what its checks share) that returns
+``(status, witness, mean)``.  :func:`run_checks` runs checks of one graph
+in one context, and :meth:`CheckContext.run` times each and makes the
+:class:`CheckVerdict` named by its ``CHECKS`` key.  Status semantics:
 
 * ``holds``  - the checked statement is true on this graph;
 * ``fails``  - a *proven* statement is violated, which signals an
@@ -13,15 +16,13 @@ All inequality verdicts are decided by exact integer cross-multiplication
 or exact rationals; floating point appears only in human-facing report
 fields.
 
-Every check takes an optional :class:`CheckContext`.  Checks of one graph
-that share a context share its base census, certificate with the
+Checks that share a context share its base census, certificate with the
 automorphisms found beside it, and local census (every edge and cherry
-anchored census); without one, each check builds a fresh context.  A
-context made for the checks in :data:`LOCAL_CHECKS` reads its base census
-off the local census: one block DP gives both.  The checks
-that compare g with its neighbours (g-e, g+e, g/e, g+matching)
-price one neighbour per automorphism orbit through
-:meth:`CheckContext.neighbour_means`.
+anchored census).  When the checks include one of :data:`LOCAL_CHECKS`,
+:func:`run_checks` has the context read its base census off the local
+census: one block DP gives both.  The checks that compare g with its
+neighbours (g-e, g+e, g/e, g+matching) price one neighbour per
+automorphism orbit through :meth:`CheckContext.neighbour_means`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .canon import MAX_CANON, _orbit_reps, canonical_form, certify
 from .census import (
@@ -80,9 +82,14 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class CheckContext:
-    """What the checks of one graph share.
+# What a check returns: its status, witness and the mean it reports (or None)
+Outcome = tuple[str, dict, Fraction | None]
 
+
+class CheckContext:
+    """What the checks of one connected graph share.
+
+    Building a context for a disconnected graph raises ``ValueError``.
     The graph6 id, the base census, the canonical certificate with the
     automorphisms its search found, and the local census (every edge and
     cherry anchored census) are built on first use and at most once.
@@ -99,28 +106,22 @@ class CheckContext:
     def __init__(
         self, g: Graph, memo: dict[bytes, Fraction] | None = None, *, local: bool = False
     ):
+        if not g.is_connected():
+            raise ValueError("check requires a connected graph")
         self.g = g
         self.memo = {} if memo is None else memo
         self.local = local
-        self.connected = g.is_connected()
-        self.started = time.perf_counter()
         self._graph_id: str | None = None
         self._census: SubtreeCensus | None = None
         self._certified: tuple[bytes, list[tuple[int, ...]]] | None = None
         self._local: LocalCensus | None = None
 
-    def start(self) -> CheckContext:
-        """Begin a check on this graph: require connectivity, reset the clock."""
-        if not self.connected:
-            raise ValueError("check requires a connected graph")
-        self.started = time.perf_counter()
-        return self
-
-    def verdict(
-        self, check: str, status: str, witness: dict, mean: Fraction | None = None
-    ) -> CheckVerdict:
-        elapsed_ms = round((time.perf_counter() - self.started) * 1000, 3)
-        return CheckVerdict(check, self.graph_id, status, witness, mean, elapsed_ms)
+    def run(self, name: str, check: Callable[[CheckContext], Outcome]) -> CheckVerdict:
+        """The verdict of ``check`` on this graph, named ``name`` and timed."""
+        started = time.perf_counter()
+        status, witness, mean = check(self)
+        runtime_ms = round((time.perf_counter() - started) * 1000, 3)
+        return CheckVerdict(name, self.graph_id, status, witness, mean, runtime_ms)
 
     @property
     def graph_id(self) -> str:
@@ -195,15 +196,6 @@ class CheckContext:
             yield item, means[root], new
 
 
-def _start(g: Graph, ctx: CheckContext | None) -> CheckContext:
-    """The context a check runs in: ``ctx`` restarted, or a fresh one for ``g``."""
-    if ctx is None:
-        ctx = CheckContext(g)
-    elif ctx.g != g:
-        raise ValueError("the check context belongs to another graph")
-    return ctx.start()
-
-
 # Exact structural tests, given connectivity: a connected graph is a path
 # iff it has n-1 edges and no degree above 2, a star iff it has n-1 edges
 # and a vertex of degree n-1, and a clique iff it has n(n-1)/2 edges.
@@ -221,9 +213,9 @@ def _is_clique(g: Graph) -> bool:
     return g.edge_count == g.n * (g.n - 1) // 2
 
 
-def check_min_path(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_min_path(ctx: CheckContext) -> Outcome:
     """Mean subtree order is at least (n+2)/3, tight exactly on paths."""
-    ctx = _start(g, ctx)
+    g = ctx.g
     n = g.n
     mu = ctx.mean
     bound = Fraction(n + 2, 3)
@@ -236,12 +228,12 @@ def check_min_path(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict
     else:
         witness["equality"] = False
         status = HOLDS
-    return ctx.verdict("min-path", status, witness, mu)
+    return status, witness, mu
 
 
-def check_max_clique(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_max_clique(ctx: CheckContext) -> Outcome:
     """Mean subtree order is at most that of the clique of the same order."""
-    ctx = _start(g, ctx)
+    g = ctx.g
     n = g.n
     mu = ctx.mean
     # cross-multiplied against the closed-form clique totals
@@ -257,49 +249,49 @@ def check_max_clique(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdi
         status = HOLDS if _is_clique(g) else FAILS
     else:
         status = HOLDS
-    return ctx.verdict("max-clique", status, witness, mu)
+    return status, witness, mu
 
 
-def check_edge_deletion_exists(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_edge_deletion_exists(ctx: CheckContext) -> Outcome:
     """Some connectivity-preserving deletion lowers the mean (open)."""
-    ctx = _start(g, ctx)
+    g = ctx.g
     if g.is_tree():
-        return ctx.verdict("edge-deletion-exists", REPORT, {"vacuous": "tree"})
+        return REPORT, {"vacuous": "tree"}, None
     mu = ctx.mean
     edges = [e for e in g.edges() if not g.is_bridge(*e)]
     for (u, v), mu2, _ in ctx.neighbour_means(edges, lambda e: g.delete_edge(*e)):
         if mu2 < mu:
             witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
-            return ctx.verdict("edge-deletion-exists", HOLDS, witness, mu)
+            return HOLDS, witness, mu
     witness = {"found": False, "finding": True}
-    return ctx.verdict("edge-deletion-exists", REPORT, witness, mu)
+    return REPORT, witness, mu
 
 
-def check_edge_addition_exists(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_edge_addition_exists(ctx: CheckContext) -> Outcome:
     """Some edge addition raises the mean (open)."""
-    ctx = _start(g, ctx)
+    g = ctx.g
     n = g.n
     if _is_clique(g):
-        return ctx.verdict("edge-addition-exists", REPORT, {"vacuous": "complete"})
+        return REPORT, {"vacuous": "complete"}, None
     mu = ctx.mean
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
     for (u, v), mu2, _ in ctx.neighbour_means(non_edges, lambda e: g.add_edge(*e)):
         if mu2 > mu:
             witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
-            return ctx.verdict("edge-addition-exists", HOLDS, witness, mu)
+            return HOLDS, witness, mu
     witness = {"found": False, "finding": True}
-    return ctx.verdict("edge-addition-exists", REPORT, witness, mu)
+    return REPORT, witness, mu
 
 
-def check_contraction(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_contraction(ctx: CheckContext) -> Outcome:
     """Every contraction lowers the mean by at least 1/3 (proven on trees).
 
     Contraction is simple-graph contraction (parallel edges merged); the
     verdict records that choice.  Equality is expected exactly on paths.
     """
-    ctx = _start(g, ctx)
+    g = ctx.g
     if g.n < 2:
-        return ctx.verdict("contraction-gap", REPORT, {"vacuous": "n < 2"})
+        return REPORT, {"vacuous": "n < 2"}, None
     mu = ctx.mean
     third = Fraction(1, 3)
     min_gap = None
@@ -333,18 +325,18 @@ def check_contraction(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerd
         status = FAILS if is_tree else REPORT
     else:
         status = HOLDS
-    return ctx.verdict("contraction-gap", status, witness, mu)
+    return status, witness, mu
 
 
-def check_local_global(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_local_global(ctx: CheckContext) -> Outcome:
     """Some vertex and some edge have local mean above the global mean.
 
     Also reports the non-monotone data: vertices v with mean-at-v <= mean,
     and for those vertices the incident edges e with mean-at-e <= mean-at-v.
     """
-    ctx = _start(g, ctx)
+    g = ctx.g
     if g.n < 2:
-        return ctx.verdict("local-global", REPORT, {"vacuous": "n < 2"})
+        return REPORT, {"vacuous": "n < 2"}, None
     c = ctx.census
     mu = c.mean
     vertex_means = [c.mean_at_vertex(v) for v in range(g.n)]
@@ -366,10 +358,10 @@ def check_local_global(g: Graph, *, ctx: CheckContext | None = None) -> CheckVer
         "non_monotone_vertices": low_vertices,
     }
     status = HOLDS if exists_vertex and exists_edge else FAILS
-    return ctx.verdict("local-global", status, witness, mu)
+    return status, witness, mu
 
 
-def check_ratio_chain(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_ratio_chain(ctx: CheckContext) -> Outcome:
     """The clique-ratio battery on subtree counts, all cross-multiplied.
 
     (a) near-spanning ratio s_{n-1} s_n(clique) >= s_{n-1}(clique) s_n;
@@ -378,7 +370,7 @@ def check_ratio_chain(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerd
     (d) spanning fraction at least the star's, equality only for stars;
     (e) mean at most the clique's.
     """
-    ctx = _start(g, ctx)
+    g = ctx.g
     n = g.n
     c = ctx.census
     mu = c.mean
@@ -417,16 +409,16 @@ def check_ratio_chain(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerd
         # settled only up to the exhaustively verified order
         proven_broken = not results["spanning_ge_star"]
         status = FAILS if (proven_broken or n <= VERIFIED_EXHAUSTIVE_ORDER) else REPORT
-    return ctx.verdict("ratio-chain", status, witness, mu)
+    return status, witness, mu
 
 
-def check_mu_vs_av(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_mu_vs_av(ctx: CheckContext) -> Outcome:
     """Mean subtree order versus mean connected-set size (open question).
 
     Report-only: records the exact sign.  Equality is proven on trees, so a
     tree with unequal values fails.
     """
-    ctx = _start(g, ctx)
+    g = ctx.g
     mu = ctx.mean
     av = average_connected_set_size(g)
     sign = (mu > av) - (mu < av)
@@ -438,11 +430,11 @@ def check_mu_vs_av(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict
         status = REPORT
         if sign < 0:
             witness["finding"] = True
-    return ctx.verdict("mean-vs-average", status, witness, mu)
+    return status, witness, mu
 
 
-def _small_subtree_totals(ctx: CheckContext, max_order: int):
-    """(vertices, count, order sum) of each subtree of order <= max_order.
+def _small_subtree_totals(ctx: CheckContext):
+    """(vertices, count, order sum) of each subtree of order <= 3.
 
     Vertices come first, then edges in ``Graph.edges()`` order, then
     cherries by middle vertex; the verdict's witness depends on this order.
@@ -450,25 +442,18 @@ def _small_subtree_totals(ctx: CheckContext, max_order: int):
     c = ctx.census
     for v in range(ctx.g.n):
         yield (v,), c.vertex_counts[v], c.vertex_order_sums[v]
-    if max_order >= 2:
-        for edge, (nc, rc) in ctx.local_census.edges.items():
-            yield edge, nc, rc
-    if max_order >= 3:
-        for cherry, (nc, rc) in ctx.local_census.cherries.items():
-            yield cherry, nc, rc
+    for edge, (nc, rc) in ctx.local_census.edges.items():
+        yield edge, nc, rc
+    for cherry, (nc, rc) in ctx.local_census.cherries.items():
+        yield cherry, nc, rc
 
 
-def check_local_mean_bound(
-    g: Graph, max_order: int = 3, *, ctx: CheckContext | None = None
-) -> CheckVerdict:
-    """Local mean at any small subtree is at least (n + |T|)/2 (proven)."""
-    if not 1 <= max_order <= 3:
-        raise ValueError(f"max_order must be 1, 2 or 3, not {max_order}")
-    ctx = _start(g, ctx)
-    n = g.n
+def check_local_mean_bound(ctx: CheckContext) -> Outcome:
+    """Local mean at any subtree of order <= 3 is at least (n + |T|)/2 (proven)."""
+    n = ctx.g.n
     worst = None
     violated = None
-    for vertices, nc, rc in _small_subtree_totals(ctx, max_order):
+    for vertices, nc, rc in _small_subtree_totals(ctx):
         t = len(vertices)
         # mu(g, T) >= (n + t)/2  <=>  2 rc >= (n + t) nc
         slack = 2 * rc - (n + t) * nc
@@ -477,25 +462,25 @@ def check_local_mean_bound(
         if slack < 0:
             violated = sorted(vertices)
             break
-    witness = {"max_constraint_order": max_order, "min_slack": worst[0], "at": worst[1]}
+    witness = {"max_constraint_order": 3, "min_slack": worst[0], "at": worst[1]}
     if violated is not None:
         witness["violated_at"] = violated
         status = FAILS
     else:
         status = HOLDS
-    return ctx.verdict("local-mean-bound", status, witness)
+    return status, witness, None
 
 
-def check_vertex_share_bound(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_vertex_share_bound(ctx: CheckContext) -> Outcome:
     """Some non-cut vertex lies in at least a 2/(n+1) share of all subtrees.
 
     Proven, with equality exactly on paths (both ends of a path hit the
     bound; anything else has a strictly better vertex).
     """
-    ctx = _start(g, ctx)
+    g = ctx.g
     n = g.n
     if n < 3:
-        return ctx.verdict("vertex-share-bound", REPORT, {"vacuous": "n < 3"})
+        return REPORT, {"vacuous": "n < 3"}, None
     c = ctx.census
     best = None
     best_vertex = None
@@ -509,10 +494,10 @@ def check_vertex_share_bound(g: Graph, *, ctx: CheckContext | None = None) -> Ch
     witness = {"best_vertex": best_vertex, "margin": best, "is_path": is_path}
     ok = best is not None and best >= 0 and ((best == 0) == is_path)
     status = HOLDS if ok else FAILS
-    return ctx.verdict("vertex-share-bound", status, witness, c.mean)
+    return status, witness, c.mean
 
 
-def check_matchings(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_matchings(ctx: CheckContext) -> Outcome:
     """Sign of the mean change when a maximal complement matching is added.
 
     Every maximal matching of the complement is classified; the mean is
@@ -521,7 +506,7 @@ def check_matchings(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdic
     isomorphism class of the augmented graph through the context's memo.
     ``holds`` means every matching strictly lowers the mean.
     """
-    ctx = _start(g, ctx)
+    g = ctx.g
     mu = ctx.mean
     matchings = list(maximal_matchings_of_complement(g))
     tally = {-1: 0, 0: 0, 1: 0}
@@ -538,10 +523,10 @@ def check_matchings(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdic
     }
     all_negative = tally[-1] == len(matchings) and len(matchings) > 0
     status = HOLDS if all_negative else REPORT
-    return ctx.verdict("matchings", status, witness, mu)
+    return status, witness, mu
 
 
-def check_transitive_inequalities(g: Graph, *, ctx: CheckContext | None = None) -> CheckVerdict:
+def check_transitive_inequalities(g: Graph) -> CheckVerdict:
     """For vertex- and edge-transitive graphs: edge mean > vertex mean > mean.
 
     Verifies that all per-vertex and all per-edge local means agree (a
@@ -549,7 +534,11 @@ def check_transitive_inequalities(g: Graph, *, ctx: CheckContext | None = None) 
     chain, and the exact convex-combination identity tying the three means
     together through the order-weighted subtree counts.
     """
-    ctx = _start(g, ctx)
+    return CheckContext(g).run("transitive", _transitive_inequalities)
+
+
+def _transitive_inequalities(ctx: CheckContext) -> Outcome:
+    g = ctx.g
     if g.n < 2:
         raise ValueError("transitivity check needs n >= 2")
     c = ctx.census
@@ -574,7 +563,7 @@ def check_transitive_inequalities(g: Graph, *, ctx: CheckContext | None = None) 
         "convex_identity": identity,
     }
     status = HOLDS if chain and identity else FAILS
-    return ctx.verdict("transitive", status, witness, mu)
+    return status, witness, mu
 
 
 # -- reports beyond single verdicts -------------------------------------------
@@ -642,7 +631,7 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
     hub1, hub2 = w - 1, n - (d - 1) - w
     if k > hub2 - hub1:
         raise ValueError("k exceeds the broom path length")
-    ctx = CheckContext(g)
+    started = time.perf_counter()
     s_vertices = list(range(hub1, hub1 + k))
     s_edges = [(i, i + 1) for i in s_vertices[:-1]]
     bridge = list(range(n - (d - 1), n))
@@ -664,14 +653,11 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
         "mu_large": frac_str(mu_large),
     }
     status = HOLDS if mu_small > mu_large else REPORT
-    return ctx.verdict("monotonicity-reversal", status, witness)
+    runtime_ms = round((time.perf_counter() - started) * 1000, 3)
+    return CheckVerdict("monotonicity-reversal", to_graph6(g), status, witness, None, runtime_ms)
 
 
 # -- registry for scans ---------------------------------------------------------
-
-# The checks that read the local census; a scan running one of them takes
-# each graph's base census from it.
-LOCAL_CHECKS = frozenset({"local-global", "local-mean-bound"})
 
 CHECKS = {
     "min-path": check_min_path,
@@ -686,3 +672,23 @@ CHECKS = {
     "vertex-share-bound": check_vertex_share_bound,
     "matchings": check_matchings,
 }
+
+# The checks that read the local census; run_checks with one of them takes
+# the graph's base census from it.
+LOCAL_CHECKS = frozenset(
+    name for name, check in CHECKS.items() if check in (check_local_global, check_local_mean_bound)
+)
+
+
+def run_checks(
+    g: Graph, names: Sequence[str], memo: dict[bytes, Fraction] | None = None
+) -> list[CheckVerdict]:
+    """The verdicts of the checks ``names`` on g, in their order.
+
+    The checks share one :class:`CheckContext`, whose base census comes
+    from the local census when one of them is in :data:`LOCAL_CHECKS`;
+    ``memo`` is the context's certificate-to-mean memo.
+    """
+    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names))
+    # CHECKS is read at each call, so a caller may swap its entries
+    return [ctx.run(name, CHECKS[name]) for name in names]

@@ -25,12 +25,10 @@ from .families import (
 from .canon import generate_connected, generate_trees
 from .harness import (
     HOLDS,
-    check_contraction,
-    check_matchings,
-    check_ratio_chain,
     check_transitive_inequalities,
     classify_edge_additions,
     frac_str,
+    run_checks,
 )
 
 
@@ -58,7 +56,7 @@ def repro_barbell_additions() -> tuple[bool, list[str]]:
 def repro_barbell_matchings() -> tuple[bool, list[str]]:
     """Every maximal matching of the complement lowers the mean."""
     g = barbell(14, 6)
-    verdict = check_matchings(g)
+    (verdict,) = run_checks(g, ["matchings"])
     w = verdict.witness
     lines = [
         f"barbell(14,6): {w['matchings']} maximal complement matchings "
@@ -141,7 +139,7 @@ def repro_ratio_chain_n8() -> tuple[bool, list[str]]:
         total = 0
         for g in generate_connected(n):
             total += 1
-            if check_ratio_chain(g).status != HOLDS:
+            if run_checks(g, ["ratio-chain"])[0].status != HOLDS:
                 bad += 1
         ok = ok and bad == 0
         lines.append(f"order {n}: {total} graphs, violations: {bad}")
@@ -159,7 +157,7 @@ def repro_tree_contraction_n10() -> tuple[bool, list[str]]:
         total = 0
         for t in generate_trees(n):
             total += 1
-            verdict = check_contraction(t)
+            (verdict,) = run_checks(t, ["contraction-gap"])
             if verdict.status != HOLDS:
                 ok = False
             p, q = verdict.witness["min_gap"].split("/")

@@ -25,14 +25,16 @@ per graph its graph6 text, its records already encoded as JSONL bytes and
 the fields :meth:`ScanState.record` tallies; the scan process takes the
 units in order and only writes, tallies, hashes and saves checkpoints.
 With one job the same unit function runs in-process.  A resume first
-re-expands the consumed units without running a check, to verify the
-fingerprint and find the graph to continue from, which may lie inside a
-parent's children.
+hashes the texts of the consumed units without running a check (a line
+unit is its own text; a parent unit generates its children), to verify
+the fingerprint and find the graph to continue from, which may lie
+inside a parent's children.
 
-The checks of one graph run in one :class:`~subtrees.harness.CheckContext`,
-which computes the base census, certificate and anchored censuses at most
-once; when the checks include one of ``LOCAL_CHECKS``, the base census is
-read off the local census, so each graph is enumerated once.  A
+The checks of one graph run through :func:`~subtrees.harness.run_checks`,
+in one :class:`~subtrees.harness.CheckContext`, which computes the base
+census, certificate and anchored censuses at most once; when the checks
+include one of ``LOCAL_CHECKS``, the base census is read off the local
+census, so each graph is enumerated once.  A
 certificate-to-mean memo lives for one ``scan`` call (one per worker
 process when ``jobs`` > 1) and serves the means of neighbour graphs (g-e,
 g+e, g/e, g+matching), which in a universe scan recur across graphs.
@@ -54,9 +56,7 @@ from typing import Callable, Iterable
 
 from .canon import MAX_GENERATE, _children, generate_connected
 from .graphs import Graph, from_graph6, to_graph6
-from .harness import (
-    CHECKS, FAILS, HOLDS, LOCAL_CHECKS, REPORT, CheckContext, CheckVerdict, frac_str
-)
+from .harness import CHECKS, FAILS, HOLDS, REPORT, CheckVerdict, frac_str, run_checks
 
 
 class ScanError(Exception):
@@ -177,11 +177,6 @@ def record_csv_row(record: dict) -> list[str]:
     return row
 
 
-def _run_checks(g: Graph, names: tuple[str, ...], memo: dict) -> list[CheckVerdict]:
-    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names))
-    return [CHECKS[name](g, ctx=ctx) for name in names]
-
-
 # -- units of work -------------------------------------------------------------
 #
 # A unit is an item that expands to the graphs it holds, as (text, graph)
@@ -251,7 +246,7 @@ def _check_unit(task: tuple, memo: dict | None = None) -> list[tuple[str, bytes,
         memo = _worker_memo
     results = []
     for text, g in expand(item)[skip:]:
-        verdicts = _run_checks(g, names, memo)
+        verdicts = run_checks(g, names, memo)
         records = b"".join(verdict_jsonl(v).encode() + b"\n" for v in verdicts)
         marks = [(v.check, v.graph_id, v.status, bool(v.witness.get("finding"))) for v in verdicts]
         results.append((text, records, marks))
@@ -262,8 +257,9 @@ def _prefix(expand: Expand, units: list, k: int):
     """The SHA-256 of the texts of the first ``k`` graphs, and where the
     next graph lies: (digest, unit index, graphs to skip in that unit).
 
-    Expanding a unit only generates or decodes its graphs; no check runs.
-    A stream with fewer than ``k`` graphs hashes all of them.
+    A line unit is its own text, so no line is decoded here; a parent
+    unit generates its children.  No check runs.  A stream with fewer than
+    ``k`` graphs hashes all of them.
     """
     # hashlib loads OpenSSL, about 3.6 MB of resident memory, so only a
     # scan that keeps a checkpoint imports it
@@ -274,7 +270,7 @@ def _prefix(expand: Expand, units: list, k: int):
     for index, item in enumerate(units):
         if count == k:
             return digest, index, 0
-        texts = [text for text, _ in expand(item)]
+        texts = [item] if expand is _one_line else [text for text, _ in expand(item)]
         for text in texts[: k - count]:
             digest.update(text.encode() + b"\n")
         if count + len(texts) > k:
@@ -303,6 +299,10 @@ def scan(
     """
     if checkpoint_path and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must not be negative, not {limit}")
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise ScanError(f"unknown checks: {', '.join(unknown)}")

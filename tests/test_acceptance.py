@@ -19,14 +19,6 @@ from subtrees import (
     JoinSpec,
     barbell,
     census,
-    check_contraction,
-    check_local_global,
-    check_local_mean_bound,
-    check_matchings,
-    check_max_clique,
-    check_min_path,
-    check_ratio_chain,
-    check_vertex_share_bound,
     classify_edge_additions,
     clique,
     clique_spanning_fraction,
@@ -42,11 +34,12 @@ from subtrees import (
     modified_barbell,
     modified_double_broom,
     path_graph,
+    run_checks,
     spanning_tree_count,
     to_graph6,
 )
 from subtrees.census import SubtreeConstraint, census_containing
-from subtrees.harness import HOLDS, CheckContext
+from subtrees.harness import HOLDS
 from subtrees.repro import repro_transitive_suite
 from subtrees.scan import load_state, save_state, scan
 
@@ -86,12 +79,12 @@ def test_criterion_03_clique_counts_by_order():
 
 
 BATTERY_N7 = (
-    check_min_path,
-    check_max_clique,
-    check_ratio_chain,
-    check_local_global,
-    check_local_mean_bound,
-    check_vertex_share_bound,
+    "min-path",
+    "max-clique",
+    "ratio-chain",
+    "local-global",
+    "local-mean-bound",
+    "vertex-share-bound",
 )
 
 
@@ -102,9 +95,7 @@ def _run_battery(max_n: int) -> tuple[int, list]:
     for n in range(1, max_n + 1):
         for g in generate_connected(n):
             graphs += 1
-            ctx = CheckContext(g, memo)
-            for fn in BATTERY_N7:
-                verdict = fn(g, ctx=ctx)
+            for verdict in run_checks(g, BATTERY_N7, memo):
                 if verdict.status == "fails" or verdict.witness.get("finding"):
                     violations.append((verdict.check, to_graph6(g)))
     return graphs, violations
@@ -140,7 +131,7 @@ def test_criterion_05_barbell_14_6():
     positives = addition_report.positive_classes
     assert len(positives) == 1, [(c.representative, c.sign) for c in addition_report.classes]
     assert positives[0].representative == (0, 6)  # clique vertex to first path vertex
-    matchings_verdict = check_matchings(g)
+    (matchings_verdict,) = run_checks(g, ["matchings"])
     assert matchings_verdict.status == HOLDS
     w = matchings_verdict.witness
     assert w["decrease"] == w["matchings"] > 0
@@ -215,7 +206,7 @@ def test_criterion_09_tree_contraction():
         paths = 0
         for t in generate_trees(n):
             trees += 1
-            verdict = check_contraction(t)
+            (verdict,) = run_checks(t, ["contraction-gap"])
             assert verdict.status == HOLDS, to_graph6(t)
             if verdict.witness["equality_edges"]:
                 assert verdict.witness["is_path"]

@@ -5,21 +5,11 @@ from fractions import Fraction
 import pytest
 
 from subtrees import (
+    CHECKS,
     CheckContext,
     barbell,
-    check_contraction,
-    check_edge_addition_exists,
-    check_edge_deletion_exists,
-    check_local_global,
-    check_local_mean_bound,
-    check_matchings,
-    check_max_clique,
-    check_min_path,
     check_monotonicity_reversal,
-    check_mu_vs_av,
-    check_ratio_chain,
     check_transitive_inequalities,
-    check_vertex_share_bound,
     classify_edge_additions,
     clique,
     census,
@@ -27,69 +17,75 @@ from subtrees import (
     cycle,
     generate_connected,
     path_graph,
+    run_checks,
     star_graph,
 )
-from subtrees.harness import FAILS, HOLDS, REPORT
+from subtrees.harness import FAILS, HOLDS, REPORT, _transitive_inequalities
+
+
+def run(name: str, g):
+    """The verdict of the check ``name`` on g, in a fresh context."""
+    return CheckContext(g).run(name, CHECKS[name])
 
 
 def test_min_path_verdicts():
-    v = check_min_path(path_graph(7))
+    v = run("min-path", path_graph(7))
     assert v.status == HOLDS and v.witness["equality"] is True
-    v = check_min_path(clique(5))
+    v = run("min-path", clique(5))
     assert v.status == HOLDS and v.witness["equality"] is False
     for n in range(1, 7):
         equality_hits = 0
         for g in generate_connected(n):
-            verdict = check_min_path(g)
+            verdict = run("min-path", g)
             assert verdict.status == HOLDS
             equality_hits += bool(verdict.witness.get("equality"))
         assert equality_hits == 1  # the equality set is exactly the path
 
 
 def test_max_clique_verdicts():
-    v = check_max_clique(clique(6))
+    v = run("max-clique", clique(6))
     assert v.status == HOLDS and v.witness.get("equality")
-    v = check_max_clique(star_graph(6))
+    v = run("max-clique", star_graph(6))
     assert v.status == HOLDS and "equality" not in v.witness
     for n in range(1, 7):
         for g in generate_connected(n):
-            assert check_max_clique(g).status == HOLDS
+            assert run("max-clique", g).status == HOLDS
 
 
 def test_edge_deletion_and_addition_exists():
-    v = check_edge_deletion_exists(cycle(4))
+    v = run("edge-deletion-exists", cycle(4))
     assert v.status == HOLDS
     assert v.witness["edge"] in [list(e) for e in cycle(4).edges()]
-    v = check_edge_deletion_exists(path_graph(5))
+    v = run("edge-deletion-exists", path_graph(5))
     assert v.status == REPORT and v.witness["vacuous"] == "tree"
-    v = check_edge_addition_exists(path_graph(5))
+    v = run("edge-addition-exists", path_graph(5))
     assert v.status == HOLDS
-    v = check_edge_addition_exists(clique(4))
+    v = run("edge-addition-exists", clique(4))
     assert v.status == REPORT and v.witness["vacuous"] == "complete"
     for n in range(2, 7):
         for g in generate_connected(n):
-            assert check_edge_deletion_exists(g).status in (HOLDS, REPORT)
-            assert check_edge_addition_exists(g).status != FAILS
+            assert run("edge-deletion-exists", g).status in (HOLDS, REPORT)
+            assert run("edge-addition-exists", g).status != FAILS
             if not g.is_tree():
-                assert check_edge_deletion_exists(g).status == HOLDS
+                assert run("edge-deletion-exists", g).status == HOLDS
             if g.edge_count < n * (n - 1) // 2:
-                assert check_edge_addition_exists(g).status == HOLDS
+                assert run("edge-addition-exists", g).status == HOLDS
 
 
 def test_contraction_check():
-    v = check_contraction(path_graph(5))
+    v = run("contraction-gap", path_graph(5))
     assert v.status == HOLDS
     assert v.witness["min_gap"] == "1/3"
     assert len(v.witness["equality_edges"]) == 4  # every path edge is tight
     for n in range(2, 9):
-        v = check_contraction(path_graph(n))
+        v = run("contraction-gap", path_graph(n))
         assert v.status == HOLDS and v.witness["is_path"]
-    v = check_contraction(star_graph(5))
+    v = run("contraction-gap", star_graph(5))
     assert v.status == HOLDS and not v.witness["equality_edges"]
     # open for non-trees: status never 'fails' on small scans
     for n in range(2, 7):
         for g in generate_connected(n):
-            verdict = check_contraction(g)
+            verdict = run("contraction-gap", g)
             if g.is_tree():
                 assert verdict.status == HOLDS
             else:
@@ -100,16 +96,16 @@ def test_contraction_check():
 def test_local_global_check():
     for n in range(2, 7):
         for g in generate_connected(n):
-            assert check_local_global(g).status == HOLDS
+            assert run("local-global", g).status == HOLDS
 
 
 def test_ratio_chain_small():
     for n in range(1, 7):
         for g in generate_connected(n):
-            assert check_ratio_chain(g).status == HOLDS
-    v = check_ratio_chain(clique(5))
+            assert run("ratio-chain", g).status == HOLDS
+    v = run("ratio-chain", clique(5))
     assert v.status == HOLDS
-    v = check_ratio_chain(star_graph(6))
+    v = run("ratio-chain", star_graph(6))
     assert v.status == HOLDS
 
 
@@ -123,19 +119,19 @@ def test_ratio_chain_clique_equalities():
         for k in range(1, n + 1):
             assert c.counts[k] == clique_subtree_count_by_order(n, k)
         assert c.num_subtrees == clique_subtree_count(n)
-        assert check_ratio_chain(clique(n)).status == HOLDS
+        assert run("ratio-chain", clique(n)).status == HOLDS
 
 
 def test_mu_vs_av_check():
-    v = check_mu_vs_av(path_graph(6))
+    v = run("mean-vs-average", path_graph(6))
     assert v.status == REPORT and v.witness["sign"] == 0 and v.witness["tree"]
-    v = check_mu_vs_av(clique(4))
+    v = run("mean-vs-average", clique(4))
     assert v.status == REPORT
     assert v.witness["mu"] == "58/19" and v.witness["av"] == "32/15"
     assert v.witness["sign"] == 1
     for n in range(1, 7):
         for g in generate_connected(n):
-            verdict = check_mu_vs_av(g)
+            verdict = run("mean-vs-average", g)
             assert verdict.status == REPORT
             assert verdict.witness["sign"] >= 0  # no violation among small graphs
             if g.is_tree():
@@ -145,21 +141,21 @@ def test_mu_vs_av_check():
 def test_local_mean_bound_small():
     for n in range(1, 7):
         for g in generate_connected(n):
-            assert check_local_mean_bound(g).status == HOLDS
+            assert run("local-mean-bound", g).status == HOLDS
 
 
 def test_vertex_share_bound_small():
     for n in range(3, 7):
         for g in generate_connected(n):
-            assert check_vertex_share_bound(g).status == HOLDS
-    v = check_vertex_share_bound(path_graph(6))
+            assert run("vertex-share-bound", g).status == HOLDS
+    v = run("vertex-share-bound", path_graph(6))
     assert v.status == HOLDS and v.witness["margin"] == 0 and v.witness["is_path"]
-    v = check_vertex_share_bound(clique(2))
+    v = run("vertex-share-bound", clique(2))
     assert v.status == REPORT
 
 
 def test_matchings_check_small():
-    v = check_matchings(clique(5))
+    v = run("matchings", clique(5))
     assert v.status == REPORT
     assert v.witness == {
         "matchings": 1,
@@ -168,7 +164,7 @@ def test_matchings_check_small():
         "unchanged": 1,
         "increase": 0,
     }
-    v = check_matchings(path_graph(4))
+    v = run("matchings", path_graph(4))
     assert v.status == REPORT
     assert v.witness["matchings"] == 2 and v.witness["increase"] == 2
 
@@ -236,9 +232,9 @@ def test_exists_checks_exhaustive_order_7():
     # no order-7 graph lacks a helpful deletion or addition
     for g in generate_connected(7):
         if not g.is_tree():
-            assert check_edge_deletion_exists(g).status == HOLDS
+            assert run("edge-deletion-exists", g).status == HOLDS
         if g.edge_count < 21:
-            assert check_edge_addition_exists(g).status == HOLDS
+            assert run("edge-addition-exists", g).status == HOLDS
 
 
 @pytest.mark.slow
@@ -246,7 +242,7 @@ def test_mu_vs_av_exhaustive_order_8():
     # the open question has no violation up to order 8: sign never negative
     for n in range(7, 9):
         for g in generate_connected(n):
-            verdict = check_mu_vs_av(g)
+            verdict = run("mean-vs-average", g)
             assert verdict.witness["sign"] >= 0, verdict.graph_id
             if g.is_tree():
                 assert verdict.witness["sign"] == 0
@@ -256,18 +252,13 @@ def test_checks_reject_disconnected():
     from subtrees import Graph
 
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    for fn in (
-        check_min_path,
-        check_max_clique,
-        check_contraction,
-        check_ratio_chain,
-        check_mu_vs_av,
-        check_local_mean_bound,
-        check_vertex_share_bound,
-        check_matchings,
-    ):
-        with pytest.raises(ValueError):
-            fn(g)
+    with pytest.raises(ValueError, match="connected"):
+        CheckContext(g)
+    for name in CHECKS:
+        with pytest.raises(ValueError, match="connected"):
+            run_checks(g, [name])
+    with pytest.raises(ValueError, match="connected"):
+        check_transitive_inequalities(g)
 
 
 # -- the shared check context ---------------------------------------------------
@@ -278,37 +269,32 @@ def _without_runtime(verdict) -> tuple:
 
 
 def test_shared_context_verdicts_match_fresh_ones():
-    from subtrees import CHECKS, CheckContext
-
     memo: dict = {}
     for n in range(1, 7):
         for g in generate_connected(n):
-            ctx = CheckContext(g, memo)
-            for name, fn in CHECKS.items():
-                shared = fn(g, ctx=ctx)
-                assert _without_runtime(shared) == _without_runtime(fn(g)), (name, shared.graph_id)
+            shared = run_checks(g, tuple(CHECKS), memo)
+            for name, verdict in zip(CHECKS, shared):
+                assert verdict.check == name
+                assert _without_runtime(verdict) == _without_runtime(run(name, g)), (name, g)
 
 
-def test_context_rejects_another_graph():
-    from subtrees import CheckContext
+def test_run_checks_reads_the_registry_at_each_call(monkeypatch):
+    # a tracer swaps the entries of CHECKS after import; the runner must see them
+    called = []
+    original = CHECKS["min-path"]
 
-    with pytest.raises(ValueError, match="another graph"):
-        check_min_path(path_graph(4), ctx=CheckContext(star_graph(4)))
+    def traced(ctx):
+        called.append(ctx.g)
+        return original(ctx)
 
-
-def test_context_is_keyword_only():
-    from subtrees import CheckContext
-
-    g = path_graph(5)
-    # max_order stays the second positional argument of local-mean-bound
-    assert check_local_mean_bound(g, 2).witness["max_constraint_order"] == 2
-    assert check_local_mean_bound(g, 2, ctx=CheckContext(g)).witness["max_constraint_order"] == 2
-    with pytest.raises(TypeError):
-        check_min_path(g, CheckContext(g))
+    monkeypatch.setitem(CHECKS, "min-path", traced)
+    g = path_graph(4)
+    (verdict,) = run_checks(g, ["min-path"])
+    assert called == [g]
+    assert (verdict.check, verdict.status) == ("min-path", HOLDS)
 
 
 def test_vertex_means_from_census_match_anchored_census():
-    from subtrees import CheckContext
     from subtrees.census import SubtreeConstraint, census_containing
 
     for n in range(1, 7):
@@ -321,7 +307,6 @@ def test_vertex_means_from_census_match_anchored_census():
 
 
 def test_edge_and_cherry_means_from_local_census_match_anchored_census():
-    from subtrees import CheckContext
     from subtrees.census import SubtreeConstraint, census_containing
 
     for n in range(2, 7):
@@ -359,34 +344,30 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_context_builds_local_census_at_most_once(monkeypatch):
-    from subtrees import CheckContext
-
     built = _count_calls(monkeypatch, "local_census")
     anchored = _count_calls(monkeypatch, "census_containing")
     for g in (cycle(6), clique(5), complete_bipartite(3, 3)):
         ctx = CheckContext(g)
-        for fn in (check_local_global, check_local_mean_bound, check_transitive_inequalities):
-            assert fn(g, ctx=ctx).status == HOLDS
+        for name in ("local-global", "local-mean-bound"):
+            assert ctx.run(name, CHECKS[name]).status == HOLDS
+        assert ctx.run("transitive", _transitive_inequalities).status == HOLDS
         assert built == [(g,)]
         built.clear()
-        for fn in (check_min_path, check_ratio_chain):
-            fn(g, ctx=CheckContext(g))
+        for name in ("min-path", "ratio-chain"):
+            run(name, g)
         assert built == []
     assert anchored == []
 
 
 def test_scan_with_a_local_check_takes_the_base_census_from_the_local_census(monkeypatch):
-    from subtrees import CHECKS
-    from subtrees.scan import _run_checks
-
     graphs = (cycle(6), barbell(8, 3), complete_bipartite(3, 3))
     # the verdicts of every check, each in a fresh context
-    alone = {g: {name: CHECKS[name](g) for name in CHECKS} for g in graphs}
+    alone = {g: {name: run(name, g) for name in CHECKS} for g in graphs}
     censused = _count_calls(monkeypatch, "census")
     built = _count_calls(monkeypatch, "local_census")
     for g in graphs:
         for names in (("local-global",), ("min-path", "local-mean-bound"), tuple(CHECKS)):
-            verdicts = _run_checks(g, names, {})
+            verdicts = run_checks(g, names, {})
             assert built == [(g,)], names
             assert all(args[0] != g for args in censused), names  # neighbours only
             for verdict in verdicts:
@@ -398,23 +379,10 @@ def test_scan_with_a_local_check_takes_the_base_census_from_the_local_census(mon
                 )
             built.clear()
             censused.clear()
-        _run_checks(g, ("min-path", "ratio-chain"), {})
+        run_checks(g, ("min-path", "ratio-chain"), {})
         assert built == []
         assert censused == [(g,)]
         censused.clear()
-
-
-def test_local_mean_bound_rejects_max_order_before_any_census(monkeypatch):
-    import subtrees.harness as harness
-
-    def no_census(g):
-        raise AssertionError("census work before the max_order check")
-
-    monkeypatch.setattr(harness, "census", no_census)
-    monkeypatch.setattr(harness, "local_census", no_census)
-    for max_order in (0, -1, 4):
-        with pytest.raises(ValueError, match="max_order"):
-            check_local_mean_bound(barbell(14, 6), max_order)
 
 
 def test_structural_shape_tests_match_certificates():
@@ -434,13 +402,12 @@ def test_structural_shape_tests_match_certificates():
 
 
 def test_scan_memo_holds_one_mean_per_certificate():
-    from subtrees import CHECKS, canonical_form, census
-    from subtrees.scan import _run_checks
+    from subtrees import canonical_form
 
     universe = [g for n in range(1, 7) for g in generate_connected(n)]
     memo: dict = {}
     for g in universe:
-        _run_checks(g, tuple(CHECKS), memo)
+        run_checks(g, tuple(CHECKS), memo)
     # every neighbour of a connected graph of order <= 6 is again one of
     # them, and every one of them looked a neighbour up, so the memo holds
     # exactly their certificates, each with its mean and nothing more
@@ -450,12 +417,7 @@ def test_scan_memo_holds_one_mean_per_certificate():
 
 # -- neighbour checks over automorphism orbits ----------------------------------
 
-NEIGHBOUR_CHECKS = (
-    check_edge_deletion_exists,
-    check_edge_addition_exists,
-    check_contraction,
-    check_matchings,
-)
+NEIGHBOUR_CHECKS = ("edge-deletion-exists", "edge-addition-exists", "contraction-gap", "matchings")
 
 
 def _neighbour_check_graphs() -> list:
@@ -482,9 +444,9 @@ def _comparable(verdict) -> tuple:
 
 def test_neighbour_checks_match_a_census_of_every_neighbour():
     for g in _neighbour_check_graphs():
-        for check in NEIGHBOUR_CHECKS:
-            expected = check(g, ctx=_EveryNeighbour(g))
-            assert _comparable(check(g)) == _comparable(expected), (check.__name__, g)
+        for name in NEIGHBOUR_CHECKS:
+            expected = _EveryNeighbour(g).run(name, CHECKS[name])
+            assert _comparable(run(name, g)) == _comparable(expected), (name, g)
 
 
 def test_matching_orbits_are_the_automorphism_orbits_up_to_order_6():
@@ -501,12 +463,12 @@ def test_matching_orbits_are_the_automorphism_orbits_up_to_order_6():
                 )
                 for m in maximal_matchings_of_complement(g)
             }
-            assert check_matchings(g).witness["orbits"] == len(orbits), g
+            assert run("matchings", g).witness["orbits"] == len(orbits), g
 
 
 def test_neighbour_means_prices_each_orbit_once(monkeypatch):
     # the 64 maximal complement matchings of barbell(8, 3) fall into 13
     # orbits, and each orbit certifies one augmented graph
     priced = _count_calls(monkeypatch, "canonical_form")
-    verdict = check_matchings(barbell(8, 3))
+    verdict = run("matchings", barbell(8, 3))
     assert len(priced) == verdict.witness["orbits"] < verdict.witness["matchings"]

@@ -168,6 +168,43 @@ def test_scan_rejects_checkpoint_every_below_1(tmp_path):
     assert not out.exists() and not ckpt.exists()
 
 
+@pytest.mark.parametrize("option", [{"jobs": 0}, {"jobs": -2}, {"limit": -3}])
+def test_scan_rejects_jobs_below_1_and_a_negative_limit(tmp_path, monkeypatch, capsys, option):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(scan_module.multiprocessing, "Pool", no_pool)
+    (name, value), = option.items()
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match=f"{name} must"):
+        scan(universe_lines(4), ["min-path"], str(out), **option)
+    assert not out.exists()
+    code, err = cli_scan(capsys, "--n", "4", "--checks", "min-path", f"--{name}", str(value),
+                         "--output", str(out))
+    assert code == 2
+    assert f"{name} must" in err
+    assert not out.exists()
+
+
+def test_scan_resume_decodes_each_line_once(tmp_path, monkeypatch):
+    lines = universe_lines(6)
+    out, ckpt = tmp_path / "out.jsonl", tmp_path / "ck.json"
+    kwargs = {"checkpoint_path": str(ckpt), "checkpoint_every": 10}
+    scan(lines, ["min-path"], str(out), limit=100, **kwargs)
+    decoded = []
+    from_graph6 = scan_module.from_graph6
+
+    def counting(text):
+        decoded.append(text)
+        return from_graph6(text)
+
+    monkeypatch.setattr(scan_module, "from_graph6", counting)
+    state = scan(lines, ["min-path"], str(out), **kwargs)
+    assert state.consumed == 112
+    # 112 to validate the input, 12 for the graphs still to check
+    assert len(decoded) == 112 + 12
+
+
 def test_scan_checkpoint_without_output(tmp_path):
     out = tmp_path / "out.jsonl"
     ckpt = tmp_path / "c.json"
@@ -260,13 +297,13 @@ def test_scan_n_resumes_inside_a_parent(tmp_path, monkeypatch, jobs):
 
     # a resumed scan runs no check on a graph it has already consumed
     checked = []
-    run_checks = scan_module._run_checks
+    run_checks = scan_module.run_checks
 
     def counting(g, names, memo):
         checked.append(g.n)
         return run_checks(g, names, memo)
 
-    monkeypatch.setattr(scan_module, "_run_checks", counting)
+    monkeypatch.setattr(scan_module, "run_checks", counting)
     for _ in range(2):
         checked.clear()
         resumed = scan(6, checks, str(out), **kwargs)
@@ -583,6 +620,24 @@ def test_cli_scan_csv_to_a_file_is_refused(tmp_path):
     assert r.returncode == 2
     assert "--format csv" in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_cli_scan_records_and_tallies_are_pinned(tmp_path, capsys):
+    import hashlib
+
+    out = tmp_path / "out.jsonl"
+    code, tallies = cli_scan(capsys, "--n", "6", "--checks", "all", "--jobs", "1", "--output", str(out))
+    assert code == 0, tallies
+    records = "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in read_jsonl_no_runtime(out)
+    )
+    assert hashlib.sha256(records.encode()).hexdigest() == (
+        "dde38cab8fa9839f0630f0d931655898a88efd64803379eee958eb40143eeb4e"
+    )
+    assert hashlib.sha256(tallies.rstrip("\n").encode()).hexdigest() == (
+        "81bb53b215eadf35dd9c06b59e2ee884f1043dd9a651af27d5872ddfddf88dda"
+    )
 
 
 def test_cli_scan_runtimes_are_positive():
