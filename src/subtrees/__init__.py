@@ -42,7 +42,6 @@ from .census import (
     census,
     census_containing,
     mean_subtree_order,
-    mean_subtree_order_at_edge,
     mean_subtree_order_at_tree,
     mean_subtree_order_at_vertex,
     spanning_fraction,

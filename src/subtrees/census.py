@@ -853,11 +853,6 @@ def mean_subtree_order_at_vertex(g: Graph, v: int) -> Fraction:
     return mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset([v])))
 
 
-def mean_subtree_order_at_edge(g: Graph, e: Edge) -> Fraction:
-    # census_containing validates the edge against g
-    return mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset(e), frozenset([e])))
-
-
 def mean_subtree_order_at_tree(g: Graph, constraint: SubtreeConstraint) -> Fraction:
     _require_connected(g)
     n_c, r_c = census_containing(g, constraint)

@@ -21,8 +21,8 @@ automorphisms found beside it, and local census (every edge and cherry
 anchored census).  When the checks include one of :data:`LOCAL_CHECKS`,
 :func:`run_checks` has the context read its base census off the local
 census: one block DP gives both.  The checks that compare g with its
-neighbours (g-e, g+e, g/e, g+matching) price one neighbour per
-automorphism orbit through :meth:`CheckContext.neighbour_means`.
+neighbours (g+e, g/e, g+matching; g-e is read off the local census) price
+one neighbour per automorphism orbit through :meth:`CheckContext.neighbour_means`.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class CheckContext:
     census is read from the local census, whose one pass gives both; a
     context without it builds a local census only when a check asks.
     ``memo`` maps a canonical certificate to a mean subtree order;
-    neighbour graphs (g-e, g+e, g/e, g+matching) look their mean up there,
+    neighbour graphs (g+e, g/e, g+matching) look their mean up there,
     so a memo that outlives the context (one per scan, or per scan worker)
     computes each isomorphism class once.  It holds ``Fraction`` means
     only, never whole censuses, so its size stays small.
@@ -160,19 +160,20 @@ class CheckContext:
         return Fraction(rc, nc)
 
     def neighbour_means(self, items, build):
-        """Yield ``(item, mean, new)`` for each of ``items``, in their order.
+        """Yield ``(item, mean, new, cert)`` for each of ``items``, in their order.
 
-        ``mean`` is the mean subtree order of ``build(item)``.  ``items``
+        ``mean`` is the mean subtree order of ``build(item)``, ``cert`` its
+        certificate (``None`` past :data:`MAX_CANON` vertices).  ``items``
         are edges or non-edges ``(u, v)`` with ``u < v``, or matchings
         (sorted tuples of them), and every automorphism of g maps the list
-        onto itself.  Then g-e and g-sigma(e) are isomorphic for sigma in
-        Aut(g), so the mean is computed once per orbit of the automorphisms
-        :func:`certify` found, at the orbit's first item, which ``new``
-        marks.  The walk is lazy, so a check that stops at its first
-        witness finds the one a walk over every neighbour would.  A
-        neighbour with a certificate takes its mean through the memo, which
-        also gets g's own mean: in a universe scan the neighbours of one
-        graph are members of it.
+        onto itself.  Then g+e and g+sigma(e) are isomorphic for sigma in
+        Aut(g), so the neighbour is built, certified and priced once per
+        orbit of the automorphisms :func:`certify` found, at the orbit's
+        first item, which ``new`` marks.  The walk is lazy, so a check that
+        stops at its first witness finds the one a walk over every
+        neighbour would.  A neighbour with a certificate takes its mean
+        through the memo, which also gets g's own mean: in a universe scan
+        the neighbours of one graph are members of it.
         """
         if self.g.n > MAX_CANON:
             orbit = range(len(items))
@@ -181,19 +182,20 @@ class CheckContext:
             if cert not in self.memo:
                 self.memo[cert] = self.mean
             orbit = _orbit_reps(self.g.n, gens, items)
-        means: dict[int, Fraction] = {}
+        priced: dict[int, tuple[Fraction, bytes | None]] = {}
         for item, root in zip(items, orbit):
-            new = root not in means
+            new = root not in priced
             if new:
                 h = build(item)
                 if h.n > MAX_CANON:
-                    means[root] = census(h).mean
+                    priced[root] = census(h).mean, None
                 else:
                     cert = canonical_form(h)
                     if cert not in self.memo:
                         self.memo[cert] = census(h).mean
-                    means[root] = self.memo[cert]
-            yield item, means[root], new
+                    priced[root] = self.memo[cert], cert
+            mean, cert = priced[root]
+            yield item, mean, new, cert
 
 
 # Exact structural tests, given connectivity: a connected graph is a path
@@ -257,10 +259,13 @@ def check_edge_deletion_exists(ctx: CheckContext) -> Outcome:
     g = ctx.g
     if g.is_tree():
         return REPORT, {"vacuous": "tree"}, None
-    mu = ctx.mean
-    edges = [e for e in g.edges() if not g.is_bridge(*e)]
-    for (u, v), mu2, _ in ctx.neighbour_means(edges, lambda e: g.delete_edge(*e)):
-        if mu2 < mu:
+    edges = ctx.local_census.edges
+    c = ctx.census
+    mu = c.mean
+    for (u, v), (nc, rc) in edges.items():
+        # the subtrees of g-e are those of g that avoid e
+        mu2 = Fraction(c.order_sum - rc, c.num_subtrees - nc)
+        if mu2 < mu and not g.is_bridge(u, v):
             witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
             return HOLDS, witness, mu
     witness = {"found": False, "finding": True}
@@ -275,7 +280,7 @@ def check_edge_addition_exists(ctx: CheckContext) -> Outcome:
         return REPORT, {"vacuous": "complete"}, None
     mu = ctx.mean
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    for (u, v), mu2, _ in ctx.neighbour_means(non_edges, lambda e: g.add_edge(*e)):
+    for (u, v), mu2, _, _ in ctx.neighbour_means(non_edges, lambda e: g.add_edge(*e)):
         if mu2 > mu:
             witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
             return HOLDS, witness, mu
@@ -299,7 +304,7 @@ def check_contraction(ctx: CheckContext) -> Outcome:
     violations = []
     equality_edges = []
     edges = list(g.edges())
-    for (u, v), mu2, _ in ctx.neighbour_means(edges, lambda e: g.contract_edge(*e)):
+    for (u, v), mu2, _, _ in ctx.neighbour_means(edges, lambda e: g.contract_edge(*e)):
         gap = mu - mu2
         if min_gap is None or gap < min_gap:
             min_gap, min_edge = gap, (u, v)
@@ -511,7 +516,7 @@ def check_matchings(ctx: CheckContext) -> Outcome:
     matchings = list(maximal_matchings_of_complement(g))
     tally = {-1: 0, 0: 0, 1: 0}
     orbits = 0
-    for _, mu2, new in ctx.neighbour_means(matchings, g.add_edges):
+    for _, mu2, new, _ in ctx.neighbour_means(matchings, g.add_edges):
         tally[(mu2 > mu) - (mu2 < mu)] += 1
         orbits += new
     witness = {
@@ -595,24 +600,21 @@ class EdgeAdditionReport:
 def classify_edge_additions(g: Graph) -> EdgeAdditionReport:
     """Partition non-edges by isomorphism class of g+e and sign the change.
 
-    One exact mean computation per class.  Class order follows the first
+    The classes are the certificates :meth:`CheckContext.neighbour_means`
+    yields, so one exact mean per class.  Class order follows the first
     (lexicographically smallest) representative.
     """
     if g.n > 24:
         raise ValueError("edge-addition classification capped at 24 vertices")
-    base = census(g).mean
-    by_cert: dict[bytes, list[tuple[int, int]]] = {}
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                by_cert.setdefault(canonical_form(g.add_edge(u, v)), []).append((u, v))
-    report = EdgeAdditionReport(to_graph6(g), base)
-    for edges in sorted(by_cert.values()):
-        rep = edges[0]
-        delta = census(g.add_edge(*rep)).mean - base
-        sign = (delta > 0) - (delta < 0)
-        report.classes.append(EdgeAdditionClass(rep, edges, delta, sign))
-    return report
+    ctx = CheckContext(g)
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    classes: dict[bytes, EdgeAdditionClass] = {}
+    for e, mu2, _, cert in ctx.neighbour_means(non_edges, lambda e: g.add_edge(*e)):
+        if cert not in classes:
+            delta = mu2 - ctx.mean
+            classes[cert] = EdgeAdditionClass(e, [], delta, (delta > 0) - (delta < 0))
+        classes[cert].edges.append(e)
+    return EdgeAdditionReport(ctx.graph_id, ctx.mean, list(classes.values()))
 
 
 def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
@@ -631,7 +633,6 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
     hub1, hub2 = w - 1, n - (d - 1) - w
     if k > hub2 - hub1:
         raise ValueError("k exceeds the broom path length")
-    started = time.perf_counter()
     s_vertices = list(range(hub1, hub1 + k))
     s_edges = [(i, i + 1) for i in s_vertices[:-1]]
     bridge = list(range(n - (d - 1), n))
@@ -640,21 +641,23 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
     s2_edges = s_edges + [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     small = SubtreeConstraint(frozenset(s_vertices), frozenset(s_edges))
     large = SubtreeConstraint(frozenset(s2_vertices), frozenset(s2_edges))
-    nc1, rc1 = census_containing(g, small)
-    nc2, rc2 = census_containing(g, large)
-    mu_small = Fraction(rc1, nc1)
-    mu_large = Fraction(rc2, nc2)
-    witness = {
-        "k": k,
-        "d": d,
-        "n": n,
-        "w": w,
-        "mu_small": frac_str(mu_small),
-        "mu_large": frac_str(mu_large),
-    }
-    status = HOLDS if mu_small > mu_large else REPORT
-    runtime_ms = round((time.perf_counter() - started) * 1000, 3)
-    return CheckVerdict("monotonicity-reversal", to_graph6(g), status, witness, None, runtime_ms)
+
+    def reversal(ctx: CheckContext) -> Outcome:
+        nc1, rc1 = census_containing(ctx.g, small)
+        nc2, rc2 = census_containing(ctx.g, large)
+        mu_small = Fraction(rc1, nc1)
+        mu_large = Fraction(rc2, nc2)
+        witness = {
+            "k": k,
+            "d": d,
+            "n": n,
+            "w": w,
+            "mu_small": frac_str(mu_small),
+            "mu_large": frac_str(mu_large),
+        }
+        return (HOLDS if mu_small > mu_large else REPORT), witness, None
+
+    return CheckContext(g).run("monotonicity-reversal", reversal)
 
 
 # -- registry for scans ---------------------------------------------------------
@@ -675,9 +678,7 @@ CHECKS = {
 
 # The checks that read the local census; run_checks with one of them takes
 # the graph's base census from it.
-LOCAL_CHECKS = frozenset(
-    name for name, check in CHECKS.items() if check in (check_local_global, check_local_mean_bound)
-)
+LOCAL_CHECKS = frozenset({"edge-deletion-exists", "local-global", "local-mean-bound"})
 
 
 def run_checks(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .census import census, mean_subtree_order_at_edge
+from .census import local_census
 from .closedforms import JoinSpec, join_subtree_counts
 from .families import (
     FamilySpec,
@@ -74,9 +74,9 @@ def _local_means_run(spec: FamilySpec, name: str) -> tuple[bool, list[str]]:
     labels = family_labels(spec)
     (v1,) = labels["bridge"]
     hubs = (labels["hub1"], labels["hub2"])
-    c = census(g)
-    mu = c.mean
-    mu_v = c.mean_at_vertex(v1)
+    local = local_census(g)
+    mu = local.census.mean
+    mu_v = local.census.mean_at_vertex(v1)
     lines = [
         f"{name}: mean = {_fmt(mu)}",
         f"  mean at bridge vertex {v1} = {_fmt(mu_v)}",
@@ -85,7 +85,8 @@ def _local_means_run(spec: FamilySpec, name: str) -> tuple[bool, list[str]]:
     lines.append(f"  mean > mean-at-vertex: {ok}")
     for hub in hubs:
         e = (min(hub, v1), max(hub, v1))
-        mu_e = mean_subtree_order_at_edge(g, e)
+        count, order_sum = local.edges[e]
+        mu_e = Fraction(order_sum, count)
         this = mu_v > mu_e
         ok = ok and this
         lines.append(f"  mean at edge {e} = {_fmt(mu_e)}; mean-at-vertex > mean-at-edge: {this}")

@@ -36,8 +36,8 @@ census, certificate and anchored censuses at most once; when the checks
 include one of ``LOCAL_CHECKS``, the base census is read off the local
 census, so each graph is enumerated once.  A
 certificate-to-mean memo lives for one ``scan`` call (one per worker
-process when ``jobs`` > 1) and serves the means of neighbour graphs (g-e,
-g+e, g/e, g+matching), which in a universe scan recur across graphs.
+process when ``jobs`` > 1) and serves the means of neighbour graphs (g+e,
+g/e, g+matching), which in a universe scan recur across graphs.
 The memo is unbounded: it holds one ``Fraction`` per isomorphism class seen.
 
 Every verdict is a pure function of its graph, so scans may also fan work
@@ -303,6 +303,8 @@ def scan(
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must not be negative, not {limit}")
+    if not checks:
+        raise ValueError("checks must name at least one check")
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise ScanError(f"unknown checks: {', '.join(unknown)}")

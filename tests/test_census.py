@@ -24,7 +24,7 @@ from subtrees import (
     generate_connected,
     generate_trees,
     mean_subtree_order,
-    mean_subtree_order_at_edge,
+    mean_subtree_order_at_tree,
     mean_subtree_order_at_vertex,
     modified_barbell,
     modified_double_broom,
@@ -150,9 +150,9 @@ def test_census_containing_hand_values():
     p3 = path_graph(3)
     assert census_containing(p3, SubtreeConstraint(frozenset([1]))) == (4, 8)
     k3 = clique(3)
-    nc, rc = census_containing(k3, SubtreeConstraint(frozenset([0, 1]), frozenset([(0, 1)])))
-    assert (nc, rc) == (3, 8)
-    assert mean_subtree_order_at_edge(k3, (0, 1)) == Fraction(8, 3)
+    edge = SubtreeConstraint(frozenset([0, 1]), frozenset([(0, 1)]))
+    assert census_containing(k3, edge) == (3, 8)
+    assert mean_subtree_order_at_tree(k3, edge) == Fraction(8, 3)
     # whole tree as constraint: only the tree itself
     t = path_graph(5)
     full = SubtreeConstraint(
@@ -230,7 +230,7 @@ def test_constraint_validation():
         SubtreeConstraint(frozenset([0]), frozenset([(0, 1)]))
     for e in ((9, 0), (0, 2), (1, 1)):  # a vertex outside g, a non-edge, a loop
         with pytest.raises(ValueError):
-            mean_subtree_order_at_edge(g, e)
+            mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset(e), frozenset([e])))
     with pytest.raises(ValueError, match="negative"):
         SubtreeConstraint(frozenset([-1]))
 

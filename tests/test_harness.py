@@ -204,6 +204,33 @@ def test_classify_edge_additions_small_barbell():
     assert sum(c.size for c in report.classes) == 45 - barbell(10, 4).edge_count
 
 
+def test_classify_edge_additions_matches_a_brute_grouping():
+    from subtrees import canonical_form, to_graph6
+
+    for g in [g for n in range(1, 7) for g in generate_connected(n)] + [barbell(10, 4)]:
+        by_cert: dict = {}
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    by_cert.setdefault(canonical_form(g.add_edge(u, v)), []).append((u, v))
+        base = census(g).mean
+        expected = []
+        for edges in sorted(by_cert.values()):
+            delta = census(g.add_edge(*edges[0])).mean - base
+            expected.append((edges[0], edges, delta, (delta > 0) - (delta < 0)))
+        report = classify_edge_additions(g)
+        assert (report.graph_id, report.base_mean) == (to_graph6(g), base)
+        got = [(c.representative, c.edges, c.mean_delta, c.sign) for c in report.classes]
+        assert got == expected, g
+
+
+def test_classify_edge_additions_certifies_one_neighbour_per_orbit(monkeypatch):
+    # the 56 non-edges of barbell(14, 6) fall into 6 orbits, one per class
+    priced = _count_calls(monkeypatch, "canonical_form")
+    report = classify_edge_additions(barbell(14, 6))
+    assert len(priced) == len(report.classes) == 6
+
+
 def test_monotonicity_reversal():
     v = check_monotonicity_reversal(1, 1, 12, 5)
     assert v.status == HOLDS
@@ -259,6 +286,8 @@ def test_checks_reject_disconnected():
             run_checks(g, [name])
     with pytest.raises(ValueError, match="connected"):
         check_transitive_inequalities(g)
+    with pytest.raises(ValueError, match="connected"):
+        classify_edge_additions(g)
 
 
 # -- the shared check context ---------------------------------------------------
@@ -360,6 +389,9 @@ def test_context_builds_local_census_at_most_once(monkeypatch):
 
 
 def test_scan_with_a_local_check_takes_the_base_census_from_the_local_census(monkeypatch):
+    from subtrees.harness import LOCAL_CHECKS
+
+    assert LOCAL_CHECKS < set(CHECKS)
     graphs = (cycle(6), barbell(8, 3), complete_bipartite(3, 3))
     # the verdicts of every check, each in a fresh context
     alone = {g: {name: run(name, g) for name in CHECKS} for g in graphs}
@@ -417,7 +449,7 @@ def test_scan_memo_holds_one_mean_per_certificate():
 
 # -- neighbour checks over automorphism orbits ----------------------------------
 
-NEIGHBOUR_CHECKS = ("edge-deletion-exists", "edge-addition-exists", "contraction-gap", "matchings")
+NEIGHBOUR_CHECKS = ("edge-addition-exists", "contraction-gap", "matchings")
 
 
 def _neighbour_check_graphs() -> list:
@@ -431,8 +463,11 @@ class _EveryNeighbour(CheckContext):
     """A context that censuses every candidate neighbour: no orbits, no memo."""
 
     def neighbour_means(self, items, build):
+        from subtrees import canonical_form
+
         for item in items:
-            yield item, census(build(item)).mean, True
+            h = build(item)
+            yield item, census(h).mean, True, canonical_form(h)
 
 
 def _comparable(verdict) -> tuple:
@@ -472,3 +507,41 @@ def test_neighbour_means_prices_each_orbit_once(monkeypatch):
     priced = _count_calls(monkeypatch, "canonical_form")
     verdict = run("matchings", barbell(8, 3))
     assert len(priced) == verdict.witness["orbits"] < verdict.witness["matchings"]
+
+
+# -- g-e read off the local census ----------------------------------------------
+
+
+@pytest.mark.parametrize("max_order", [6, pytest.param(7, marks=pytest.mark.slow)])
+def test_edge_deletion_reads_each_deletion_off_the_local_census(max_order):
+    from subtrees.census import local_census
+    from subtrees.harness import frac_str
+
+    for n in range(1, max_order + 1):
+        for g in generate_connected(n):
+            c, local = census(g), local_census(g)
+            witness = None  # the first helpful deletion in label order
+            for (u, v), (nc, rc) in local.edges.items():
+                if g.is_bridge(u, v):
+                    continue
+                # the subtrees of g-e are those of g that avoid e
+                mu2 = census(g.delete_edge(u, v)).mean
+                assert Fraction(c.order_sum - rc, c.num_subtrees - nc) == mu2, (g, u, v)
+                if witness is None and mu2 < c.mean:
+                    witness = {"edge": [u, v], "mu_after": frac_str(mu2)}
+            if not g.is_tree():
+                verdict = run("edge-deletion-exists", g)
+                assert verdict.witness == (witness or {"found": False, "finding": True}), g
+
+
+def test_edge_deletion_builds_no_neighbour(monkeypatch):
+    from subtrees import Graph
+
+    calls = {name: _count_calls(monkeypatch, name) for name in ("canonical_form", "certify", "census")}
+    deleted = []
+    monkeypatch.setattr(Graph, "delete_edge", lambda *args: deleted.append(args))
+    for g in (cycle(6), clique(5), barbell(8, 3), complete_bipartite(3, 3)):
+        assert run("edge-deletion-exists", g).status == HOLDS
+        run_checks(g, ["edge-deletion-exists"], {})
+    assert calls == {"canonical_form": [], "certify": [], "census": []}
+    assert deleted == []

@@ -168,7 +168,7 @@ def test_scan_rejects_checkpoint_every_below_1(tmp_path):
     assert not out.exists() and not ckpt.exists()
 
 
-@pytest.mark.parametrize("option", [{"jobs": 0}, {"jobs": -2}, {"limit": -3}])
+@pytest.mark.parametrize("option", [{"jobs": 0}, {"jobs": -2}, {"limit": -3}, {"checks": []}])
 def test_scan_rejects_jobs_below_1_and_a_negative_limit(tmp_path, monkeypatch, capsys, option):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -177,9 +177,10 @@ def test_scan_rejects_jobs_below_1_and_a_negative_limit(tmp_path, monkeypatch, c
     (name, value), = option.items()
     out = tmp_path / "out.jsonl"
     with pytest.raises(ValueError, match=f"{name} must"):
-        scan(universe_lines(4), ["min-path"], str(out), **option)
+        scan(universe_lines(4), **{"checks": ["min-path"], "out_path": str(out), **option})
     assert not out.exists()
-    code, err = cli_scan(capsys, "--n", "4", "--checks", "min-path", f"--{name}", str(value),
+    text = "," if option == {"checks": []} else str(value)
+    code, err = cli_scan(capsys, "--n", "4", "--checks", "min-path", f"--{name}", text,
                          "--output", str(out))
     assert code == 2
     assert f"{name} must" in err
@@ -381,7 +382,7 @@ def test_cli_compute_local_means():
 
 
 def test_cli_compute_edge_means_match_anchored_census():
-    from subtrees import build_family, census, mean_subtree_order_at_edge, parse_family
+    from subtrees import SubtreeConstraint, build_family, census, census_containing, parse_family
 
     spec = "family:barbell:8:3"
     g = build_family(parse_family(spec))
@@ -390,7 +391,8 @@ def test_cli_compute_edge_means_match_anchored_census():
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     for u, v in edges:
-        assert Fraction(payload[f"mean_at_edge_{u}_{v}"]["exact"]) == mean_subtree_order_at_edge(g, (u, v))
+        count, order_sum = census_containing(g, SubtreeConstraint(frozenset((u, v)), frozenset([(u, v)])))
+        assert Fraction(payload[f"mean_at_edge_{u}_{v}"]["exact"]) == Fraction(order_sum, count)
     assert payload["subtrees"]["exact"] == str(census(g).num_subtrees)
 
 
