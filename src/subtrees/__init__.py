@@ -31,7 +31,6 @@ from .families import (
 from .canon import (
     are_isomorphic,
     canonical_form,
-    canonical_labelling,
     generate_connected,
     generate_trees,
 )

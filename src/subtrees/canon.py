@@ -16,6 +16,8 @@ vertices exactly when an automorphism maps one to the other.
 Connected graphs and trees are generated by canonical augmentation: each
 class of order n is built once, from the one order n-1 class left by
 deleting its canonical vertex, so no certificate store spans parents.
+Generation streams depth-first and keeps no universe between calls: the
+module holds no mutable state.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _orbit_reps(n: int, gens: list[tuple[int, ...]], items: list | None = None) 
 
 
 def _canonical_search(rows: tuple[int, ...], n: int, cells: list[list[int]] | None = None):
-    """The minimal leaf code, a labelling reaching it and the automorphisms found.
+    """The minimal leaf code and the automorphisms found.
 
     The search starts from the ordered partition ``cells`` (all vertices in
     one cell by default), so the code is canonical for the graph together
@@ -198,7 +200,7 @@ def _canonical_search(rows: tuple[int, ...], n: int, cells: list[list[int]] | No
             tried.append(v)
 
     rec(_refine(rows, cells, [_mask_of(cell) for cell in cells]), ())
-    return best[0], best[1], gens
+    return best[0], gens
 
 
 def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
@@ -212,7 +214,7 @@ def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     if g.n > MAX_CANON:
         raise ValueError(f"canonical certificates support at most {MAX_CANON} vertices")
     n = g.n
-    code, _, gens = _canonical_search(g.rows, n)
+    code, gens = _canonical_search(g.rows, n)
     width = (n * (n - 1) // 2 + 7) // 8
     return bytes([n]) + code.to_bytes(width, "big"), gens
 
@@ -220,14 +222,6 @@ def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
 def canonical_form(g: Graph) -> bytes:
     """Labelling-invariant certificate; equal bytes iff isomorphic graphs."""
     return certify(g)[0]
-
-
-def canonical_labelling(g: Graph) -> list[int]:
-    """A labelling achieving the canonical certificate (position -> vertex)."""
-    if g.n > MAX_CANON:
-        raise ValueError(f"canonical_labelling supports at most {MAX_CANON} vertices")
-    _, order, _ = _canonical_search(g.rows, g.n)
-    return order
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -239,9 +233,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- exhaustive generation ---------------------------------------------------
 
 MAX_GENERATE = 8
-
-_connected_cache: dict[int, list[Graph]] = {}
-_tree_cache: dict[int, list[Graph]] = {}
 
 
 def _rooted_code(rows: tuple[int, ...], n: int, x: int) -> int:
@@ -336,15 +327,17 @@ def _children(parent: Graph, leaves: bool = False) -> list[Graph]:
     return kept
 
 
-def _generate(n: int, cache: dict[int, list[Graph]], leaves: bool) -> list[Graph]:
-    """The children (:func:`_children`) of every order n-1 class in turn,
-    memoised per order in ``cache``."""
-    if n not in cache:
-        if n == 1:
-            cache[1] = [Graph(1, (0,))]
-        else:
-            cache[n] = [c for p in _generate(n - 1, cache, leaves) for c in _children(p, leaves)]
-    return cache[n]
+def _stream(n: int, leaves: bool) -> Iterator[Graph]:
+    """The children (:func:`_children`) of every order n-1 class in turn.
+
+    Depth-first: each parent is expanded as the order n-1 stream yields
+    it, so no order is held whole.
+    """
+    if n == 1:
+        yield Graph(1, (0,))
+        return
+    for parent in _stream(n - 1, leaves):
+        yield from _children(parent, leaves)
 
 
 def generate_connected(n: int) -> Iterator[Graph]:
@@ -355,21 +348,22 @@ def generate_connected(n: int) -> Iterator[Graph]:
     representative is kept only when v is a canonical vertex of it (see
     :func:`_is_canonical`), so each class comes from exactly one parent,
     with no store of certificates across parents.  Deterministic order:
-    parents in order, then attachment masks ascending.  The built-in
-    generator stops at n = 8; larger orders must be supplied externally as
-    graph6 streams.
+    parents in order, then attachment masks ascending.  The graphs stream
+    depth-first, so the first one comes after n-1 expansions, and nothing
+    is kept between calls.  The built-in generator stops at n = 8; larger
+    orders must be supplied externally as graph6 streams.
     """
     if not 1 <= n <= MAX_GENERATE:
         raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
-    yield from _generate(n, _connected_cache, False)
+    yield from _stream(n, False)
 
 
 def generate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees of order n (n <= 16).
 
     The same canonical augmentation as :func:`generate_connected`, with
-    the new vertex attached as a leaf.
+    the new vertex attached as a leaf, streamed the same way.
     """
     if not 1 <= n <= 16:
         raise ValueError("tree generation supports 1 <= n <= 16")
-    yield from _generate(n, _tree_cache, True)
+    yield from _stream(n, True)

@@ -539,7 +539,7 @@ def check_transitive_inequalities(g: Graph) -> CheckVerdict:
     chain, and the exact convex-combination identity tying the three means
     together through the order-weighted subtree counts.
     """
-    return CheckContext(g).run("transitive", _transitive_inequalities)
+    return CheckContext(g, local=True).run("transitive", _transitive_inequalities)
 
 
 def _transitive_inequalities(ctx: CheckContext) -> Outcome:

@@ -6,9 +6,11 @@ list live in a :class:`ScanState` that is persisted every
 last synced byte offset and skips the consumed prefix of the input, so an
 interrupted-and-resumed scan reproduces a single-pass run byte for byte
 (up to the informational ``runtime_ms`` field).  The checkpoint holds a
-fingerprint of the input it has seen: the number of graph6 lines taken
-and the SHA-256 of those lines (normalised, one per line).  A resume
-whose input does not start with the same lines raises :class:`ScanError`.
+fingerprint of the input it has consumed: the number of graph6 lines
+consumed and the SHA-256 of those lines (normalised, one per line).  A
+checkpoint without one, or whose count is not ``consumed``, is rejected,
+and a resume whose input does not start with the same lines raises
+:class:`ScanError`.
 
 Input is validated before anything is written: a malformed graph6 line
 or a disconnected graph raises :class:`ScanError` naming the line.
@@ -73,7 +75,7 @@ class ScanState:
     tallies: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     output_bytes: int = 0
-    # (graph6 lines taken, SHA-256 hex of them), or None before the first save
+    # (consumed, SHA-256 hex of the consumed lines), or None before the first save
     fingerprint: tuple[int, str] | None = None
 
     def record(self, check: str, graph_id: str, status: str, finding: bool) -> None:
@@ -115,7 +117,8 @@ def load_state(path: str) -> ScanState:
     """The state saved at ``path``; raises :class:`ScanError` naming the
     file when it is not JSON, not an object, or lacks a field or has one
     of the wrong type: each tallies entry must map the three statuses to
-    counts, and each violation must be an object."""
+    counts, each violation must be an object, and the fingerprint must
+    count exactly the consumed graphs."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -135,15 +138,14 @@ def load_state(path: str) -> ScanState:
             raise ScanError(f"checkpoint {path}: field 'tallies' is invalid at {name!r}")
     if not all(type(v) is dict for v in payload["violations"]):
         raise ScanError(f"checkpoint {path}: field 'violations' holds a non-object")
-    fingerprint = payload.get("fingerprint")  # absent in checkpoints that predate it
-    if fingerprint is not None and not (
-        type(fingerprint) is list and [type(x) for x in fingerprint] == [int, str]
+    fingerprint = payload.get("fingerprint")
+    if not (
+        type(fingerprint) is list
+        and [type(x) for x in fingerprint] == [int, str]
+        and fingerprint[0] == payload["consumed"]
     ):
-        raise ScanError(f"checkpoint {path}: field 'fingerprint' is invalid")
-    return ScanState(
-        **{name: payload[name] for name in _STATE_FIELDS},
-        fingerprint=tuple(fingerprint) if fingerprint else None,
-    )
+        raise ScanError(f"checkpoint {path}: field 'fingerprint' is missing or invalid")
+    return ScanState(**{name: payload[name] for name in _STATE_FIELDS}, fingerprint=tuple(fingerprint))
 
 
 def verdict_record(verdict: CheckVerdict) -> dict:
@@ -330,14 +332,11 @@ def scan(
     digest, start, skip = None, 0, 0
     if checkpoint_path:
         digest, start, skip = _prefix(expand, units, state.consumed)
-        if not fresh:
-            taken, sha256 = state.fingerprint or (state.consumed, None)
-            seen = digest if taken == state.consumed else _prefix(expand, units, taken)[0]
-            if seen.hexdigest() != sha256:
-                raise ScanError(
-                    f"checkpoint {checkpoint_path} does not match this input: its fingerprint "
-                    f"of the first {taken} graphs differs or is missing"
-                )
+        if not fresh and digest.hexdigest() != state.fingerprint[1]:
+            raise ScanError(
+                f"checkpoint {checkpoint_path} does not match this input: its fingerprint "
+                f"of the first {state.consumed} graphs differs"
+            )
     budget = None if limit is None else max(0, limit - state.consumed)
     # every unit holds at least one graph, so `budget` units are enough
     todo = units[start:] if budget is None else units[start : start + budget]

@@ -16,7 +16,6 @@ from subtrees import (
     are_isomorphic,
     barbell,
     canonical_form,
-    canonical_labelling,
     clique,
     cycle,
     generate_connected,
@@ -110,15 +109,6 @@ def test_distinguishes_small_graphs():
     assert canonical_form(clique(3)) != canonical_form(path_graph(3))
     assert canonical_form(path_graph(3).relabel([1, 0, 2])) == canonical_form(path_graph(3))
     assert canonical_form(cycle(6)) != canonical_form(clique(3))
-
-
-def test_canonical_labelling_achieves_certificate():
-    rng = random.Random(9)
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(2, 7), 0.5)
-        order = canonical_labelling(g)
-        relabelled = g.relabel(order)
-        assert canonical_form(relabelled) == canonical_form(g)
 
 
 def _is_automorphism(g: Graph, sigma) -> bool:
@@ -274,7 +264,6 @@ def test_generate_connected_matches_dedupe_oracle_at_order_8():
 def test_generate_connected_dedupes_masks_of_one_orbit(monkeypatch):
     # with no automorphisms known, every attachment mask is tried, so
     # isomorphic children of one parent meet and only one may stay
-    monkeypatch.setattr(canon, "_connected_cache", {})
     monkeypatch.setattr(canon, "certify", lambda g, certify=certify: (certify(g)[0], []))
     for n in range(1, 8):
         assert _certificates(generate_connected(n)) == _certificates(connected_by_dedupe(n)), n
@@ -282,24 +271,43 @@ def test_generate_connected_dedupes_masks_of_one_orbit(monkeypatch):
 
 def test_generate_trees_dedupes_masks_of_one_orbit(monkeypatch):
     # the same for leaf attachments: every leaf is tried
-    monkeypatch.setattr(canon, "_tree_cache", {})
     monkeypatch.setattr(canon, "certify", lambda g, certify=certify: (certify(g)[0], []))
     for n in range(1, 11):
         assert _certificates(generate_trees(n)) == _certificates(connected_by_dedupe(n, leaves=True)), n
 
 
-def test_generate_connected_fills_the_cache_the_benchmark_clears(monkeypatch):
-    # perfbench's universe-n8 workload empties `canon._connected_cache` by
-    # name before each round; a cache under another name would survive it
-    monkeypatch.setattr(canon, "_connected_cache", {})
+def _count_children(monkeypatch) -> list:
+    calls = []
+
+    def counted(parent, leaves=False, children=canon._children):
+        calls.append(parent.n)
+        return children(parent, leaves)
+
+    monkeypatch.setattr(canon, "_children", counted)
+    return calls
+
+
+@pytest.mark.parametrize("generate, n", [(generate_connected, 8), (generate_trees, 16)])
+def test_generation_streams_depth_first(monkeypatch, generate, n):
+    # the first graph of order n needs one expansion per order below it,
+    # not the whole order n-1 universe
+    calls = _count_children(monkeypatch)
+    first = next(generate(n))
+    assert first.n == n and first.is_connected()
+    assert calls == list(range(1, n))
+
+
+def test_generation_keeps_no_module_state(monkeypatch):
+    # a second call expands every parent again: nothing was cached, so a
+    # benchmark round that generates a universe pays for all of it
     list(generate_connected(5))
-    assert sorted(canon._connected_cache) == [1, 2, 3, 4, 5]
+    calls = _count_children(monkeypatch)
+    assert sum(1 for _ in generate_connected(5)) == CONNECTED_COUNTS[5]
+    assert len(calls) == sum(CONNECTED_COUNTS[k] for k in range(1, 5))
 
 
-def test_generate_connected_deterministic_order(monkeypatch):
-    monkeypatch.setattr(canon, "_connected_cache", {})
+def test_generate_connected_deterministic_order():
     first = [canonical_form(g) for g in generate_connected(6)]
-    canon._connected_cache.clear()
     second = [canonical_form(g) for g in generate_connected(6)]
     assert first == second
 

@@ -186,6 +186,15 @@ def test_transitive_check():
         check_transitive_inequalities(prism)
 
 
+def test_transitive_check_enumerates_once(monkeypatch):
+    # one local census gives the plain census too
+    from subtrees import petersen
+
+    calls = {name: _count_calls(monkeypatch, name) for name in ("census", "local_census")}
+    assert check_transitive_inequalities(petersen()).status == HOLDS
+    assert {name: len(args) for name, args in calls.items()} == {"census": 0, "local_census": 1}
+
+
 def test_classify_edge_additions_small():
     # completing the nearly complete graph is the unique positive move
     g = clique(5).delete_edge(0, 1)

@@ -93,24 +93,15 @@ def test_scan_resume_after_unsynced_tail(tmp_path):
 
     out = tmp_path / "out.jsonl"
     ckpt = tmp_path / "c.json"
+    scan(lines, checks, str(out), checkpoint_path=str(ckpt), checkpoint_every=10, limit=10)
+    at_10 = load_state(str(ckpt))
     scan(lines, checks, str(out), checkpoint_path=str(ckpt), checkpoint_every=10, limit=17)
-    state = load_state(str(ckpt))
-    assert state.consumed == 17  # final save includes the tail here
+    assert load_state(str(ckpt)).consumed == 17  # final save includes the tail here
     # simulate a crash where the state file lags behind the output
-    state.consumed = 10
-    state.output_bytes = min(state.output_bytes, _offset_of_line(out, 10))
-    save_state(state, str(ckpt))
+    save_state(at_10, str(ckpt))
     resumed = scan(lines, checks, str(out), checkpoint_path=str(ckpt))
-    assert resumed.tallies_json() != ""
+    assert resumed.tallies_json() == single.tallies_json()
     assert read_jsonl_no_runtime(out) == read_jsonl_no_runtime(single_out)
-
-
-def _offset_of_line(path, k: int) -> int:
-    offset = 0
-    with open(path, "rb") as fh:
-        for _ in range(k):
-            offset += len(fh.readline())
-    return offset
 
 
 def test_scan_checkpoint_check_mismatch(tmp_path):
@@ -156,8 +147,10 @@ def test_scan_resume_without_fingerprint_fails(tmp_path):
     payload = json.loads(ckpt.read_text())
     del payload["fingerprint"]
     ckpt.write_text(json.dumps(payload))
-    with pytest.raises(ScanError, match="does not match this input"):
+    partial = out.read_bytes()
+    with pytest.raises(ScanError, match="field 'fingerprint' is missing or invalid"):
         scan(universe_lines(5), ["min-path"], str(out), checkpoint_path=str(ckpt))
+    assert out.read_bytes() == partial and json.loads(ckpt.read_text()) == payload
 
 
 def test_scan_rejects_checkpoint_every_below_1(tmp_path):
@@ -509,10 +502,11 @@ def test_cli_scan_resume_on_different_input_exits_3(tmp_path):
     assert len(read_jsonl_no_runtime(out)) == 10
 
 
+# the SHA-256 of no input: the fingerprint of a checkpoint that consumed nothing
+_EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _BAD_TALLIES = json.dumps(
     {"checks": ["min-path"], "consumed": 0, "tallies": {"min-path": 3}, "violations": [],
-     "output_bytes": 5, "fingerprint": [0, "e3b0c44298fc1c149afbf4c8996fb924"
-                                           "27ae41e4649b934ca495991b7852b855"]}
+     "output_bytes": 5, "fingerprint": [0, _EMPTY_SHA256]}
 )
 
 
@@ -541,12 +535,14 @@ def test_cli_scan_corrupt_checkpoint_exits_3(tmp_path, content):
      ("fingerprint", [3]), ("tallies", {"min-path": 3}), ("tallies", {"min-path": {"holds": 1}}),
      ("tallies", {"min-path": {"holds": -1, "fails": 0, "report-only": 0}}),
      ("tallies", {"min-path": {"holds": True, "fails": 0, "report-only": 0}}),
-     ("violations", [3]), ("violations", [["min-path", "Bw", "fails"]])],
+     ("violations", [3]), ("violations", [["min-path", "Bw", "fails"]]),
+     # every checkpoint holds one, and it counts the consumed graphs
+     ("fingerprint", None), ("fingerprint", [1, _EMPTY_SHA256])],
 )
 def test_load_state_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
     ckpt = tmp_path / "state.json"
     state = {"checks": ["min-path"], "consumed": 0, "tallies": {}, "violations": [],
-             "output_bytes": 0, "fingerprint": None}
+             "output_bytes": 0, "fingerprint": [0, _EMPTY_SHA256]}
     ckpt.write_text(json.dumps({**state, field: value}))
     with pytest.raises(ScanError, match=field):
         load_state(str(ckpt))
