@@ -36,7 +36,6 @@ from .canon import (
 )
 from .census import (
     SubtreeCensus,
-    SubtreeConstraint,
     average_connected_set_size,
     census,
     census_containing,

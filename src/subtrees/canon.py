@@ -351,19 +351,21 @@ def generate_connected(n: int) -> Iterator[Graph]:
     parents in order, then attachment masks ascending.  The graphs stream
     depth-first, so the first one comes after n-1 expansions, and nothing
     is kept between calls.  The built-in generator stops at n = 8; larger
-    orders must be supplied externally as graph6 streams.
+    orders must be supplied externally as graph6 streams.  An order out of
+    range raises ``ValueError`` at the call, before any graph is made.
     """
     if not 1 <= n <= MAX_GENERATE:
         raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
-    yield from _stream(n, False)
+    return _stream(n, False)
 
 
 def generate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of trees of order n (n <= 16).
 
     The same canonical augmentation as :func:`generate_connected`, with
-    the new vertex attached as a leaf, streamed the same way.
+    the new vertex attached as a leaf, streamed the same way, and checked
+    at the call the same way.
     """
     if not 1 <= n <= 16:
         raise ValueError("tree generation supports 1 <= n <= 16")
-    yield from _stream(n, True)
+    return _stream(n, True)

@@ -16,11 +16,13 @@ most of their cores too, so :func:`_kappa` keeps the determinants in one
 bounded memo for the whole process, keyed by the core's induced rows.
 Every spanning-tree count is a determinant or adjugate of that one
 builder, a Laplacian grounded at a vertex set: at one vertex it counts
-all spanning trees, at a connected set T those containing a fixed
-spanning tree of T, which weights the sets of
-:func:`census_containing`.  Per-vertex sums need only
-(count, order sum) pairs, which multiply as (a, s)(b, t) = (ab, at + bs),
-and a second, outside pass gives every vertex its totals; only the
+all spanning trees, at a connected set V those containing a fixed
+spanning tree of G[V], which weights the sets of
+:func:`census_containing`.  That count is the same for every spanning
+tree of G[V] (the all-minors matrix-tree theorem, Chaiken 1982), so an
+anchored census takes only the tree's vertex set.  Per-vertex sums need
+only (count, order sum) pairs, which multiply as (a, s)(b, t) = (ab, at +
+bs), and a second, outside pass gives every vertex its totals; only the
 whole-graph counts by order are polynomials.  :func:`census`,
 :func:`census_containing` (whose required vertices fix the branches and
 block vertices every set must take) and
@@ -43,10 +45,10 @@ core lies in every tree.  So there is one adjugate per distinct core,
 and the subsets sharing a core meet its edges and cherries once, with
 their weights summed.  A cherry whose two edges lie in different blocks
 at a cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair
-algebra.  :func:`census_containing` counts the subtrees containing one
-constraint, a non-empty tree; it serves constraints of order 4 or more,
-single-vertex, single-edge and single-tree queries, and the tests as the
-oracle of :func:`local_census`.
+algebra.  :func:`census_containing` counts the subtrees containing a
+spanning tree of G[V] for one connected vertex set V; it serves anchored
+trees of order 4 or more, single-vertex, single-edge and single-tree
+queries, and the tests as the oracle of :func:`local_census`.
 
 The tests keep the independent slow oracles: a walk that lists subtrees
 one by one as growing edge sets, sharing no counting machinery with
@@ -55,11 +57,11 @@ one by one as growing edge sets, sharing no counting machinery with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Edge, Graph, _norm_edge
+from .graphs import Edge, Graph
 
 
 def _bits(mask: int) -> Sequence[int]:
@@ -735,62 +737,27 @@ def _census(
 # -- rooted censuses ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubtreeConstraint:
-    """A non-empty tree, by its vertices and edges, that every counted
-    subtree must contain.
+def census_containing(g: Graph, vertices: Iterable[int]) -> tuple[int, int]:
+    """Count and total order of the subtrees containing a spanning tree of
+    G[``vertices``].
 
-    Raises ``ValueError`` unless the edges join the vertices into one tree.
+    Any one spanning tree T of G[V] will do: the subtrees containing T are
+    the spanning trees of G[A] / T for the sets A holding V, and that
+    contracted graph is the same for every choice of T (the all-minors
+    matrix-tree theorem, Chaiken 1982), so every choice gives the same
+    count.  Raises ``ValueError`` unless V is non-empty, inside 0..n-1 and
+    induces a connected subgraph.
     """
-
-    vertices: frozenset[int]
-    edges: frozenset[Edge] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "edges", frozenset(_norm_edge(u, v) for u, v in self.edges)
-        )
-        if not self.vertices:
-            raise ValueError("constraint must be a non-empty tree")
-        if min(self.vertices) < 0:
-            raise ValueError(f"negative constraint vertex {min(self.vertices)}")
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("constraint contains a loop")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError("constraint edges must span required vertices")
-            a, b = find(u), find(v)
-            if a == b:
-                raise ValueError("constraint edges contain a cycle")
-            parent[a] = b
-        if len(self.edges) != len(self.vertices) - 1:
-            raise ValueError(
-                f"constraint must be a tree, not {len(self.vertices)} vertices "
-                f"and {len(self.edges)} edges"
-            )
-
-    def validate_for(self, g: Graph) -> None:
-        for v in self.vertices:
-            if not 0 <= v < g.n:
-                raise ValueError(f"constraint vertex {v} outside graph")
-        for u, v in self.edges:
-            if not g.has_edge(u, v):
-                raise ValueError(f"constraint edge ({u},{v}) absent from graph")
-
-
-def census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:
-    """Count and total order of the subtrees containing the constraint tree."""
-    constraint.validate_for(g)
-    root = min(constraint.vertices)
-    tree = sum(1 << v for v in constraint.vertices)
+    tree = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        tree |= 1 << v
+    if not tree:
+        raise ValueError("the anchored vertex set must be non-empty")
+    root = (tree & -tree).bit_length() - 1
+    if g.component_mask(root, tree) != tree:
+        raise ValueError(f"vertices {list(_bits(tree))} induce no connected subgraph")
     _, down, _, _ = _block_dp(g.rows, root, tree=tree)
     return _pair(down[root])
 
@@ -803,7 +770,7 @@ class LocalCensus:
     the edge u-v, keyed u < v in ``Graph.edges()`` order.  ``cherries[(a,
     m, b)]`` is the same for the cherry a-m-b (both edges a-m and m-b),
     keyed a < b and ordered by middle vertex m, then a, then b.  Each entry
-    equals :func:`census_containing` of that constraint.  ``census`` is
+    equals :func:`census_containing` of its vertices.  ``census`` is
     :func:`census` of the graph, from the same pass.
     """
 
@@ -850,12 +817,14 @@ def mean_subtree_order(g: Graph) -> Fraction:
 
 
 def mean_subtree_order_at_vertex(g: Graph, v: int) -> Fraction:
-    return mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset([v])))
+    return mean_subtree_order_at_tree(g, [v])
 
 
-def mean_subtree_order_at_tree(g: Graph, constraint: SubtreeConstraint) -> Fraction:
+def mean_subtree_order_at_tree(g: Graph, vertices: Iterable[int]) -> Fraction:
+    """Mean order of the subtrees containing a spanning tree of
+    G[``vertices``], any one: see :func:`census_containing`."""
     _require_connected(g)
-    n_c, r_c = census_containing(g, constraint)
+    n_c, r_c = census_containing(g, vertices)
     return Fraction(r_c, n_c)
 
 

@@ -20,7 +20,6 @@ import sys
 from fractions import Fraction
 
 from .census import (
-    SubtreeConstraint,
     average_connected_set_size,
     census,
     local_census,
@@ -31,7 +30,7 @@ from .families import FAMILIES, build_family, parse_family
 from .graphs import Graph, _norm_edge, from_graph6, to_graph6
 from .harness import CHECKS
 from .repro import REPROS
-from .scan import CSV_FIELDS, ScanError, record_csv_row, scan
+from .scan import CHECKPOINT_EVERY, CSV_FIELDS, ScanError, record_csv_row, scan
 
 
 def _fraction_fields(x: Fraction) -> tuple[str, str]:
@@ -64,14 +63,11 @@ def _parse_edge(text: str) -> tuple[int, int]:
     return (u, v)
 
 
-def _parse_tree(text: str) -> SubtreeConstraint:
+def _parse_tree(text: str) -> list[int]:
+    # the anchored tree's vertex set: any spanning tree of G[V] counts alike
     if ":" in text:
-        vert_part, edge_part = text.split(":", 1)
-    else:
-        vert_part, edge_part = text, ""
-    vertices = frozenset(int(v) for v in vert_part.split(",") if v != "")
-    edges = frozenset(_parse_edge(e) for e in edge_part.split(";") if e != "")
-    return SubtreeConstraint(vertices, edges)
+        raise ValueError(f"bad tree spec {text!r}; use V1,V2,... (the tree's vertices, no edges)")
+    return sorted({int(v) for v in text.split(",") if v != ""})
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -95,13 +91,17 @@ def cmd_compute(args: argparse.Namespace) -> int:
         rows.append((f"mean_at_vertex_{v}", *_fraction_fields(c.mean_at_vertex(v))))
     for spec in args.edge or []:
         u, v = _parse_edge(spec)
-        SubtreeConstraint(frozenset((u, v)), frozenset([(u, v)])).validate_for(g)
+        for w in (u, v):
+            if not 0 <= w < g.n:
+                raise ValueError(f"vertex {w} outside 0..{g.n - 1}")
+        if not g.has_edge(u, v):
+            raise ValueError(f"edge ({u},{v}) absent from graph")
         count, order_sum = local.edges[_norm_edge(u, v)]
         rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(Fraction(order_sum, count))))
     for spec in args.tree or []:
-        constraint = _parse_tree(spec)
-        label = ",".join(str(v) for v in sorted(constraint.vertices))
-        rows.append((f"mean_at_tree_{label}", *_fraction_fields(mean_subtree_order_at_tree(g, constraint))))
+        vertices = _parse_tree(spec)
+        label = ",".join(map(str, vertices))
+        rows.append((f"mean_at_tree_{label}", *_fraction_fields(mean_subtree_order_at_tree(g, vertices))))
 
     if args.format == "jsonl":
         payload = {name: {"exact": exact, "float": float_str or None} for name, exact, float_str in rows}
@@ -153,7 +153,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             checks,
             out_path,
             checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
             jobs=args.jobs,
             limit=args.limit,
         )
@@ -202,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tree",
         action="append",
-        metavar="V1,V2,..:U-V;U-V",
-        help="also report the local mean at this subtree constraint",
+        metavar="V1,V2,...",
+        help="also report the local mean at a subtree with these vertices (any spanning tree of the "
+        "subgraph they induce, which must be connected, gives the same mean)",
     )
     p.add_argument("--format", choices=("table", "jsonl", "csv"), default="table")
     p.set_defaults(func=cmd_compute)
@@ -217,8 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="scan the built-in universe of this order instead of reading input")
     p.add_argument("--checks", required=True, help=f"comma list or 'all'; available: {', '.join(CHECKS)}")
     p.add_argument("--output", default="-", help="JSONL output path (default stdout)")
-    p.add_argument("--checkpoint", help="JSON checkpoint path; resumes when it exists")
-    p.add_argument("--checkpoint-every", type=int, default=1000, metavar="N")
+    p.add_argument(
+        "--checkpoint",
+        help=f"JSON checkpoint path, saved every {CHECKPOINT_EVERY} graphs and at the end; "
+        "resumes when it exists",
+    )
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes")
     p.add_argument("--limit", type=int, help="stop after this many graphs (checkpoint keeps the rest)")
     p.add_argument(

@@ -36,7 +36,6 @@ from .canon import MAX_CANON, _orbit_reps, canonical_form, certify
 from .census import (
     LocalCensus,
     SubtreeCensus,
-    SubtreeConstraint,
     census,
     census_containing,
     average_connected_set_size,
@@ -618,12 +617,13 @@ def classify_edge_additions(g: Graph) -> EdgeAdditionReport:
 
 
 def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
-    """Build a bridged double broom where a bigger constraint has a smaller mean.
+    """Build a bridged double broom where a bigger anchored tree has a smaller mean.
 
-    The small constraint S is the path of order k starting at a hub and
-    running along the broom path; the large one is S extended through the
-    whole added bridge path to the other hub (order k + d).  ``holds``
-    means the reversal mean(G,S) > mean(G,S') is exact at these parameters.
+    The small tree S is the path of order k starting at a hub and running
+    along the broom path; the large one is S extended through the whole
+    added bridge path to the other hub (order k + d).  Each is given by
+    its vertex set.  ``holds`` means the reversal mean(G,S) > mean(G,S')
+    is exact at these parameters.
     """
     if d < 1:
         raise ValueError("need d >= 1 (S must grow)")
@@ -633,14 +633,8 @@ def check_monotonicity_reversal(k: int, d: int, n: int, w: int) -> CheckVerdict:
     hub1, hub2 = w - 1, n - (d - 1) - w
     if k > hub2 - hub1:
         raise ValueError("k exceeds the broom path length")
-    s_vertices = list(range(hub1, hub1 + k))
-    s_edges = [(i, i + 1) for i in s_vertices[:-1]]
-    bridge = list(range(n - (d - 1), n))
-    chain = [hub1] + bridge + [hub2]
-    s2_vertices = s_vertices + bridge + [hub2]
-    s2_edges = s_edges + [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-    small = SubtreeConstraint(frozenset(s_vertices), frozenset(s_edges))
-    large = SubtreeConstraint(frozenset(s2_vertices), frozenset(s2_edges))
+    small = list(range(hub1, hub1 + k))
+    large = small + list(range(n - (d - 1), n)) + [hub2]
 
     def reversal(ctx: CheckContext) -> Outcome:
         nc1, rc1 = census_containing(ctx.g, small)

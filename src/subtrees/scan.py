@@ -2,15 +2,15 @@
 
 One JSONL record is appended per (graph, check); tallies and the violation
 list live in a :class:`ScanState` that is persisted every
-``checkpoint_every`` graphs.  Resuming truncates the output back to the
-last synced byte offset and skips the consumed prefix of the input, so an
-interrupted-and-resumed scan reproduces a single-pass run byte for byte
-(up to the informational ``runtime_ms`` field).  The checkpoint holds a
-fingerprint of the input it has consumed: the number of graph6 lines
-consumed and the SHA-256 of those lines (normalised, one per line).  A
-checkpoint without one, or whose count is not ``consumed``, is rejected,
-and a resume whose input does not start with the same lines raises
-:class:`ScanError`.
+:data:`CHECKPOINT_EVERY` graphs and when the scan ends.  Resuming
+truncates the output back to the last synced byte offset and skips the
+consumed prefix of the input, so an interrupted-and-resumed scan
+reproduces a single-pass run byte for byte (up to the informational
+``runtime_ms`` field).  The checkpoint holds a fingerprint of the input
+it has consumed: the number of graph6 lines consumed and the SHA-256 of
+those lines (normalised, one per line).  A checkpoint without one, or
+whose count is not ``consumed``, is rejected, and a resume whose input
+does not start with the same lines raises :class:`ScanError`.
 
 Input is validated before anything is written: a malformed graph6 line
 or a disconnected graph raises :class:`ScanError` naming the line.
@@ -66,6 +66,9 @@ class ScanError(Exception):
 
 
 STATUSES = (HOLDS, FAILS, REPORT)
+
+# Graphs between two checkpoint saves; a scan also saves when it ends.
+CHECKPOINT_EVERY = 1000
 
 
 @dataclass
@@ -286,7 +289,6 @@ def scan(
     checks: list[str],
     out_path: str,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 1000,
     jobs: int = 1,
     limit: int | None = None,
 ) -> ScanState:
@@ -299,8 +301,6 @@ def scan(
     the checkpoint makes the next call resume.  Without a checkpoint path
     the scan always starts fresh and the output file is rewritten.
     """
-    if checkpoint_path and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be at least 1, not {checkpoint_every}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
     if limit is not None and limit < 0:
@@ -356,7 +356,7 @@ def scan(
             state.consumed += 1
             if checkpoint_path:
                 digest.update(text.encode() + b"\n")
-                if state.consumed % checkpoint_every == 0:
+                if state.consumed % CHECKPOINT_EVERY == 0:
                     out.flush()
                     state.output_bytes = out.tell()
                     state.fingerprint = (state.consumed, digest.hexdigest())

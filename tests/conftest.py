@@ -11,16 +11,19 @@ block DP behind ``census`` and ``census_containing``.
 ``_kappa_contracted`` is the contracted-quotient oracle of the grounded
 determinant: it builds the Laplacian of G[S] with one connected piece
 merged to one vertex as a matrix of its own, grounded at that vertex.
-``connected_by_dedupe`` generates the connected universe, or with
-``leaves`` the tree universe, the way the package once did, deduplicating
+``by_dedupe`` generates the connected universe, or with ``leaves`` the
+tree universe, order by order the way the package once did, deduplicating
 every one-vertex extension by certificate in one dict: the oracle of the
 canonical augmentation behind ``generate_connected`` and
-``generate_trees``.
+``generate_trees``.  ``generated`` gives the lists those generators
+yield for a range of orders, each order built once.
 """
 
 from itertools import combinations, permutations
+from typing import Iterator
 
-from subtrees import Graph, SubtreeCensus, SubtreeConstraint, canonical_form
+import subtrees.canon as canon
+from subtrees import Graph, SubtreeCensus, canonical_form
 from subtrees.census import (
     _bits,
     _connected_sets,
@@ -112,12 +115,31 @@ def census_by_subtree_enumeration(g: Graph) -> SubtreeCensus:
     )
 
 
-def connected_by_dedupe(n: int, leaves: bool = False) -> list[Graph]:
-    """One graph per class of connected graphs of order n, or of trees with
-    ``leaves``: every one-vertex extension (every leaf attachment) of every
-    class of order n - 1, deduplicated by certificate."""
+def generated(lo: int, hi: int, leaves: bool = False) -> Iterator[tuple[int, list[Graph]]]:
+    """``(n, list(generate_connected(n)))`` for n = lo..hi, or of
+    ``generate_trees(n)`` with ``leaves``.
+
+    Each order is built once, from the list of the order below, by
+    ``canon._children``, the step of the generators' own stream: a loop
+    calling a generator once per order would rebuild every order below
+    each time.
+    """
     graphs = [Graph(1, (0,))]
-    for k in range(2, n + 1):
+    for n in range(1, hi + 1):
+        if n > 1:
+            graphs = [child for parent in graphs for child in canon._children(parent, leaves)]
+        if n >= lo:
+            yield n, graphs
+
+
+def by_dedupe(hi: int, leaves: bool = False) -> Iterator[list[Graph]]:
+    """One graph per class of connected graphs of each order 1..hi, or of
+    trees with ``leaves``: every one-vertex extension (every leaf
+    attachment) of every class of the order below, deduplicated by
+    certificate."""
+    graphs = [Graph(1, (0,))]
+    yield graphs
+    for k in range(2, hi + 1):
         v = k - 1
         seen: dict[bytes, Graph] = {}
         for parent in graphs:
@@ -126,7 +148,7 @@ def connected_by_dedupe(n: int, leaves: bool = False) -> list[Graph]:
                 child = Graph(k, tuple(rows) + (mask,))
                 seen.setdefault(canonical_form(child), child)
         graphs = list(seen.values())
-    return graphs
+        yield graphs
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:
@@ -222,14 +244,14 @@ def _kappa_contracted(rows: tuple[int, ...], subset: int, piece: int) -> int:
     return _det_bareiss(mat)
 
 
-def walk_census_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:
+def walk_census_containing(g: Graph, vertices) -> tuple[int, int]:
     """``census_containing`` by the per-set walk: every connected set of the
-    whole graph that holds the constraint tree, weighted by the spanning
-    trees of its core containing the tree, counted with the tree
-    contracted."""
-    constraint.validate_for(g)
+    whole graph that holds the connected vertex set, weighted by the
+    spanning trees of its core containing a spanning tree of it, counted
+    with the set contracted."""
     rows = g.rows
-    tree = sum(1 << v for v in constraint.vertices)
+    tree = sum(1 << v for v in set(vertices))
+    assert tree and g.component_mask(min(vertices), tree) == tree, vertices
     count = 0
     order_sum = 0
     for subset in _connected_sets(rows, _rooted(g.n), tree):

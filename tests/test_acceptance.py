@@ -25,7 +25,6 @@ from subtrees import (
     clique_subtree_count,
     clique_subtree_count_by_order,
     generate_connected,
-    generate_trees,
     join_clique_independent,
     join_minus_edge_spanning_tree_count,
     join_spanning_tree_count,
@@ -38,12 +37,12 @@ from subtrees import (
     spanning_tree_count,
     to_graph6,
 )
-from subtrees.census import SubtreeConstraint, census_containing
+from subtrees.census import census_containing
 from subtrees.harness import HOLDS
 from subtrees.repro import repro_transitive_suite
 from subtrees.scan import load_state, save_state, scan
 
-from conftest import census_by_subtree_enumeration
+from conftest import census_by_subtree_enumeration, generated
 
 
 def report(criterion: int, budget_s: float, started: float, detail: str) -> None:
@@ -55,8 +54,8 @@ def report(criterion: int, budget_s: float, started: float, detail: str) -> None
 def test_criterion_01_oracle_equivalence():
     started = time.perf_counter()
     total = 0
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             assert census(g) == census_by_subtree_enumeration(g), to_graph6(g)
             total += 1
     report(1, 10, started, f"census == subtree-enumeration oracle on all {total} connected graphs, n <= 6")
@@ -92,8 +91,8 @@ def _run_battery(max_n: int) -> tuple[int, list]:
     graphs = 0
     violations = []
     memo: dict = {}
-    for n in range(1, max_n + 1):
-        for g in generate_connected(n):
+    for n, order in generated(1, max_n):
+        for g in order:
             graphs += 1
             for verdict in run_checks(g, BATTERY_N7, memo):
                 if verdict.status == "fails" or verdict.witness.get("finding"):
@@ -148,7 +147,7 @@ def _local_means_case(g, v1: int, hub_edges) -> None:
     mu_v1 = c.mean_at_vertex(v1)
     assert mu_v1 < mu
     for e in hub_edges:
-        nc, rc = census_containing(g, SubtreeConstraint(frozenset(e), frozenset([e])))
+        nc, rc = census_containing(g, e)
         assert Fraction(rc, nc) < mu_v1, e
 
 
@@ -202,9 +201,9 @@ def test_criterion_09_tree_contraction():
     started = time.perf_counter()
     third = Fraction(1, 3)
     trees = 0
-    for n in range(2, 11):
+    for n, order in generated(2, 10, leaves=True):
         paths = 0
-        for t in generate_trees(n):
+        for t in order:
             trees += 1
             (verdict,) = run_checks(t, ["contraction-gap"])
             assert verdict.status == HOLDS, to_graph6(t)
@@ -254,14 +253,14 @@ def test_criterion_12_scan_resume_determinism(tmp_path):
     out = tmp_path / "resumed.jsonl"
     ckpt = tmp_path / "ckpt.json"
     # capture the genuine checkpoint written after 60 graphs ...
-    scan(lines, checks, str(out), checkpoint_path=str(ckpt), checkpoint_every=30, limit=60)
+    scan(lines, checks, str(out), checkpoint_path=str(ckpt), limit=60)
     at_60 = load_state(str(ckpt))
     assert at_60.consumed == 60
     # ... let the scan run on for a while, then die: the state file rolls
     # back to the 60-graph checkpoint while the output keeps an unsynced tail
-    scan(lines, checks, str(out), checkpoint_path=str(ckpt), checkpoint_every=30, limit=75)
+    scan(lines, checks, str(out), checkpoint_path=str(ckpt), limit=75)
     save_state(at_60, str(ckpt))
-    resumed = scan(lines, checks, str(out), checkpoint_path=str(ckpt), checkpoint_every=30)
+    resumed = scan(lines, checks, str(out), checkpoint_path=str(ckpt))
 
     assert resumed.consumed == 112
     assert resumed.tallies_json().encode() == single.tallies_json().encode()

@@ -26,7 +26,7 @@ from subtrees import (
 import subtrees.canon as canon
 from subtrees.cli import main as cli_main
 from subtrees.canon import _orbit_reps, _rooted_code, certify
-from conftest import automorphisms, connected_by_dedupe, random_graph
+from conftest import automorphisms, by_dedupe, generated, random_graph
 
 ALL_PAIRS_4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -121,7 +121,7 @@ def test_certify_generators_are_automorphisms():
     from subtrees import complete_bipartite, double_broom, modified_barbell, petersen
 
     rng = random.Random(19)
-    graphs = [g for n in range(1, 8) for g in generate_connected(n)]
+    graphs = [g for _, order in generated(1, 7) for g in order]
     graphs += [random_graph(rng, rng.randint(2, 12), rng.choice([0.2, 0.5, 0.8])) for _ in range(60)]
     graphs += [barbell(14, 6), double_broom(14, 5), modified_barbell(16, 5, 1), clique(9),
                complete_bipartite(4, 4), petersen(), cycle(16), star_graph(16)]
@@ -145,8 +145,8 @@ def _closure(n: int, gens) -> set:
 
 
 def test_certify_generators_generate_the_whole_group_up_to_order_6():
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, graphs in generated(1, 6):
+        for g in graphs:
             assert _closure(n, certify(g)[1]) == set(automorphisms(g)), g
 
 
@@ -155,8 +155,8 @@ def test_orbit_reps_match_brute_force_orbits():
     # connected graph of order <= 5, against orbits under all of Aut(g)
     from subtrees import maximal_matchings_of_complement
 
-    for n in range(1, 6):
-        for g in generate_connected(n):
+    for n, graphs in generated(1, 5):
+        for g in graphs:
             auts = automorphisms(g)
             gens = certify(g)[1]
             non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
@@ -203,8 +203,8 @@ def test_orbit_reps_skips_transpositions_already_joined(monkeypatch):
 def test_rooted_codes_agree_exactly_on_orbits():
     # x and y have equal rooted codes iff an automorphism maps x to y, on
     # every connected graph of order <= 6
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, graphs in generated(1, 6):
+        for g in graphs:
             auts = automorphisms(g)
             codes = [_rooted_code(g.rows, n, x) for x in range(n)]
             for x in range(n):
@@ -221,8 +221,10 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
 
 def test_generate_connected_counts():
-    for n, expect in CONNECTED_COUNTS.items():
-        assert sum(1 for _ in generate_connected(n)) == expect
+    for n, graphs in generated(1, 8):
+        assert len(graphs) == CONNECTED_COUNTS[n]
+        if n == 6:  # the lists built order by order are what the generator streams
+            assert list(generate_connected(n)) == graphs
 
 
 def test_generate_connected_counts_match_labelled_brute_force():
@@ -238,8 +240,7 @@ def test_generate_connected_counts_match_labelled_brute_force():
 
 
 def test_generate_connected_yields_distinct_connected_representatives():
-    for n in (4, 5, 6):
-        graphs = list(generate_connected(n))
+    for n, graphs in generated(4, 6):
         assert all(g.is_connected() for g in graphs)
         certs = [canonical_form(g) for g in graphs]
         assert len(set(certs)) == len(certs)
@@ -250,13 +251,13 @@ def _certificates(graphs) -> list[bytes]:
 
 
 def test_generate_connected_matches_dedupe_oracle():
-    for n in range(1, 8):
-        assert _certificates(generate_connected(n)) == _certificates(connected_by_dedupe(n)), n
+    for (n, graphs), oracle in zip(generated(1, 7), by_dedupe(7)):
+        assert _certificates(graphs) == _certificates(oracle), n
 
 
 @pytest.mark.slow
 def test_generate_connected_matches_dedupe_oracle_at_order_8():
-    graphs, oracle = list(generate_connected(8)), connected_by_dedupe(8)
+    graphs, oracle = list(generate_connected(8)), list(by_dedupe(8))[-1]
     assert _certificates(graphs) == _certificates(oracle)
     assert Counter(g.edge_count for g in graphs) == Counter(g.edge_count for g in oracle)
 
@@ -265,15 +266,15 @@ def test_generate_connected_dedupes_masks_of_one_orbit(monkeypatch):
     # with no automorphisms known, every attachment mask is tried, so
     # isomorphic children of one parent meet and only one may stay
     monkeypatch.setattr(canon, "certify", lambda g, certify=certify: (certify(g)[0], []))
-    for n in range(1, 8):
-        assert _certificates(generate_connected(n)) == _certificates(connected_by_dedupe(n)), n
+    for (n, graphs), oracle in zip(generated(1, 7), by_dedupe(7)):
+        assert _certificates(graphs) == _certificates(oracle), n
 
 
 def test_generate_trees_dedupes_masks_of_one_orbit(monkeypatch):
     # the same for leaf attachments: every leaf is tried
     monkeypatch.setattr(canon, "certify", lambda g, certify=certify: (certify(g)[0], []))
-    for n in range(1, 11):
-        assert _certificates(generate_trees(n)) == _certificates(connected_by_dedupe(n, leaves=True)), n
+    for (n, trees), oracle in zip(generated(1, 10, leaves=True), by_dedupe(10, leaves=True)):
+        assert _certificates(trees) == _certificates(oracle), n
 
 
 def _count_children(monkeypatch) -> list:
@@ -342,6 +343,16 @@ def test_generate_connected_caps_at_8():
         list(generate_connected(9))
 
 
+@pytest.mark.parametrize(
+    "generate, n",
+    [(generate_connected, 0), (generate_connected, 9), (generate_trees, 0), (generate_trees, 17)],
+)
+def test_generation_rejects_an_order_out_of_range_at_the_call(generate, n):
+    # not at the first next(): the bare call raises
+    with pytest.raises(ValueError, match="supports 1 <= n <="):
+        generate(n)
+
+
 # Otter's counts of free trees (A000055)
 TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
@@ -350,15 +361,16 @@ TREE_COUNTS = {
 
 
 def test_generate_trees_counts():
-    for n, expect in TREE_COUNTS.items():
-        trees = list(generate_trees(n))
-        assert len(trees) == expect
+    for n, trees in generated(1, 14, leaves=True):
+        assert len(trees) == TREE_COUNTS[n]
         assert all(t.is_tree() for t in trees)
+        if n == 9:  # the lists built order by order are what the generator streams
+            assert list(generate_trees(n)) == trees
 
 
 def test_generate_trees_matches_dedupe_oracle():
-    for n in range(1, 13):
-        assert _certificates(generate_trees(n)) == _certificates(connected_by_dedupe(n, leaves=True)), n
+    for (n, trees), oracle in zip(generated(1, 12, leaves=True), by_dedupe(12, leaves=True)):
+        assert _certificates(trees) == _certificates(oracle), n
 
 
 def test_symmetric_family_certificates():

@@ -13,7 +13,6 @@ import pytest
 
 from subtrees import (
     Graph,
-    SubtreeConstraint,
     average_connected_set_size,
     barbell,
     census,
@@ -22,7 +21,6 @@ from subtrees import (
     cycle,
     double_broom,
     generate_connected,
-    generate_trees,
     mean_subtree_order,
     mean_subtree_order_at_tree,
     mean_subtree_order_at_vertex,
@@ -47,6 +45,7 @@ from conftest import (
     _kappa_contracted,
     _rooted,
     census_by_subtree_enumeration,
+    generated,
     naive_census_counts,
     random_connected_graph,
     random_graph,
@@ -92,8 +91,8 @@ def test_census_matches_naive_edge_subset_count():
 
 
 def test_oracle_equivalence_exhaustive_small():
-    for n in range(1, 6):
-        for g in generate_connected(n):
+    for n, order in generated(1, 5):
+        for g in order:
             assert census(g) == census_by_subtree_enumeration(g)
 
 
@@ -148,17 +147,14 @@ def test_spanning_tree_count_of_disconnected_graphs_is_0():
 
 def test_census_containing_hand_values():
     p3 = path_graph(3)
-    assert census_containing(p3, SubtreeConstraint(frozenset([1]))) == (4, 8)
+    assert census_containing(p3, [1]) == (4, 8)
     k3 = clique(3)
-    edge = SubtreeConstraint(frozenset([0, 1]), frozenset([(0, 1)]))
-    assert census_containing(k3, edge) == (3, 8)
-    assert mean_subtree_order_at_tree(k3, edge) == Fraction(8, 3)
-    # whole tree as constraint: only the tree itself
-    t = path_graph(5)
-    full = SubtreeConstraint(
-        frozenset(range(5)), frozenset((i, i + 1) for i in range(4))
-    )
-    assert census_containing(t, full) == (1, 5)
+    assert census_containing(k3, (0, 1)) == (3, 8)
+    assert mean_subtree_order_at_tree(k3, (0, 1)) == Fraction(8, 3)
+    # the whole tree anchored: only the tree itself
+    assert census_containing(path_graph(5), range(5)) == (1, 5)
+    # any iterable of the vertices, repeats and order aside
+    assert census_containing(k3, iter([1, 0, 1])) == (3, 8)
 
 
 def test_census_containing_brute_force():
@@ -168,28 +164,19 @@ def test_census_containing_brute_force():
         g = random_connected_graph(rng, rng.randint(3, 6), 0.55)
         edges = list(g.edges())
         u, v = edges[rng.randrange(len(edges))]
-        for constraint in (
-            SubtreeConstraint(frozenset([u])),
-            SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)])),
-        ):
-            nc, rc = census_containing(g, constraint)
-            bn, br = brute_containing(g, constraint)
-            assert (nc, rc) == (bn, br), (g, constraint)
+        for vertices, tree in (([u], []), ([u, v], [(u, v)])):
+            assert census_containing(g, vertices) == brute_containing(g, vertices, tree), (
+                g,
+                vertices,
+            )
 
 
-def brute_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]:
-    from itertools import combinations
-
+@functools.lru_cache(maxsize=1)
+def _subtrees(g: Graph) -> list[tuple[set, set]]:
+    # every subtree of g as (vertices, edges): the singletons, then every
+    # acyclic edge set that touches one more vertex than it has edges
+    out = [({v}, set()) for v in range(g.n)]
     edges = list(g.edges())
-    need_v = set(constraint.vertices)
-    need_e = set(constraint.edges)
-    count = 0
-    order = 0
-    for v in range(g.n):  # singleton subtrees
-        if need_e or need_v - {v}:
-            continue
-        count += 1
-        order += 1
     for r in range(1, len(edges) + 1):
         for sub in combinations(edges, r):
             verts = set()
@@ -212,42 +199,90 @@ def brute_containing(g: Graph, constraint: SubtreeConstraint) -> tuple[int, int]
                     acyclic = False
                     break
                 parent[ra] = rb
-            if acyclic and need_v <= verts and need_e <= set(sub):
-                count += 1
-                order += len(verts)
-    return count, order
+            if acyclic:
+                out.append((verts, set(sub)))
+    return out
+
+
+def brute_containing(g: Graph, vertices, edges) -> tuple[int, int]:
+    """Count and order sum of the subtrees of g holding the ``vertices``
+    and the ``edges``, by filtering every subtree, listed as an edge set."""
+    need_v = set(vertices)
+    need_e = {(min(e), max(e)) for e in edges}
+    orders = [len(verts) for verts, sub in _subtrees(g) if need_v <= verts and need_e <= sub]
+    return len(orders), sum(orders)
+
+
+def _spanning_trees(g: Graph, vertices: set) -> list[list[tuple[int, int]]]:
+    # every spanning tree of G[vertices] as an edge list: the sets of
+    # |V| - 1 induced edges that join V
+    inner = [(u, v) for u, v in g.edges() if u in vertices and v in vertices]
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    return [
+        list(tree)
+        for tree in combinations(inner, len(vertices) - 1)
+        if Graph.from_edges(len(vertices), [(index[u], index[v]) for u, v in tree]).is_tree()
+    ]
+
+
+def test_census_containing_is_the_same_for_every_spanning_tree_of_the_set():
+    # the premise of anchoring by vertices alone: when G[V] has a chord,
+    # every one of its spanning trees lies in as many subtrees, with the
+    # same order sum (Chaiken's all-minors matrix-tree theorem)
+    rng = random.Random(109)
+    graphs = triangles = 0
+    while graphs < 40:
+        g = random_connected_graph(rng, rng.randint(4, 7), 0.5)
+        piece = _grown_piece(rng, g.rows, (1 << g.n) - 1, rng.randrange(g.n), rng.randint(3, 4))
+        vertices = set(_bits(piece))
+        trees = _spanning_trees(g, vertices)
+        if len(vertices) < 3 or len(trees) < 2:
+            continue  # no chord
+        graphs += 1
+        want = census_containing(g, vertices)
+        for tree in trees:
+            assert brute_containing(g, vertices, tree) == want, (g, vertices, tree)
+        # the three cherries of a triangle are its three spanning trees
+        cherries = local_census(g).cherries
+        for a, b, c in combinations(range(g.n), 3):
+            if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c):
+                triangles += 1
+                assert cherries[(b, a, c)] == cherries[(a, b, c)] == cherries[(a, c, b)], (g, a, b, c)
+    assert triangles > 40
 
 
 def test_constraint_validation():
     g = path_graph(4)
-    with pytest.raises(ValueError):
-        census_containing(g, SubtreeConstraint(frozenset([0, 2]), frozenset([(0, 2)])))
-    with pytest.raises(ValueError):
-        census_containing(g, SubtreeConstraint(frozenset([9])))
-    with pytest.raises(ValueError):
-        SubtreeConstraint(frozenset([0]), frozenset([(0, 0)]))
-    with pytest.raises(ValueError):
-        SubtreeConstraint(frozenset([0]), frozenset([(0, 1)]))
-    for e in ((9, 0), (0, 2), (1, 1)):  # a vertex outside g, a non-edge, a loop
-        with pytest.raises(ValueError):
-            mean_subtree_order_at_tree(g, SubtreeConstraint(frozenset(e), frozenset([e])))
-    with pytest.raises(ValueError, match="negative"):
-        SubtreeConstraint(frozenset([-1]))
+    cases = [
+        ([0, 2], "induce no connected subgraph"),  # a non-edge
+        ([0, 1, 3], "induce no connected subgraph"),
+        ([9], "vertex 9 outside 0..3"),
+        ([9, 0], "vertex 9 outside 0..3"),
+        ([-1], "vertex -1 outside 0..3"),
+        ([], "non-empty"),
+    ]
+    for vertices, message in cases:
+        with pytest.raises(ValueError, match=message):
+            census_containing(g, vertices)
+        with pytest.raises(ValueError, match=message):
+            mean_subtree_order_at_tree(g, vertices)
 
 
 @pytest.mark.parametrize(
     "vertices, edges",
     [
-        ([], []),  # empty
-        ([0, 2], []),  # two vertices, no edge
-        ([0, 1, 2, 3], [(0, 1), (2, 3)]),  # a two-edge forest
-        ([0, 1, 2], [(0, 1), (1, 2), (0, 2)]),  # a triangle
-        ([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2)]),  # a triangle and a vertex
+        ([], [(0, 1)]),  # empty
+        ([0, 2], [(0, 1), (1, 2)]),  # two vertices, no edge
+        ([0, 1, 2, 3], [(0, 1), (2, 3), (1, 4), (3, 4)]),  # inducing a two-edge forest
+        ([0, 1, 5], [(0, 1), (1, 2), (0, 2)]),  # a vertex outside the graph
+        ([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2), (0, 4), (3, 4)]),  # a triangle and a vertex
     ],
 )
 def test_constraint_must_be_a_non_empty_tree(vertices, edges):
-    with pytest.raises(ValueError, match="tree|cycle"):
-        SubtreeConstraint(frozenset(vertices), frozenset(edges))
+    # the anchored vertices must be those of a tree of the graph with
+    # these edges: non-empty, in it, and inducing a connected subgraph
+    with pytest.raises(ValueError, match="non-empty|outside|connected"):
+        census_containing(Graph.from_edges(5, edges), vertices)
 
 
 def test_mean_subtree_order_path_formula():
@@ -277,9 +312,7 @@ def test_handshake_identities():
         # each subtree of order k contains k-1 edges
         edge_total = 0
         for u, v in g.edges():
-            nc, _ = census_containing(
-                g, SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-            )
+            nc, _ = census_containing(g, (u, v))
             edge_total += nc
         assert edge_total == c.order_sum - c.num_subtrees
 
@@ -308,10 +341,8 @@ def test_constraint_monotonicity():
         g = random_connected_graph(rng, rng.randint(3, 7), 0.5)
         edges = list(g.edges())
         u, v = edges[rng.randrange(len(edges))]
-        small = SubtreeConstraint(frozenset([u]))
-        large = SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-        ns, _ = census_containing(g, small)
-        nl, _ = census_containing(g, large)
+        ns, _ = census_containing(g, [u])
+        nl, _ = census_containing(g, [u, v])
         assert nl <= ns
 
 
@@ -319,9 +350,9 @@ def test_average_connected_set_size_values():
     assert average_connected_set_size(clique(2)) == Fraction(4, 3)
     # K_4: 4 singletons + 6 pairs + 4 triples + 1 quadruple; sizes sum to 32
     assert average_connected_set_size(clique(4)) == Fraction(32, 15)
-    for n in range(1, 10):
+    for n, order in generated(1, 9, leaves=True):
         t_counts = 0
-        for t in generate_trees(n):
+        for t in order:
             assert average_connected_set_size(t) == mean_subtree_order(t)
             t_counts += 1
         assert t_counts >= 1
@@ -337,16 +368,16 @@ def _connected_masks(g: Graph) -> list[int]:
 
 
 def test_connected_sets_yield_each_connected_set_once():
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             sets = list(_connected_sets(g.rows, _rooted(n)))
             assert len(sets) == len(set(sets))
             assert sorted(sets) == _connected_masks(g)
 
 
 def test_average_connected_set_size_brute_force():
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             masks = _connected_masks(g)
             expect = Fraction(sum(m.bit_count() for m in masks), len(masks))
             assert average_connected_set_size(g) == expect
@@ -365,8 +396,7 @@ def _assert_local_census_matches_oracle(g: Graph) -> None:
     local = local_census(g)
     assert list(local.edges) == list(g.edges())
     for (u, v), totals in local.edges.items():
-        edge = SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-        assert totals == census_containing(g, edge), (g, u, v)
+        assert totals == census_containing(g, (u, v)), (g, u, v)
     cherries = [
         (a, m, b)
         for m in range(g.n)
@@ -376,13 +406,12 @@ def _assert_local_census_matches_oracle(g: Graph) -> None:
     ]
     assert list(local.cherries) == cherries
     for (a, m, b), totals in local.cherries.items():
-        cherry = SubtreeConstraint(frozenset([a, m, b]), frozenset([(a, m), (m, b)]))
-        assert totals == census_containing(g, cherry), (g, a, m, b)
+        assert totals == census_containing(g, (a, m, b)), (g, a, m, b)
 
 
 def test_local_census_matches_census_containing_exhaustive_small():
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             _assert_local_census_matches_oracle(g)
 
 
@@ -508,7 +537,7 @@ def test_census_on_cored_graphs_matches_oracles():
 
 
 def test_census_containing_on_cored_graphs_matches_brute_force():
-    # vertex, edge and tree constraints, most containing a leaf of the
+    # vertex, edge and tree anchors, most containing a leaf of the
     # graph, which the core must keep
     rng = random.Random(79)
     for _ in range(60):
@@ -516,16 +545,16 @@ def test_census_containing_on_cored_graphs_matches_brute_force():
         leaf = rng.choice([v for v in range(g.n) if g.degree(v) == 1])
         (stem,) = (w for w in range(g.n) if g.has_edge(leaf, w))
         tree_v, tree_e = _grown_tree(rng, g, leaf, rng.randint(2, 3))
-        constraints = [
-            SubtreeConstraint(frozenset([leaf])),
-            SubtreeConstraint(frozenset([rng.randrange(g.n)])),
-            SubtreeConstraint(frozenset([leaf, stem]), frozenset([(leaf, stem)])),
-            SubtreeConstraint(frozenset(tree_v), frozenset(tree_e)),
+        anchored = [
+            ([leaf], []),
+            ([rng.randrange(g.n)], []),
+            ([leaf, stem], [(leaf, stem)]),
+            (tree_v, tree_e),
         ]
-        for constraint in constraints:
-            assert census_containing(g, constraint) == brute_containing(g, constraint), (
+        for vertices, tree in anchored:
+            assert census_containing(g, vertices) == brute_containing(g, vertices, tree), (
                 g,
-                constraint,
+                vertices,
             )
 
 
@@ -578,8 +607,8 @@ def _memo_cases() -> tuple[Graph, ...]:
     # each labelled graph once: they share labels, so they meet the same
     # core masks with other induced rows
     graphs = {}
-    for n in range(1, 8):
-        for g in generate_connected(n):
+    for n, order in generated(1, 7):
+        for g in order:
             graphs[g] = None
             edges = set(g.edges())
             for u, v in combinations(range(n), 2):
@@ -593,7 +622,7 @@ def _census_tallies(g: Graph) -> tuple:
 
 
 def _memo_results(cold: bool) -> list:
-    # the censuses of K4, plain and with the constraint edges (0,1) and
+    # the censuses of K4, plain and anchored at the edges (0,1) and
     # (2,3), which ground its cores in two ways, then of every _memo_cases
     # graph; with `cold`, each from an empty memo
     memo = sys.modules["subtrees.census"]._kappa_memo
@@ -605,7 +634,7 @@ def _memo_results(cold: bool) -> list:
         if e is None:
             out.append(_census_tallies(g))
         else:
-            out.append(census_containing(g, SubtreeConstraint(frozenset(e), frozenset([e]))))
+            out.append(census_containing(g, e))
     return out
 
 
@@ -641,11 +670,13 @@ def test_warm_kappa_memo_matches_a_cold_one_on_every_order_8_graph(monkeypatch):
 
 
 def test_tree_constraint_skips_the_connectivity_filter(monkeypatch):
+    # one check that the anchored set induces a connected subgraph, and no
+    # filter of the sets grown from it, which are connected by construction
     calls = _counted(monkeypatch, Graph, "component_mask")
     g = modified_barbell(9, 3, 1)
-    census_containing(g, SubtreeConstraint(frozenset([0, 1]), frozenset([(0, 1)])))
-    census_containing(g, SubtreeConstraint(frozenset([8])))
-    assert calls == []
+    census_containing(g, (0, 1))
+    census_containing(g, [8])
+    assert [args[1:] for args in calls] == [(0, 0b11), (8, 1 << 8)]
 
 
 # -- the block DP against the per-set walk --------------------------------------
@@ -693,36 +724,36 @@ def _reach(g: Graph, tree_v: set, tree_e: set, targets: set) -> tuple[set, set, 
     return verts, edges, end
 
 
-def _constraints(rng, g: Graph) -> list[SubtreeConstraint]:
-    # a vertex, an edge, a grown tree and that tree reaching out along a
-    # shortest path to take a vertex or an edge away from it
-    out = [SubtreeConstraint(frozenset([rng.randrange(g.n)]))]
+def _anchored_trees(rng, g: Graph) -> list[tuple[set, set]]:
+    # the vertices and edges of a vertex, an edge, a grown tree and that
+    # tree reaching out along a shortest path to take a vertex or an edge
+    # away from it
+    out = [({rng.randrange(g.n)}, set())]
     edges = list(g.edges())
     if not edges:
         return out
     u, v = rng.choice(edges)
-    out.append(SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)])))
+    out.append(({u, v}, {(u, v)}))
     tree_v, tree_e = _grown_tree(rng, g, u, rng.randint(2, 4))
-    out.append(SubtreeConstraint(frozenset(tree_v), frozenset(tree_e)))
+    out.append((tree_v, tree_e))
     apart = [e for e in edges if not set(e) & tree_v]
     if apart and rng.random() < 0.5:
         a, b = rng.choice(apart)
         verts, path, x = _reach(g, tree_v, tree_e, {a, b})
         y = a + b - x
-        out.append(SubtreeConstraint(frozenset(verts | {y}), frozenset(path | {(x, y)})))
+        out.append((verts | {y}, path | {(x, y)}))
     elif len(tree_v) < g.n:
         w = rng.choice([w for w in range(g.n) if w not in tree_v])
-        verts, path, _ = _reach(g, tree_v, tree_e, {w})
-        out.append(SubtreeConstraint(frozenset(verts), frozenset(path)))
+        out.append(_reach(g, tree_v, tree_e, {w})[:2])
     return out
 
 
 def _assert_matches_walk(rng, g: Graph) -> None:
     assert census(g) == walk_census(g), g
-    for constraint in _constraints(rng, g):
-        assert census_containing(g, constraint) == walk_census_containing(g, constraint), (
+    for vertices, _ in _anchored_trees(rng, g):
+        assert census_containing(g, vertices) == walk_census_containing(g, vertices), (
             g,
-            constraint,
+            vertices,
         )
 
 
@@ -757,8 +788,8 @@ def test_blocks_partition_the_edges_and_come_children_first():
 
 
 def test_connected_sets_with_need_yield_the_supersets_of_need():
-    for n in range(2, 7):
-        for g in generate_connected(n):
+    for n, order in generated(2, 6):
+        for g in order:
             full = (1 << n) - 1
             for need in (0b10, (1 << (n - 1)) | 0b10, full & ~1):
                 sets = list(_connected_sets(g.rows, [(1, full & ~1)], need))
@@ -769,8 +800,8 @@ def test_connected_sets_with_need_yield_the_supersets_of_need():
 
 def test_block_dp_matches_the_walk_on_every_connected_graph_to_order_7():
     rng = random.Random(83)
-    for n in range(1, 8):
-        for g in generate_connected(n):
+    for n, order in generated(1, 7):
+        for g in order:
             _assert_matches_walk(rng, g)
 
 
@@ -792,8 +823,7 @@ def test_block_dp_matches_the_walk_on_modified_double_brooms():
             bridge, hubs = n - 1, (w - 1, n - 1 - w)
             for hub in hubs:
                 e = (hub, bridge)
-                edge = SubtreeConstraint(frozenset(e), frozenset([e]))
-                assert census_containing(g, edge) == walk_census_containing(g, edge)
+                assert census_containing(g, e) == walk_census_containing(g, e)
 
 
 def test_block_dp_matches_subtree_enumeration_to_order_8():
@@ -804,13 +834,13 @@ def test_block_dp_matches_subtree_enumeration_to_order_8():
         oracle = census_by_subtree_enumeration(g)
         assert census(g) == oracle, g
         for v in range(g.n):
-            assert census_containing(g, SubtreeConstraint(frozenset([v]))) == (
+            assert census_containing(g, [v]) == (
                 oracle.vertex_counts[v],
                 oracle.vertex_order_sums[v],
             )
     for g in graphs[:30]:
-        for constraint in _constraints(rng, g):
-            assert census_containing(g, constraint) == brute_containing(g, constraint)
+        for vertices, tree in _anchored_trees(rng, g):
+            assert census_containing(g, vertices) == brute_containing(g, vertices, tree)
 
 
 def test_block_dp_closed_forms_at_order_64():
@@ -819,8 +849,7 @@ def test_block_dp_closed_forms_at_order_64():
     assert c.counts == (0, *(n - k + 1 for k in range(1, n + 1)))
     assert c.vertex_counts == tuple((v + 1) * (n - v) for v in range(n))
     for i in (0, 20, 62):
-        edge = SubtreeConstraint(frozenset([i, i + 1]), frozenset([(i, i + 1)]))
-        assert census_containing(path_graph(n), edge)[0] == (i + 1) * (n - i - 1)
+        assert census_containing(path_graph(n), (i, i + 1))[0] == (i + 1) * (n - i - 1)
     c = census(star_graph(n))
     assert c.counts == (0, n, *(comb(n - 1, k - 1) for k in range(2, n + 1)))
     assert c.vertex_counts == (1 << (n - 1), *([1 + (1 << (n - 2))] * (n - 1)))
@@ -829,8 +858,7 @@ def test_block_dp_closed_forms_at_order_64():
     assert c.counts == (0, *([n] * n))
     assert c.vertex_counts == (n * (n + 1) // 2,) * n
     # paths of k vertices through an edge: k - 1 of the n, up to k = n
-    edge = SubtreeConstraint(frozenset([5, 6]), frozenset([(5, 6)]))
-    assert census_containing(g, edge) == (
+    assert census_containing(g, (5, 6)) == (
         n * (n - 1) // 2,
         sum(k * (k - 1) for k in range(2, n + 1)),
     )
@@ -853,19 +881,10 @@ def test_block_dp_on_modified_double_broom_64_8_1():
     assert all(c.vertex_counts[v] == c.vertex_counts[mirror[v]] for v in range(n))
     assert all(c.vertex_order_sums[v] == c.vertex_order_sums[mirror[v]] for v in range(n))
     for v in (0, 7, 30, n - 1):
-        vertex = SubtreeConstraint(frozenset([v]))
-        assert census_containing(g, vertex) == (c.vertex_counts[v], c.vertex_order_sums[v])
+        assert census_containing(g, [v]) == (c.vertex_counts[v], c.vertex_order_sums[v])
 
 
 # -- the local census inside the block DP ---------------------------------------
-
-
-def _edge(u: int, v: int) -> SubtreeConstraint:
-    return SubtreeConstraint(frozenset([u, v]), frozenset([(u, v)]))
-
-
-def _cherry(a: int, m: int, b: int) -> SubtreeConstraint:
-    return SubtreeConstraint(frozenset([a, m, b]), frozenset([(a, m), (m, b)]))
 
 
 def _cherries(g: Graph) -> list[tuple[int, int, int]]:
@@ -896,8 +915,8 @@ def _graphs_with_cut_vertices() -> list[Graph]:
 
 
 def test_local_census_carries_the_census_of_every_connected_graph_to_order_7():
-    for n in range(1, 8):
-        for g in generate_connected(n):
+    for n, order in generated(1, 7):
+        for g in order:
             _assert_local_census_fields(g)
 
 
@@ -929,10 +948,10 @@ def test_cherry_across_two_blocks_is_edge_times_edge_over_vertex():
             if block_of[(a, m)] == block_of[(m, b)]:
                 continue
             seen += 1
-            ca, cs = census_containing(g, _cherry(a, m, b))
-            ea, es = census_containing(g, _edge(a, m))
-            fa, fs = census_containing(g, _edge(m, b))
-            va, vs = census_containing(g, SubtreeConstraint(frozenset([m])))
+            ca, cs = census_containing(g, (a, m, b))
+            ea, es = census_containing(g, (a, m))
+            fa, fs = census_containing(g, (m, b))
+            va, vs = census_containing(g, [m])
             assert (ca * va, ca * vs + cs * va) == (ea * fa, ea * fs + es * fa), (g, a, m, b)
             assert (ea * fa) % va == 0
             assert (ea * fs + es * fa - ca * vs) % va == 0
@@ -948,11 +967,11 @@ def test_local_census_at_the_bridge_of_modified_double_broom_23_8_1():
     bridge = 22
     assert [e for e in local.edges if bridge in e] == [(7, 22), (14, 22)]
     for u, v in ((7, 22), (14, 22)):
-        assert local.edges[(u, v)] == census_containing(g, _edge(u, v))
+        assert local.edges[(u, v)] == census_containing(g, (u, v))
     at_bridge = [c for c in local.cherries if bridge in c]
     assert len(at_bridge) == 1 + 2 * 8  # 7-22-14, and each hub's 8 other edges
     for a, m, b in at_bridge:
-        assert local.cherries[(a, m, b)] == census_containing(g, _cherry(a, m, b))
+        assert local.cherries[(a, m, b)] == census_containing(g, (a, m, b))
     _assert_local_census_fields(g)
 
 
@@ -978,5 +997,5 @@ def test_local_census_closed_forms_at_order_64():
     assert set(local.edges.values()) == {edge}
     assert set(local.cherries.values()) == {cherry}
     assert len(local.cherries) == n
-    assert local.edges[(5, 6)] == census_containing(g, _edge(5, 6))
-    assert local.cherries[(4, 5, 6)] == census_containing(g, _cherry(4, 5, 6))
+    assert local.edges[(5, 6)] == census_containing(g, (5, 6))
+    assert local.cherries[(4, 5, 6)] == census_containing(g, (4, 5, 6))

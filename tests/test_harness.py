@@ -22,6 +22,8 @@ from subtrees import (
 )
 from subtrees.harness import FAILS, HOLDS, REPORT, _transitive_inequalities
 
+from conftest import generated
+
 
 def run(name: str, g):
     """The verdict of the check ``name`` on g, in a fresh context."""
@@ -33,9 +35,9 @@ def test_min_path_verdicts():
     assert v.status == HOLDS and v.witness["equality"] is True
     v = run("min-path", clique(5))
     assert v.status == HOLDS and v.witness["equality"] is False
-    for n in range(1, 7):
+    for n, order in generated(1, 6):
         equality_hits = 0
-        for g in generate_connected(n):
+        for g in order:
             verdict = run("min-path", g)
             assert verdict.status == HOLDS
             equality_hits += bool(verdict.witness.get("equality"))
@@ -47,8 +49,8 @@ def test_max_clique_verdicts():
     assert v.status == HOLDS and v.witness.get("equality")
     v = run("max-clique", star_graph(6))
     assert v.status == HOLDS and "equality" not in v.witness
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             assert run("max-clique", g).status == HOLDS
 
 
@@ -62,8 +64,8 @@ def test_edge_deletion_and_addition_exists():
     assert v.status == HOLDS
     v = run("edge-addition-exists", clique(4))
     assert v.status == REPORT and v.witness["vacuous"] == "complete"
-    for n in range(2, 7):
-        for g in generate_connected(n):
+    for n, order in generated(2, 6):
+        for g in order:
             assert run("edge-deletion-exists", g).status in (HOLDS, REPORT)
             assert run("edge-addition-exists", g).status != FAILS
             if not g.is_tree():
@@ -83,8 +85,8 @@ def test_contraction_check():
     v = run("contraction-gap", star_graph(5))
     assert v.status == HOLDS and not v.witness["equality_edges"]
     # open for non-trees: status never 'fails' on small scans
-    for n in range(2, 7):
-        for g in generate_connected(n):
+    for n, order in generated(2, 6):
+        for g in order:
             verdict = run("contraction-gap", g)
             if g.is_tree():
                 assert verdict.status == HOLDS
@@ -94,14 +96,14 @@ def test_contraction_check():
 
 
 def test_local_global_check():
-    for n in range(2, 7):
-        for g in generate_connected(n):
+    for n, order in generated(2, 6):
+        for g in order:
             assert run("local-global", g).status == HOLDS
 
 
 def test_ratio_chain_small():
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             assert run("ratio-chain", g).status == HOLDS
     v = run("ratio-chain", clique(5))
     assert v.status == HOLDS
@@ -129,8 +131,8 @@ def test_mu_vs_av_check():
     assert v.status == REPORT
     assert v.witness["mu"] == "58/19" and v.witness["av"] == "32/15"
     assert v.witness["sign"] == 1
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             verdict = run("mean-vs-average", g)
             assert verdict.status == REPORT
             assert verdict.witness["sign"] >= 0  # no violation among small graphs
@@ -139,14 +141,14 @@ def test_mu_vs_av_check():
 
 
 def test_local_mean_bound_small():
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             assert run("local-mean-bound", g).status == HOLDS
 
 
 def test_vertex_share_bound_small():
-    for n in range(3, 7):
-        for g in generate_connected(n):
+    for n, order in generated(3, 6):
+        for g in order:
             assert run("vertex-share-bound", g).status == HOLDS
     v = run("vertex-share-bound", path_graph(6))
     assert v.status == HOLDS and v.witness["margin"] == 0 and v.witness["is_path"]
@@ -216,7 +218,7 @@ def test_classify_edge_additions_small_barbell():
 def test_classify_edge_additions_matches_a_brute_grouping():
     from subtrees import canonical_form, to_graph6
 
-    for g in [g for n in range(1, 7) for g in generate_connected(n)] + [barbell(10, 4)]:
+    for g in [g for _, order in generated(1, 6) for g in order] + [barbell(10, 4)]:
         by_cert: dict = {}
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -276,8 +278,8 @@ def test_exists_checks_exhaustive_order_7():
 @pytest.mark.slow
 def test_mu_vs_av_exhaustive_order_8():
     # the open question has no violation up to order 8: sign never negative
-    for n in range(7, 9):
-        for g in generate_connected(n):
+    for n, order in generated(7, 8):
+        for g in order:
             verdict = run("mean-vs-average", g)
             assert verdict.witness["sign"] >= 0, verdict.graph_id
             if g.is_tree():
@@ -308,8 +310,8 @@ def _without_runtime(verdict) -> tuple:
 
 def test_shared_context_verdicts_match_fresh_ones():
     memo: dict = {}
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             shared = run_checks(g, tuple(CHECKS), memo)
             for name, verdict in zip(CHECKS, shared):
                 assert verdict.check == name
@@ -333,27 +335,25 @@ def test_run_checks_reads_the_registry_at_each_call(monkeypatch):
 
 
 def test_vertex_means_from_census_match_anchored_census():
-    from subtrees.census import SubtreeConstraint, census_containing
+    from subtrees.census import census_containing
 
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             c = CheckContext(g).census
             for v in range(n):
-                constraint = SubtreeConstraint(frozenset([v]))
                 got = (c.vertex_counts[v], c.vertex_order_sums[v])
-                assert got == census_containing(g, constraint)
+                assert got == census_containing(g, [v])
 
 
 def test_edge_and_cherry_means_from_local_census_match_anchored_census():
-    from subtrees.census import SubtreeConstraint, census_containing
+    from subtrees.census import census_containing
 
-    for n in range(2, 7):
-        for g in generate_connected(n):
+    for n, order in generated(2, 6):
+        for g in order:
             local = CheckContext(g).local_census
             assert set(local.edges) == set(g.edges())
             for (u, v), totals in local.edges.items():
-                constraint = SubtreeConstraint(frozenset([u, v]), frozenset([(v, u)]))
-                assert totals == census_containing(g, constraint), constraint
+                assert totals == census_containing(g, (v, u)), (g, u, v)
             cherries = {
                 (a, m, b)
                 for m in range(n)
@@ -363,8 +363,7 @@ def test_edge_and_cherry_means_from_local_census_match_anchored_census():
             }
             assert set(local.cherries) == cherries
             for (a, m, b), totals in local.cherries.items():
-                constraint = SubtreeConstraint(frozenset([a, m, b]), frozenset([(a, m), (b, m)]))
-                assert totals == census_containing(g, constraint), constraint
+                assert totals == census_containing(g, (a, m, b)), (g, a, m, b)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -430,13 +429,13 @@ def test_structural_shape_tests_match_certificates():
     from subtrees import canonical_form
     from subtrees.harness import _is_clique, _is_path, _is_star
 
-    for n in range(1, 7):
+    for n, order in generated(1, 6):
         shapes = {
             _is_path: canonical_form(path_graph(n)),
             _is_star: canonical_form(star_graph(n)),
             _is_clique: canonical_form(clique(n)),
         }
-        for g in generate_connected(n):
+        for g in order:
             cert = canonical_form(g)
             for test, shape in shapes.items():
                 assert test(g) == (cert == shape), (test.__name__, g)
@@ -445,7 +444,7 @@ def test_structural_shape_tests_match_certificates():
 def test_scan_memo_holds_one_mean_per_certificate():
     from subtrees import canonical_form
 
-    universe = [g for n in range(1, 7) for g in generate_connected(n)]
+    universe = [g for _, order in generated(1, 6) for g in order]
     memo: dict = {}
     for g in universe:
         run_checks(g, tuple(CHECKS), memo)
@@ -464,7 +463,7 @@ NEIGHBOUR_CHECKS = ("edge-addition-exists", "contraction-gap", "matchings")
 def _neighbour_check_graphs() -> list:
     from subtrees import double_broom, modified_barbell
 
-    graphs = [g for n in range(1, 7) for g in generate_connected(n)]
+    graphs = [g for _, order in generated(1, 6) for g in order]
     return graphs + [barbell(8, 3), double_broom(8, 3), modified_barbell(9, 3, 1)]
 
 
@@ -497,8 +496,8 @@ def test_matching_orbits_are_the_automorphism_orbits_up_to_order_6():
     from subtrees import maximal_matchings_of_complement
     from conftest import automorphisms
 
-    for n in range(1, 7):
-        for g in generate_connected(n):
+    for n, order in generated(1, 6):
+        for g in order:
             auts = automorphisms(g)
             orbits = {
                 min(
@@ -526,8 +525,8 @@ def test_edge_deletion_reads_each_deletion_off_the_local_census(max_order):
     from subtrees.census import local_census
     from subtrees.harness import frac_str
 
-    for n in range(1, max_order + 1):
-        for g in generate_connected(n):
+    for n, order in generated(1, max_order):
+        for g in order:
             c, local = census(g), local_census(g)
             witness = None  # the first helpful deletion in label order
             for (u, v), (nc, rc) in local.edges.items():
