@@ -48,7 +48,10 @@ at a cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair
 algebra.  :func:`census_containing` counts the subtrees containing a
 spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
-queries, and the tests as the oracle of :func:`local_census`.
+queries, and the tests as the oracle of :func:`local_census`.  Anchored
+at one vertex v, the pass also gives both vertex tables of the sets
+through v, so :func:`census_from_parent` adds them to the census of
+g - v: the subtrees of g that avoid v are those of g - v.
 
 The tests keep the independent slow oracles: a walk that lists subtrees
 one by one as growing edge sets, sharing no counting machinery with
@@ -92,7 +95,10 @@ def _det_bareiss(mat: list[list[int]]) -> int:
 
     The matrix is positive semidefinite and the pivot at step k is its
     leading principal minor of order k + 1; if that minor is singular, so
-    is the matrix.  So no row swap is needed: a zero pivot means 0.
+    is the matrix.  So no row swap is needed: a zero pivot means 0.  It is
+    symmetric, and so is every Bareiss step's remaining block, so only the
+    upper triangle is read and updated: row i takes its factor from
+    column i of the pivot row.
     """
     size = len(mat)
     if size == 0:
@@ -103,16 +109,13 @@ def _det_bareiss(mat: list[list[int]]) -> int:
         pivot = mk[k]
         if not pivot:
             return 0
-        tail = mk[k + 1 :]
         for i in range(k + 1, size):
             mi = mat[i]
-            f = mi[k]
+            f = mk[i]
             if f:
-                mi[k + 1 :] = [
-                    (pivot * a - f * b) // prev for a, b in zip(mi[k + 1 :], tail)
-                ]
+                mi[i:] = [(pivot * a - f * b) // prev for a, b in zip(mi[i:], mk[i:])]
             elif pivot != prev:
-                mi[k + 1 :] = [(pivot * a) // prev for a in mi[k + 1 :]]
+                mi[i:] = [(pivot * a) // prev for a in mi[i:]]
         prev = pivot
     return mat[size - 1][size - 1]
 
@@ -487,6 +490,9 @@ def _block_dp(
     down: the sets through v's parent block are split by whether they
     reach its top p, whose outside factor ``full[p] / (1 + T(p))`` is
     known only then.  Pairs multiply as (a, s)(b, t) = (ab, at + bs).
+    With the one-vertex ``tree`` of ``root`` (no ``unit``), every subset
+    visited reaches its top, and ``full[v]`` counts the sets holding both
+    v and ``root``.
 
     With ``local``, a pair of dicts (and no ``tree``, no ``unit``), the
     pass also adds there the count and the order sum of the subtrees
@@ -521,7 +527,7 @@ def _block_dp(
     below = [[0] * n, [0] * n]
     through = [[0] * n, [0] * n]
     tops = []
-    tables = not tree and not unit
+    tables = not unit and not tree & (tree - 1)
     if local is not None:
         # the same split, keyed as by _local_keys, for the edges and
         # cherries outside the cores; per core, (kappa, y, tees) and the
@@ -613,20 +619,21 @@ def _block_dp(
             reqd |= tbit
         if tables:
             tops.append((top, rest, _pair(factor), (keys, weights) if local is not None else None))
-    if tree:
-        return comp, down, total, []
-    _padd(total, [0, (comp & ~heavy).bit_count()])
-    for v in _bits(heavy):
-        _padd(total, down[v])
+    if not tree:
+        _padd(total, [0, (comp & ~heavy).bit_count()])
+        for v in _bits(heavy):
+            _padd(total, down[v])
     if not tables:
         return comp, down, total, []
-    full = pairs[:]
+    # with a tree, only the sets through the root: no `pairs` or `below` term
+    full = [(0, 0)] * n if tree else pairs[:]
+    full[root] = pairs[root]
     for top, rest, (fa, ft), inside in reversed(tops):
         pa, ps = full[top]
         ua = pa // fa  # full[top] / factor: the sets at top outside the block
         us = (ps - ft * ua) // fa
         for c in _bits(rest):
-            da, ds = pairs[c]
+            da, ds = full[c]
             ta, ts = through[0][c], through[1][c]
             full[c] = (
                 da + below[0][c] + ta * ua,
@@ -731,6 +738,33 @@ def _census(
     order_sum = sum(k * c for k, c in enumerate(counts))
     return SubtreeCensus(
         tuple(counts), num, order_sum, tuple(vertex_counts), tuple(vertex_order_sums)
+    )
+
+
+def census_from_parent(parent: SubtreeCensus, g: Graph) -> SubtreeCensus:
+    """Census of g from ``parent``, the census of g - v for its last vertex v.
+
+    The subtrees avoiding v are those of g - v, so one :func:`_block_dp`
+    pass anchored at v adds the rest: its ``down[v]`` counts them by
+    order, and its ``full[u]`` those that also contain u.
+    """
+    v = g.n - 1
+    if parent.n != v:
+        raise ValueError(f"the parent census has order {parent.n}, not {v}")
+    _, down, _, full = _block_dp(g.rows, v, tree=1 << v)
+    counts = [*parent.counts, 0]
+    for k, c in enumerate(down[v]):
+        if c:  # the polynomial carries zeros beyond order n
+            counts[k] += c
+    num, order_sum = _pair(down[v])
+    vertex_counts = (*parent.vertex_counts, 0)
+    vertex_order_sums = (*parent.vertex_order_sums, 0)
+    return SubtreeCensus(
+        tuple(counts),
+        parent.num_subtrees + num,
+        parent.order_sum + order_sum,
+        tuple(a + fa for a, (fa, _) in zip(vertex_counts, full)),
+        tuple(s + fs for s, (_, fs) in zip(vertex_order_sums, full)),
     )
 
 

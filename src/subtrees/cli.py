@@ -57,17 +57,21 @@ def _resolve_graph(source: str) -> Graph:
 
 def _parse_edge(text: str) -> tuple[int, int]:
     parts = text.replace("-", ",").split(",")
-    if len(parts) != 2:
-        raise ValueError(f"bad edge spec {text!r}; use U,V")
-    u, v = int(parts[0]), int(parts[1])
+    try:
+        u, v = map(int, parts)
+    except ValueError:  # not two parts, or not integers
+        raise ValueError(f"bad edge spec {text!r}; use U,V") from None
     return (u, v)
 
 
 def _parse_tree(text: str) -> list[int]:
     # the anchored tree's vertex set: any spanning tree of G[V] counts alike
-    if ":" in text:
-        raise ValueError(f"bad tree spec {text!r}; use V1,V2,... (the tree's vertices, no edges)")
-    return sorted({int(v) for v in text.split(",") if v != ""})
+    try:
+        return sorted({int(v) for v in text.split(",") if v != ""})
+    except ValueError:
+        raise ValueError(
+            f"bad tree spec {text!r}; use V1,V2,... (the tree's vertices, no edges)"
+        ) from None
 
 
 def cmd_compute(args: argparse.Namespace) -> int:

@@ -66,7 +66,8 @@ class CheckVerdict:
     ``runtime_ms`` is the check's wall time, rounded to 0.001 ms.  It is
     informational and outside the scan's byte-determinism contract; when
     checks share a :class:`CheckContext`, the first check that needs a
-    shared result (the base census above all) is charged for building it.
+    shared result (the base census above all) is charged for building it,
+    and no check is charged for a base census the context was handed.
     """
 
     check: str
@@ -95,6 +96,8 @@ class CheckContext:
     With ``local`` set (the checks to run need the local census) the base
     census is read from the local census, whose one pass gives both; a
     context without it builds a local census only when a check asks.
+    ``base``, when given, is the census of g, computed by the caller (a
+    universe scan derives each child's census from its parent's).
     ``memo`` maps a canonical certificate to a mean subtree order;
     neighbour graphs (g+e, g/e, g+matching) look their mean up there,
     so a memo that outlives the context (one per scan, or per scan worker)
@@ -103,7 +106,12 @@ class CheckContext:
     """
 
     def __init__(
-        self, g: Graph, memo: dict[bytes, Fraction] | None = None, *, local: bool = False
+        self,
+        g: Graph,
+        memo: dict[bytes, Fraction] | None = None,
+        *,
+        local: bool = False,
+        base: SubtreeCensus | None = None,
     ):
         if not g.is_connected():
             raise ValueError("check requires a connected graph")
@@ -111,7 +119,7 @@ class CheckContext:
         self.memo = {} if memo is None else memo
         self.local = local
         self._graph_id: str | None = None
-        self._census: SubtreeCensus | None = None
+        self._census = base
         self._certified: tuple[bytes, list[tuple[int, ...]]] | None = None
         self._local: LocalCensus | None = None
 
@@ -676,14 +684,18 @@ LOCAL_CHECKS = frozenset({"edge-deletion-exists", "local-global", "local-mean-bo
 
 
 def run_checks(
-    g: Graph, names: Sequence[str], memo: dict[bytes, Fraction] | None = None
+    g: Graph,
+    names: Sequence[str],
+    memo: dict[bytes, Fraction] | None = None,
+    base: SubtreeCensus | None = None,
 ) -> list[CheckVerdict]:
     """The verdicts of the checks ``names`` on g, in their order.
 
-    The checks share one :class:`CheckContext`, whose base census comes
-    from the local census when one of them is in :data:`LOCAL_CHECKS`;
-    ``memo`` is the context's certificate-to-mean memo.
+    The checks share one :class:`CheckContext`, whose base census is
+    ``base`` when given, else comes from the local census when one of
+    them is in :data:`LOCAL_CHECKS`; ``memo`` is the context's
+    certificate-to-mean memo.
     """
-    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names))
+    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names), base=base)
     # CHECKS is read at each call, so a caller may swap its entries
     return [ctx.run(name, CHECKS[name]) for name in names]

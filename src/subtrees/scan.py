@@ -36,7 +36,11 @@ The checks of one graph run through :func:`~subtrees.harness.run_checks`,
 in one :class:`~subtrees.harness.CheckContext`, which computes the base
 census, certificate and anchored censuses at most once; when the checks
 include one of ``LOCAL_CHECKS``, the base census is read off the local
-census, so each graph is enumerated once.  A
+census, so each graph is enumerated once.  Otherwise a parent unit
+censuses its parent once and hands each child the census
+:func:`~subtrees.census.census_from_parent` derives from it: a child's
+subtrees that avoid its new vertex are the parent's, so only those
+through the new vertex are enumerated.  A
 certificate-to-mean memo lives for one ``scan`` call (one per worker
 process when ``jobs`` > 1) and serves the means of neighbour graphs (g+e,
 g/e, g+matching), which in a universe scan recur across graphs.
@@ -57,8 +61,18 @@ from itertools import chain, islice
 from typing import Callable, Iterable
 
 from .canon import MAX_GENERATE, _children, generate_connected
+from .census import census, census_from_parent
 from .graphs import Graph, from_graph6, to_graph6
-from .harness import CHECKS, FAILS, HOLDS, REPORT, CheckVerdict, frac_str, run_checks
+from .harness import (
+    CHECKS,
+    FAILS,
+    HOLDS,
+    LOCAL_CHECKS,
+    REPORT,
+    CheckVerdict,
+    frac_str,
+    run_checks,
+)
 
 
 class ScanError(Exception):
@@ -249,9 +263,15 @@ def _check_unit(task: tuple, memo: dict | None = None) -> list[tuple[str, bytes,
     expand, item, skip, names = task
     if memo is None:
         memo = _worker_memo
+    # a parent unit censuses its parent once, and each child adds only the
+    # subtrees through its new vertex; a local check reads the census off
+    # the local census instead
+    inherit = expand is _children_of and LOCAL_CHECKS.isdisjoint(names)
+    parent = census(item) if inherit else None
     results = []
     for text, g in expand(item)[skip:]:
-        verdicts = run_checks(g, names, memo)
+        base = census_from_parent(parent, g) if inherit else None
+        verdicts = run_checks(g, names, memo, base)
         records = b"".join(verdict_jsonl(v).encode() + b"\n" for v in verdicts)
         marks = [(v.check, v.graph_id, v.status, bool(v.witness.get("finding"))) for v in verdicts]
         results.append((text, records, marks))

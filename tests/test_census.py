@@ -31,6 +31,7 @@ from subtrees import (
     spanning_tree_count,
     star_graph,
 )
+from subtrees.canon import _children
 from subtrees.census import (
     _adjugate,
     _bits,
@@ -39,6 +40,7 @@ from subtrees.census import (
     _core,
     _det_bareiss,
     _reduced_laplacian,
+    census_from_parent,
     local_census,
 )
 from conftest import (
@@ -999,3 +1001,43 @@ def test_local_census_closed_forms_at_order_64():
     assert len(local.cherries) == n
     assert local.edges[(5, 6)] == census_containing(g, (5, 6))
     assert local.cherries[(4, 5, 6)] == census_containing(g, (4, 5, 6))
+
+
+def _assert_children_inherit_the_census(parents):
+    for p in parents:
+        base = census(p)
+        for child in _children(p):
+            # counts, totals and both vertex tables
+            assert census_from_parent(base, child) == census(child), child
+
+
+def test_census_from_parent_matches_the_census_of_every_child_to_order_7():
+    for _, parents in generated(1, 6):
+        _assert_children_inherit_the_census(parents)
+
+
+@pytest.mark.slow
+def test_census_from_parent_matches_the_census_of_every_child_at_order_8():
+    for _, parents in generated(7, 7):
+        _assert_children_inherit_the_census(parents)
+
+
+def test_census_from_parent_with_every_vertex_last():
+    # the new vertex anywhere in the block-cut tree: a leaf, a cut vertex
+    # whose deletion disconnects g, or inside a block
+    rng = random.Random(19)
+    graphs = [g for g in _graphs_with_cut_vertices() if g.n <= 12]
+    graphs += [random_graph(rng, rng.randint(2, 10), 0.3) for _ in range(20)]
+    for g in graphs:
+        for v in range(g.n):
+            perm = list(range(g.n))
+            perm[v], perm[-1] = perm[-1], perm[v]
+            h = g.relabel(perm)
+            keep = (1 << (h.n - 1)) - 1
+            parent = Graph(h.n - 1, tuple(r & keep for r in h.rows[:-1]))
+            assert census_from_parent(census(parent), h) == census(h), (g, v)
+
+
+def test_census_from_parent_wants_the_census_of_g_minus_its_last_vertex():
+    with pytest.raises(ValueError, match="order 3, not 5"):
+        census_from_parent(census(path_graph(3)), path_graph(6))

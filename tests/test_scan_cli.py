@@ -17,6 +17,7 @@ import pytest
 from subtrees import generate_connected, to_graph6
 from subtrees.canon import _children
 from subtrees.cli import main as cli_main
+from subtrees.harness import CHECKS, LOCAL_CHECKS
 from subtrees.scan import ScanError, ScanState, load_state, save_state, scan
 
 scan_module = sys.modules["subtrees.scan"]
@@ -285,18 +286,38 @@ def generated_lines(n: int) -> str:
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_scan_n_equals_a_scan_of_generate_n(tmp_path, capsys, n, jobs):
-    # order 1 has no parent and order 2 a one-vertex parent
-    checks = "all" if n <= 6 else "min-path,ratio-chain,edge-deletion-exists"
+    # order 1 has no parent and order 2 a one-vertex parent.  A check set
+    # with a local check reads each census off the local census; one
+    # without hands every child of a parent unit the census inherited from
+    # its parent, which line input never does
+    if n <= 6:
+        check_sets = ["all", ",".join(name for name in CHECKS if name not in LOCAL_CHECKS)]
+    else:
+        check_sets = ["min-path,ratio-chain,edge-deletion-exists", "min-path,ratio-chain,vertex-share-bound"]
     lines = tmp_path / "universe.g6"
     lines.write_text(generated_lines(n))
     by_lines, by_n = tmp_path / "lines.jsonl", tmp_path / "n.jsonl"
-    code, line_tallies = cli_scan(capsys, str(lines), "--checks", checks, "--jobs", "1", "--output", str(by_lines))
-    assert code == 0, line_tallies
-    code, n_tallies = cli_scan(capsys, "--n", str(n), "--checks", checks, "--jobs", jobs, "--output", str(by_n))
-    assert code == 0, n_tallies
-    assert n_tallies == line_tallies
-    assert json.loads(n_tallies)["consumed"] == len(generated_lines(n).splitlines())
-    assert read_jsonl_no_runtime(by_n) == read_jsonl_no_runtime(by_lines)
+    for checks in check_sets:
+        code, line_tallies = cli_scan(capsys, str(lines), "--checks", checks, "--jobs", "1", "--output", str(by_lines))
+        assert code == 0, line_tallies
+        code, n_tallies = cli_scan(capsys, "--n", str(n), "--checks", checks, "--jobs", jobs, "--output", str(by_n))
+        assert code == 0, n_tallies
+        assert n_tallies == line_tallies
+        assert json.loads(n_tallies)["consumed"] == len(generated_lines(n).splitlines())
+        assert read_jsonl_no_runtime(by_n) == read_jsonl_no_runtime(by_lines)
+
+
+@pytest.mark.parametrize("checks, parent_censuses", [(["min-path", "ratio-chain"], 21), (["local-global"], 0)])
+def test_scan_n_censuses_each_parent_once(tmp_path, monkeypatch, checks, parent_censuses):
+    # without a local check each of the 21 order-5 parents is censused once
+    # and no child is; with one, every base census is read off a local census
+    calls = []
+    harness_module = sys.modules["subtrees.harness"]
+    for module in (scan_module, harness_module):
+        monkeypatch.setattr(module, "census", lambda g, f=module.census: calls.append(g.n) or f(g))
+    state = scan(6, checks, str(tmp_path / "out.jsonl"))
+    assert state.consumed == 112
+    assert calls == [5] * parent_censuses
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -320,9 +341,9 @@ def test_scan_n_resumes_inside_a_parent(tmp_path, monkeypatch, jobs):
     checked = []
     run_checks = scan_module.run_checks
 
-    def counting(g, names, memo):
+    def counting(g, names, memo, base):
         checked.append(g.n)
-        return run_checks(g, names, memo)
+        return run_checks(g, names, memo, base)
 
     monkeypatch.setattr(scan_module, "run_checks", counting)
     for _ in range(2):
@@ -632,6 +653,16 @@ def test_cli_scan_to_stdout_leaves_no_temporary_file(tmp_path, jobs):
         )
         assert r.returncode == code, r.stderr
         assert list(tmp_path.glob("*.jsonl")) == []
+
+
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [("--tree", "x,1", "bad tree spec 'x,1'"), ("--edge", "0,y", "bad edge spec '0,y'")],
+)
+def test_cli_compute_names_a_non_integer_vertex(option, spec, message):
+    r = run_cli("compute", "family:path:4", option, spec)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"error: {message}") and "Traceback" not in r.stderr
 
 
 def test_cli_compute_tree_rejects_forest():
