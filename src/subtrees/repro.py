@@ -7,6 +7,7 @@ human-readable report (a diff-style explanation on mismatch).
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import Callable
 
@@ -22,7 +23,7 @@ from .families import (
     family_labels,
     petersen,
 )
-from .canon import generate_connected, generate_trees
+from .canon import generate_trees
 from .harness import (
     HOLDS,
     check_transitive_inequalities,
@@ -30,6 +31,7 @@ from .harness import (
     frac_str,
     run_checks,
 )
+from .scan import scan
 
 
 def _fmt(x: Fraction) -> str:
@@ -132,18 +134,15 @@ def repro_join_deletion_10_9() -> tuple[bool, list[str]]:
 
 
 def repro_ratio_chain_n8() -> tuple[bool, list[str]]:
-    """Exhaustive ratio-chain battery over all connected graphs of order <= 8."""
+    """Exhaustive ratio-chain battery over all connected graphs of order <= 8,
+    walked as ``scan --n`` walks them: each child inherits its parent's census."""
     ok = True
     lines = []
     for n in range(1, 9):
-        bad = 0
-        total = 0
-        for g in generate_connected(n):
-            total += 1
-            if run_checks(g, ["ratio-chain"])[0].status != HOLDS:
-                bad += 1
+        state = scan(n, ["ratio-chain"], os.devnull)
+        bad = state.consumed - state.tallies["ratio-chain"][HOLDS]
         ok = ok and bad == 0
-        lines.append(f"order {n}: {total} graphs, violations: {bad}")
+        lines.append(f"order {n}: {state.consumed} graphs, violations: {bad}")
     return ok, lines
 
 
@@ -161,8 +160,7 @@ def repro_tree_contraction_n10() -> tuple[bool, list[str]]:
             (verdict,) = run_checks(t, ["contraction-gap"])
             if verdict.status != HOLDS:
                 ok = False
-            p, q = verdict.witness["min_gap"].split("/")
-            gap = Fraction(int(p), int(q))
+            gap = Fraction(verdict.witness["min_gap"])
             if worst is None or gap < worst:
                 worst = gap
             if verdict.witness["equality_edges"]:

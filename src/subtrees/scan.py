@@ -15,22 +15,25 @@ does not start with the same lines raises :class:`ScanError`.
 Input is validated before anything is written: a malformed graph6 line
 or a disconnected graph raises :class:`ScanError` naming the line.
 
-Work is done in units.  A unit of line input is one validated line, sent
-to a worker as its text, which the worker decodes: the scan process holds
-only the texts of the lines it validated.  A unit of a built-in universe
-(``scan(n, ...)``, ``subtrees scan --n N``) is one order n-1 parent from
-``generate_connected(n - 1)``: its worker generates the parent's children
-(``canon._children``) and checks them, so the universe is never held
-whole, and the graphs arrive in the order of ``subtrees generate n``, whose
-lines scan to the same records and the same fingerprint.  A worker returns
-per graph its graph6 text, its records already encoded as JSONL bytes and
-the fields :meth:`ScanState.record` tallies; the scan process takes the
-units in order and only writes, tallies, hashes and saves checkpoints.
-With one job the same unit function runs in-process.  A resume first
-hashes the texts of the consumed units without running a check (a line
-unit is its own text; a parent unit generates its children), to verify
-the fingerprint and find the graph to continue from, which may lie
-inside a parent's children.
+Work is done in units, and a unit is a plain value.  A unit of line input
+is one validated line (a ``str``), which the worker decodes: the scan
+process holds only the texts of the lines it validated.  A unit of a
+built-in universe (``scan(n, ...)``, ``subtrees scan --n N``) is one order
+n-1 parent (a ``Graph``) from ``generate_connected(n - 1)``: its worker
+generates the parent's children (``canon._children``) and checks them, so
+the universe is never held whole, and the graphs arrive in the order of
+``subtrees generate n``, whose lines scan to the same records and the same
+fingerprint.  A worker returns per graph the text the fingerprint hashes,
+its records already encoded as JSONL bytes and the fields
+:meth:`ScanState.record` tallies.  A line's text is the line itself; a
+child's is the ``graph_id`` of its verdicts, the same ``to_graph6`` line
+``subtrees generate n`` prints, so each child is encoded once.  The scan
+process takes the units in order and only writes, tallies, hashes and
+saves checkpoints.  With one job the same unit function runs in-process.
+A resume first hashes the texts of the consumed units without running a
+check (a line unit is its own text; a parent unit generates and encodes
+its children), to verify the fingerprint and find the graph to continue
+from, which may lie inside a parent's children.
 
 The checks of one graph run through :func:`~subtrees.harness.run_checks`,
 in one :class:`~subtrees.harness.CheckContext`, which computes the base
@@ -58,7 +61,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .canon import MAX_GENERATE, _children, generate_connected
 from .census import census, census_from_parent
@@ -198,20 +201,8 @@ def record_csv_row(record: dict) -> list[str]:
 
 # -- units of work -------------------------------------------------------------
 #
-# A unit is an item that expands to the graphs it holds, as (text, graph)
-# pairs in scan order: the text is what the checkpoint fingerprint hashes.
-
-Expand = Callable[..., list[tuple[str, Graph]]]
-
-
-def _one_line(text: str) -> list[tuple[str, Graph]]:
-    """A validated input line is a unit of one graph, decoded here."""
-    return [(text, from_graph6(text))]
-
-
-def _children_of(parent: Graph) -> list[tuple[str, Graph]]:
-    """The order n+1 graphs generated from ``parent``, in generation order."""
-    return [(to_graph6(child), child) for child in _children(parent)]
+# A unit is a validated graph6 line (``str``), one graph, or an order n-1
+# parent (``Graph``), whose children are its graphs in generation order.
 
 
 def _read_lines(lines: Iterable[str]) -> list[str]:
@@ -233,8 +224,8 @@ def _read_lines(lines: Iterable[str]) -> list[str]:
     return texts
 
 
-def _universe_units(n: int) -> tuple[Expand, list]:
-    """``expand`` and the units of the order-n universe.
+def _universe_units(n: int) -> list[str | Graph]:
+    """The units of the order-n universe.
 
     Its units are the order n-1 parents; the graphs come out in the order
     of ``generate_connected(n)``.  Order 1 has no parent, so its one graph
@@ -243,8 +234,8 @@ def _universe_units(n: int) -> tuple[Expand, list]:
     if not 1 <= n <= MAX_GENERATE:
         raise ValueError(f"built-in generation supports 1 <= n <= {MAX_GENERATE}")
     if n == 1:
-        return _one_line, [to_graph6(g) for g in generate_connected(1)]
-    return _children_of, list(generate_connected(n - 1))
+        return [to_graph6(g) for g in generate_connected(1)]
+    return list(generate_connected(n - 1))
 
 
 # The certificate memo of a scan worker process.  Only pool workers write
@@ -253,38 +244,41 @@ _worker_memo: dict = {}
 
 
 def _check_unit(task: tuple, memo: dict | None = None) -> list[tuple[str, bytes, list[tuple]]]:
-    """Run the checks over one unit's graphs ``expand(item)[skip:]``.
+    """Run the checks over one unit's graphs, skipping the first ``skip``.
 
-    ``task`` is ``(expand, item, skip, names)``.  Per graph it returns the
-    graph's text, its finished JSONL records and, per verdict, the
-    arguments of :meth:`ScanState.record`, so the scan process neither
-    decodes, checks nor encodes.  A pool worker uses its process's memo.
+    ``task`` is ``(unit, skip, names)``.  Per graph it returns the text
+    the fingerprint hashes, its finished JSONL records and, per verdict,
+    the arguments of :meth:`ScanState.record`, so the scan process neither
+    decodes, checks nor encodes.  A line's text is the line; a child's is
+    the ``graph_id`` of its verdicts, so each child is encoded once.  A
+    pool worker uses its process's memo.
     """
-    expand, item, skip, names = task
+    unit, skip, names = task
     if memo is None:
         memo = _worker_memo
+    line = unit if isinstance(unit, str) else None
     # a parent unit censuses its parent once, and each child adds only the
     # subtrees through its new vertex; a local check reads the census off
     # the local census instead
-    inherit = expand is _children_of and LOCAL_CHECKS.isdisjoint(names)
-    parent = census(item) if inherit else None
+    parent = census(unit) if line is None and LOCAL_CHECKS.isdisjoint(names) else None
     results = []
-    for text, g in expand(item)[skip:]:
-        base = census_from_parent(parent, g) if inherit else None
+    for g in ([from_graph6(line)] if line else _children(unit))[skip:]:
+        base = None if parent is None else census_from_parent(parent, g)
         verdicts = run_checks(g, names, memo, base)
         records = b"".join(verdict_jsonl(v).encode() + b"\n" for v in verdicts)
         marks = [(v.check, v.graph_id, v.status, bool(v.witness.get("finding"))) for v in verdicts]
-        results.append((text, records, marks))
+        results.append((line or verdicts[0].graph_id, records, marks))
     return results
 
 
-def _prefix(expand: Expand, units: list, k: int):
+def _prefix(units: list[str | Graph], k: int):
     """The SHA-256 of the texts of the first ``k`` graphs, and where the
     next graph lies: (digest, unit index, graphs to skip in that unit).
 
     A line unit is its own text, so no line is decoded here; a parent
-    unit generates its children.  No check runs.  A stream with fewer than
-    ``k`` graphs hashes all of them.
+    unit generates and encodes its children, the only encoding outside the
+    checks, which a scan needs only when it resumes.  No check runs.  A
+    stream with fewer than ``k`` graphs hashes all of them.
     """
     # hashlib loads OpenSSL, about 3.6 MB of resident memory, so only a
     # scan that keeps a checkpoint imports it
@@ -292,10 +286,10 @@ def _prefix(expand: Expand, units: list, k: int):
 
     digest = hashlib.sha256()
     count = 0
-    for index, item in enumerate(units):
+    for index, unit in enumerate(units):
         if count == k:
             return digest, index, 0
-        texts = [item] if expand is _one_line else [text for text, _ in expand(item)]
+        texts = [unit] if isinstance(unit, str) else [to_graph6(child) for child in _children(unit)]
         for text in texts[: k - count]:
             digest.update(text.encode() + b"\n")
         if count + len(texts) > k:
@@ -343,15 +337,13 @@ def scan(
     elif state.consumed > 0 and not os.path.exists(out_path):
         raise ScanError(f"checkpoint expects existing output at {out_path}")
 
-    if isinstance(source, int):
-        expand, units = _universe_units(source)
-    else:  # every line is validated before anything is written
-        expand, units = _one_line, _read_lines(source)
+    # every line is validated before anything is written
+    units = _universe_units(source) if isinstance(source, int) else _read_lines(source)
 
     # find where the consumed graphs end, hashing their texts
     digest, start, skip = None, 0, 0
     if checkpoint_path:
-        digest, start, skip = _prefix(expand, units, state.consumed)
+        digest, start, skip = _prefix(units, state.consumed)
         if not fresh and digest.hexdigest() != state.fingerprint[1]:
             raise ScanError(
                 f"checkpoint {checkpoint_path} does not match this input: its fingerprint "
@@ -361,7 +353,7 @@ def scan(
     # every unit holds at least one graph, so `budget` units are enough
     todo = units[start:] if budget is None else units[start : start + budget]
     names = tuple(checks)
-    tasks = ((expand, item, skip if i == 0 else 0, names) for i, item in enumerate(todo))
+    tasks = ((unit, skip if i == 0 else 0, names) for i, unit in enumerate(todo))
 
     mode = "r+b" if (not fresh and os.path.exists(out_path)) else "wb"
     with open(out_path, mode) as out:

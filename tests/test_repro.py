@@ -57,7 +57,12 @@ def test_barbell_repros_reproduce():
 
 @pytest.mark.slow
 def test_slow_repros_reproduce():
+    reports = {}
     for name in ("dbstar-23-8-local", "ratio-chain-n8"):
         runner, _ = REPROS[name]
-        ok, lines = runner()
-        assert ok, "\n".join(lines)
+        ok, reports[name] = runner()
+        assert ok, "\n".join(reports[name])
+    # the connected graphs of orders 1-8 (OEIS A001349), none violating
+    counts = [1, 1, 2, 6, 21, 112, 853, 11117]
+    expected = [f"order {n}: {c} graphs, violations: 0" for n, c in enumerate(counts, start=1)]
+    assert reports["ratio-chain-n8"] == expected

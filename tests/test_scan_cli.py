@@ -227,6 +227,22 @@ def test_scan_resume_decodes_each_line_once(tmp_path, monkeypatch):
     assert len(decoded) == 112 + 12
 
 
+@pytest.mark.parametrize("source", ["n", "lines"])
+def test_scan_encodes_each_graph_once(tmp_path, monkeypatch, source):
+    # a child's fingerprint text is the graph_id of its verdicts, and a
+    # line hashes its own text: one to_graph6 call per graph either way.
+    # The package attribute subtrees.scan is the function, so the modules
+    # are looked up in sys.modules
+    lines = universe_lines(6)
+    encoded = []
+    for name in ("subtrees.graphs", "subtrees.scan", "subtrees.harness"):
+        module = sys.modules[name]
+        monkeypatch.setattr(module, "to_graph6", lambda g, f=module.to_graph6: encoded.append(g) or f(g))
+    state = scan(6 if source == "n" else lines, ["min-path"], str(tmp_path / "out.jsonl"))
+    assert state.consumed == 112
+    assert len(encoded) == 112
+
+
 def test_scan_checkpoint_without_output(tmp_path):
     out = tmp_path / "out.jsonl"
     ckpt = tmp_path / "c.json"
