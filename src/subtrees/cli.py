@@ -19,16 +19,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .census import (
-    average_connected_set_size,
-    census,
-    local_census,
-    mean_subtree_order_at_tree,
-)
+from .census import average_connected_set_size, mean_subtree_order_at_tree
 from .canon import generate_connected
 from .families import FAMILIES, build_family, parse_family
-from .graphs import Graph, _norm_edge, from_graph6, to_graph6
-from .harness import CHECKS
+from .graphs import Graph, from_graph6, to_graph6
+from .harness import CHECKS, CheckContext
 from .repro import REPROS
 from .scan import CHECKPOINT_EVERY, CSV_FIELDS, ScanError, record_csv_row, scan
 
@@ -79,14 +74,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if not g.is_connected():
         raise ValueError("graph is disconnected; the mean subtree order is undefined")
     # the local census holds every edge's subtrees, and the census itself
-    local = local_census(g) if args.edge else None
-    c = local.census if local else census(g)
+    ctx = CheckContext(g, local=bool(args.edge))
+    c = ctx.census
     rows: list[tuple[str, str, str]] = [("n", str(g.n), "")]
     for k in range(1, g.n + 1):
         rows.append((f"s_{k}", str(c.counts[k]), ""))
     rows.append(("subtrees", str(c.num_subtrees), ""))
     rows.append(("order_sum", str(c.order_sum), ""))
-    rows.append(("mean", *_fraction_fields(c.mean)))
+    rows.append(("mean", *_fraction_fields(ctx.mean)))
     rows.append(("spanning_fraction", *_fraction_fields(c.spanning_fraction)))
     rows.append(("avg_connected_set", *_fraction_fields(average_connected_set_size(g))))
     for v in args.vertex or []:
@@ -100,8 +95,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 raise ValueError(f"vertex {w} outside 0..{g.n - 1}")
         if not g.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) absent from graph")
-        count, order_sum = local.edges[_norm_edge(u, v)]
-        rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(Fraction(order_sum, count))))
+        rows.append((f"mean_at_edge_{u}_{v}", *_fraction_fields(ctx.edge_mean(u, v))))
     for spec in args.tree or []:
         vertices = _parse_tree(spec)
         label = ",".join(map(str, vertices))

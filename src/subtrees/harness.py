@@ -18,11 +18,12 @@ fields.
 
 Checks that share a context share its base census, certificate with the
 automorphisms found beside it, and local census (every edge and cherry
-anchored census).  When the checks include one of :data:`LOCAL_CHECKS`,
-:func:`run_checks` has the context read its base census off the local
-census: one block DP gives both.  The checks that compare g with its
-neighbours (g+e, g/e, g+matching; g-e is read off the local census) price
-one neighbour per automorphism orbit through :meth:`CheckContext.neighbour_means`.
+anchored census).  The context alone chooses its base census: the local
+census's when the checks include one of :data:`LOCAL_CHECKS` (one block DP
+gives both), else one inherited from a parent context, else a full census.
+The checks that compare g with its neighbours (g+e, g/e, g+matching; g-e
+is read off the local census) price one neighbour per automorphism orbit
+through :meth:`CheckContext.neighbour_means`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .census import (
     SubtreeCensus,
     census,
     census_containing,
+    census_from_parent,
     average_connected_set_size,
     local_census,
 )
@@ -64,10 +66,10 @@ class CheckVerdict:
     """One check's outcome on one graph.
 
     ``runtime_ms`` is the check's wall time, rounded to 0.001 ms.  It is
-    informational and outside the scan's byte-determinism contract; when
+    informational and outside the scan's byte-determinism contract.  When
     checks share a :class:`CheckContext`, the first check that needs a
-    shared result (the base census above all) is charged for building it,
-    and no check is charged for a base census the context was handed.
+    shared result (the base census, the parent's census it derives from,
+    the local census or the certificate) is charged for building it.
     """
 
     check: str
@@ -93,11 +95,11 @@ class CheckContext:
     The graph6 id, the base census, the canonical certificate with the
     automorphisms its search found, and the local census (every edge and
     cherry anchored census) are built on first use and at most once.
-    With ``local`` set (the checks to run need the local census) the base
-    census is read from the local census, whose one pass gives both; a
-    context without it builds a local census only when a check asks.
-    ``base``, when given, is the census of g, computed by the caller (a
-    universe scan derives each child's census from its parent's).
+    The base census is read off the local census when ``local`` is set
+    (the checks need the local census) or that is built; else, when
+    ``parent`` is the context of g minus its last vertex, it is
+    ``census_from_parent(parent.census, g)``, the parent censusing itself
+    once for all its children; else it is ``census(g)``.
     ``memo`` maps a canonical certificate to a mean subtree order;
     neighbour graphs (g+e, g/e, g+matching) look their mean up there,
     so a memo that outlives the context (one per scan, or per scan worker)
@@ -111,15 +113,16 @@ class CheckContext:
         memo: dict[bytes, Fraction] | None = None,
         *,
         local: bool = False,
-        base: SubtreeCensus | None = None,
+        parent: CheckContext | None = None,
     ):
         if not g.is_connected():
             raise ValueError("check requires a connected graph")
         self.g = g
         self.memo = {} if memo is None else memo
         self.local = local
+        self.parent = parent
         self._graph_id: str | None = None
-        self._census = base
+        self._census: SubtreeCensus | None = None
         self._certified: tuple[bytes, list[tuple[int, ...]]] | None = None
         self._local: LocalCensus | None = None
 
@@ -141,6 +144,8 @@ class CheckContext:
         if self._census is None:
             if self.local or self._local is not None:
                 self._census = self.local_census.census
+            elif self.parent is not None:
+                self._census = census_from_parent(self.parent.census, self.g)
             else:
                 self._census = census(self.g)
         return self._census
@@ -687,15 +692,15 @@ def run_checks(
     g: Graph,
     names: Sequence[str],
     memo: dict[bytes, Fraction] | None = None,
-    base: SubtreeCensus | None = None,
+    parent: CheckContext | None = None,
 ) -> list[CheckVerdict]:
     """The verdicts of the checks ``names`` on g, in their order.
 
-    The checks share one :class:`CheckContext`, whose base census is
-    ``base`` when given, else comes from the local census when one of
-    them is in :data:`LOCAL_CHECKS`; ``memo`` is the context's
-    certificate-to-mean memo.
+    The checks share one :class:`CheckContext`, which is ``local`` when
+    one of them is in :data:`LOCAL_CHECKS`; ``memo`` is its
+    certificate-to-mean memo and ``parent`` the context of g minus its
+    last vertex, if the caller has one.
     """
-    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names), base=base)
+    ctx = CheckContext(g, memo, local=not LOCAL_CHECKS.isdisjoint(names), parent=parent)
     # CHECKS is read at each call, so a caller may swap its entries
     return [ctx.run(name, CHECKS[name]) for name in names]

@@ -11,7 +11,6 @@ import os
 from fractions import Fraction
 from typing import Callable
 
-from .census import local_census
 from .closedforms import JoinSpec, join_subtree_counts
 from .families import (
     FamilySpec,
@@ -26,6 +25,7 @@ from .families import (
 from .canon import generate_trees
 from .harness import (
     HOLDS,
+    CheckContext,
     check_transitive_inequalities,
     classify_edge_additions,
     frac_str,
@@ -76,9 +76,9 @@ def _local_means_run(spec: FamilySpec, name: str) -> tuple[bool, list[str]]:
     labels = family_labels(spec)
     (v1,) = labels["bridge"]
     hubs = (labels["hub1"], labels["hub2"])
-    local = local_census(g)
-    mu = local.census.mean
-    mu_v = local.census.mean_at_vertex(v1)
+    ctx = CheckContext(g, local=True)
+    mu = ctx.mean
+    mu_v = ctx.census.mean_at_vertex(v1)
     lines = [
         f"{name}: mean = {_fmt(mu)}",
         f"  mean at bridge vertex {v1} = {_fmt(mu_v)}",
@@ -87,8 +87,7 @@ def _local_means_run(spec: FamilySpec, name: str) -> tuple[bool, list[str]]:
     lines.append(f"  mean > mean-at-vertex: {ok}")
     for hub in hubs:
         e = (min(hub, v1), max(hub, v1))
-        count, order_sum = local.edges[e]
-        mu_e = Fraction(order_sum, count)
+        mu_e = ctx.edge_mean(*e)
         this = mu_v > mu_e
         ok = ok and this
         lines.append(f"  mean at edge {e} = {_fmt(mu_e)}; mean-at-vertex > mean-at-edge: {this}")

@@ -37,15 +37,14 @@ from, which may lie inside a parent's children.
 
 The checks of one graph run through :func:`~subtrees.harness.run_checks`,
 in one :class:`~subtrees.harness.CheckContext`, which computes the base
-census, certificate and anchored censuses at most once; when the checks
-include one of ``LOCAL_CHECKS``, the base census is read off the local
-census, so each graph is enumerated once.  Otherwise a parent unit
-censuses its parent once and hands each child the census
-:func:`~subtrees.census.census_from_parent` derives from it: a child's
-subtrees that avoid its new vertex are the parent's, so only those
-through the new vertex are enumerated.  A
-certificate-to-mean memo lives for one ``scan`` call (one per worker
-process when ``jobs`` > 1) and serves the means of neighbour graphs (g+e,
+census, certificate and anchored censuses at most once.  A parent unit
+gives each child's context a context of the parent, and the child's
+context chooses its census: off its local census when a check needs one,
+else from the parent's census, which is built once for all its children
+(a child's subtrees that avoid its new vertex are the parent's, so only
+those through the new vertex are enumerated).  A certificate-to-mean
+memo, cleared when a ``scan`` call starts (pool workers fork with it
+empty and each keeps its own), serves the means of neighbour graphs (g+e,
 g/e, g+matching), which in a universe scan recur across graphs.
 The memo is unbounded: it holds one ``Fraction`` per isomorphism class seen.
 
@@ -64,14 +63,13 @@ from itertools import chain, islice
 from typing import Iterable
 
 from .canon import MAX_GENERATE, _children, generate_connected
-from .census import census, census_from_parent
 from .graphs import Graph, from_graph6, to_graph6
 from .harness import (
     CHECKS,
     FAILS,
     HOLDS,
-    LOCAL_CHECKS,
     REPORT,
+    CheckContext,
     CheckVerdict,
     frac_str,
     run_checks,
@@ -238,33 +236,29 @@ def _universe_units(n: int) -> list[str | Graph]:
     return list(generate_connected(n - 1))
 
 
-# The certificate memo of a scan worker process.  Only pool workers write
-# it, so it lives exactly as long as the worker, which serves one scan.
-_worker_memo: dict = {}
+# The certificate memo of the scan's checks: `scan` clears it before any
+# unit runs, so a serial scan starts empty and pool workers fork with it
+# empty, each then keeping its own for the rest of the scan.
+_memo: dict = {}
 
 
-def _check_unit(task: tuple, memo: dict | None = None) -> list[tuple[str, bytes, list[tuple]]]:
+def _check_unit(task: tuple) -> list[tuple[str, bytes, list[tuple]]]:
     """Run the checks over one unit's graphs, skipping the first ``skip``.
 
     ``task`` is ``(unit, skip, names)``.  Per graph it returns the text
     the fingerprint hashes, its finished JSONL records and, per verdict,
     the arguments of :meth:`ScanState.record`, so the scan process neither
     decodes, checks nor encodes.  A line's text is the line; a child's is
-    the ``graph_id`` of its verdicts, so each child is encoded once.  A
-    pool worker uses its process's memo.
+    the ``graph_id`` of its verdicts, so each child is encoded once.  The
+    children of a parent unit share one context of the parent, from which
+    each child's context may inherit its census.
     """
     unit, skip, names = task
-    if memo is None:
-        memo = _worker_memo
     line = unit if isinstance(unit, str) else None
-    # a parent unit censuses its parent once, and each child adds only the
-    # subtrees through its new vertex; a local check reads the census off
-    # the local census instead
-    parent = census(unit) if line is None and LOCAL_CHECKS.isdisjoint(names) else None
+    parent = None if line else CheckContext(unit)
     results = []
     for g in ([from_graph6(line)] if line else _children(unit))[skip:]:
-        base = None if parent is None else census_from_parent(parent, g)
-        verdicts = run_checks(g, names, memo, base)
+        verdicts = run_checks(g, names, _memo, parent)
         records = b"".join(verdict_jsonl(v).encode() + b"\n" for v in verdicts)
         marks = [(v.check, v.graph_id, v.status, bool(v.witness.get("finding"))) for v in verdicts]
         results.append((line or verdicts[0].graph_id, records, marks))
@@ -355,6 +349,7 @@ def scan(
     names = tuple(checks)
     tasks = ((unit, skip if i == 0 else 0, names) for i, unit in enumerate(todo))
 
+    _memo.clear()
     mode = "r+b" if (not fresh and os.path.exists(out_path)) else "wb"
     with open(out_path, mode) as out:
         if mode == "r+b":
@@ -382,8 +377,7 @@ def scan(
             with multiprocessing.Pool(jobs) as pool:
                 consume(pool.imap(_check_unit, tasks, chunksize=8))
         else:
-            memo: dict = {}
-            consume(_check_unit(task, memo) for task in tasks)
+            consume(map(_check_unit, tasks))
         out.flush()
         state.output_bytes = out.tell()
     if checkpoint_path:

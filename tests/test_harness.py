@@ -396,6 +396,28 @@ def test_context_builds_local_census_at_most_once(monkeypatch):
     assert anchored == []
 
 
+def test_a_child_context_inherits_its_census_through_a_parent_context(monkeypatch):
+    from subtrees.canon import _children
+
+    censused = _count_calls(monkeypatch, "census")
+    for _, parents in generated(1, 6):
+        for p in parents:
+            children = list(_children(p))
+            parent = CheckContext(p)
+            for child in children:
+                # counts, totals and both vertex tables
+                assert CheckContext(child, parent=parent).census == census(child), child
+            # the parent censuses itself once, for the first child that asks
+            assert censused == ([(p,)] if children else []), p
+            censused.clear()
+            # a local context reads its census off its local census, so the
+            # parent's census is never built
+            parent = CheckContext(p)
+            for child in children:
+                assert CheckContext(child, local=True, parent=parent).census == census(child), child
+            assert censused == [], p
+
+
 def test_scan_with_a_local_check_takes_the_base_census_from_the_local_census(monkeypatch):
     from subtrees.harness import LOCAL_CHECKS
 

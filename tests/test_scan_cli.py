@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from subtrees import generate_connected, to_graph6
-from subtrees.canon import _children
+from subtrees.canon import _children, canonical_form
 from subtrees.cli import main as cli_main
 from subtrees.harness import CHECKS, LOCAL_CHECKS
 from subtrees.scan import ScanError, ScanState, load_state, save_state, scan
@@ -329,8 +329,7 @@ def test_scan_n_censuses_each_parent_once(tmp_path, monkeypatch, checks, parent_
     # and no child is; with one, every base census is read off a local census
     calls = []
     harness_module = sys.modules["subtrees.harness"]
-    for module in (scan_module, harness_module):
-        monkeypatch.setattr(module, "census", lambda g, f=module.census: calls.append(g.n) or f(g))
+    monkeypatch.setattr(harness_module, "census", lambda g, f=harness_module.census: calls.append(g.n) or f(g))
     state = scan(6, checks, str(tmp_path / "out.jsonl"))
     assert state.consumed == 112
     assert calls == [5] * parent_censuses
@@ -357,9 +356,9 @@ def test_scan_n_resumes_inside_a_parent(tmp_path, monkeypatch, jobs):
     checked = []
     run_checks = scan_module.run_checks
 
-    def counting(g, names, memo, base):
+    def counting(g, names, memo, parent):
         checked.append(g.n)
-        return run_checks(g, names, memo, base)
+        return run_checks(g, names, memo, parent)
 
     monkeypatch.setattr(scan_module, "run_checks", counting)
     for _ in range(2):
@@ -371,6 +370,18 @@ def test_scan_n_resumes_inside_a_parent(tmp_path, monkeypatch, jobs):
         assert read_jsonl_no_runtime(out) == read_jsonl_no_runtime(single_out)
         # again from the interrupted checkpoint: the output past it is replayed
         ckpt.write_text(saved)
+
+
+def test_serial_scan_starts_from_an_empty_memo(tmp_path):
+    # a memo left by an earlier scan, here with a wrong mean for every
+    # order-6 class, must not reach the neighbours a new scan prices
+    checks = ["edge-addition-exists", "matchings"]
+    clean_out, seeded_out = tmp_path / "clean.jsonl", tmp_path / "seeded.jsonl"
+    clean = scan(6, checks, str(clean_out), jobs=1)
+    scan_module._memo.update((canonical_form(g), Fraction(-1)) for g in generate_connected(6))
+    seeded = scan(6, checks, str(seeded_out), jobs=1)
+    assert seeded.tallies_json() == clean.tallies_json()
+    assert read_jsonl_no_runtime(seeded_out) == read_jsonl_no_runtime(clean_out)
 
 
 @pytest.mark.parametrize("first_input", ["lines", "n"])
