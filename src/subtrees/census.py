@@ -15,12 +15,13 @@ dynamic program over the block-cut tree.  Graphs of one universe share
 most of their cores too, so :func:`_kappa` keeps the determinants in one
 bounded memo for the whole process, keyed by the core's induced rows.
 Every spanning-tree count is a determinant or adjugate of that one
-builder, a Laplacian grounded at a vertex set: at one vertex it counts
-all spanning trees, at a connected set V those containing a fixed
-spanning tree of G[V], which weights the sets of
-:func:`census_containing`.  That count is the same for every spanning
-tree of G[V] (the all-minors matrix-tree theorem, Chaiken 1982), so an
-anchored census takes only the tree's vertex set.  Per-vertex sums need
+builder, a Laplacian grounded at a vertex set and built as its upper
+triangle (it is symmetric): at one vertex it counts all spanning trees,
+at a connected set V those containing a fixed spanning tree of G[V],
+which weights the sets of :func:`census_containing`.  That count is the
+same for every spanning tree of G[V] (the all-minors matrix-tree
+theorem, Chaiken 1982), so an anchored census takes only the tree's
+vertex set.  Per-vertex sums need
 only (count, order sum) pairs, which multiply as (a, s)(b, t) = (ab, at +
 bs), and a second, outside pass gives every vertex its totals; only the
 whole-graph counts by order are polynomials.  :func:`census`,
@@ -30,7 +31,9 @@ block vertices every set must take) and
 pass.  A 2-connected graph is a single block: its connected sets are
 enumerated once, as they are grown, and never stored.  All arithmetic is
 exact: counts are Python integers, determinants use fraction-free
-Bareiss elimination, and means are ``Fraction`` values.
+Bareiss elimination on the upper triangle, deferring the scaling of the
+rows a step leaves unchanged (:func:`_det_bareiss`), and means are
+``Fraction`` values.
 
 :func:`local_census` gives every edge and cherry (3-vertex path a-m-b)
 anchored census, and the census itself, from the same block DP.  An
@@ -91,33 +94,48 @@ _HIGH_BITS = [tuple(i + 8 for i in bits) for bits in _SMALL_BITS]
 
 
 def _det_bareiss(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of a grounded Laplacian; destroys ``mat``.
+    """Fraction-free determinant of a grounded Laplacian given as its upper
+    triangle (row i holds columns i on); destroys ``mat``.
 
     The matrix is positive semidefinite and the pivot at step k is its
     leading principal minor of order k + 1; if that minor is singular, so
     is the matrix.  So no row swap is needed: a zero pivot means 0.  It is
-    symmetric, and so is every Bareiss step's remaining block, so only the
-    upper triangle is read and updated: row i takes its factor from
-    column i of the pivot row.
+    symmetric, and so is every Bareiss step's remaining block, so the
+    upper triangle is all that is read and updated: row i takes its factor
+    from column i of the pivot row.
+
+    A row whose factor is 0 would only be multiplied by pivot / prev, so
+    that scaling is deferred.  ``marks[i]`` is the ``prev`` at which row i
+    was last brought up to date; its true entries are the stored ones
+    times prev / marks[i], a product of consecutive pivot ratios that
+    telescopes.  Every true entry is a minor of the matrix, an integer, so
+    each division below is exact: an update divides by the row's own mark
+    instead of ``prev``, with the row's own stale factor, the true one
+    times marks[i] / prev, and a row is scaled only when it becomes the
+    pivot row or is returned.
     """
     size = len(mat)
     if size == 0:
         return 1
+    marks = [1] * size
     prev = 1
     for k in range(size - 1):
         mk = mat[k]
-        pivot = mk[k]
+        m = marks[k]
+        if m != prev:
+            mk = [a * prev // m for a in mk]
+        pivot = mk[0]
         if not pivot:
             return 0
-        for i in range(k + 1, size):
-            mi = mat[i]
-            f = mk[i]
+        for i, f in enumerate(mk[1:], k + 1):
             if f:
-                mi[i:] = [(pivot * a - f * b) // prev for a, b in zip(mi[i:], mk[i:])]
-            elif pivot != prev:
-                mi[i:] = [(pivot * a) // prev for a in mi[i:]]
+                m = marks[i]
+                if m != prev:
+                    f = f * m // prev
+                mat[i] = [(pivot * a - f * b) // m for a, b in zip(mat[i], mk[i - k :])]
+                marks[i] = pivot
         prev = pivot
-    return mat[size - 1][size - 1]
+    return mat[-1][0] * prev // marks[-1]
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -130,20 +148,21 @@ def spanning_tree_count(g: Graph) -> int:
 
 
 def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[list[int]]:
-    """Laplacian of G[``subset``] grounded at ``ground``: its rows and
-    columns deleted.
+    """Laplacian of G[``subset``] grounded at ``ground`` (its rows and
+    columns deleted), as its upper triangle: row i holds columns i on.
 
-    The determinant counts the spanning trees of G[subset] containing a
-    fixed spanning tree of the connected set ``ground`` (all-minors
-    matrix-tree theorem, Chaiken 1982); grounded at one vertex, all of
-    them.
+    The matrix is symmetric, and :func:`_det_bareiss` and
+    :func:`_adjugate` take this half.  The determinant counts the spanning
+    trees of G[subset] containing a fixed spanning tree of the connected
+    set ``ground`` (all-minors matrix-tree theorem, Chaiken 1982);
+    grounded at one vertex, all of them.
     """
     keep = _bits(subset & ~ground)
     mat = []
     for i, v in enumerate(keep):
         row_mask = rows[v]
-        row = [-((row_mask >> u) & 1) for u in keep]
-        row[i] = (row_mask & subset).bit_count()
+        row = [-((row_mask >> u) & 1) for u in keep[i:]]
+        row[0] = (row_mask & subset).bit_count()
         mat.append(row)
     return mat
 
@@ -178,18 +197,22 @@ def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
 
 
 def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Determinant and adjugate of a positive definite integer matrix, exact.
+    """Determinant and adjugate of a positive definite integer matrix given
+    as its upper triangle (row i holds columns i on), exact; destroys ``mat``.
 
-    Fraction-free Gauss-Jordan elimination on ``[mat | I]`` ends at
-    ``[det I | adj]``, and every division in it is exact.  The pivots are
-    the leading principal minors, all positive here, so no row swap is
-    needed.  It runs in place: after step k the left columns up to k and
-    the right columns after k are multiples of unit columns, so only the
-    others are stored, the right column k where the left one was.  Does
-    not modify ``mat``.
+    Each row is first completed with its columns before i, read off the
+    rows above it by symmetry.  Fraction-free Gauss-Jordan elimination on
+    ``[mat | I]`` ends at ``[det I | adj]``, and every division in it is
+    exact.  The pivots are the leading principal minors, all positive
+    here, so no row swap is needed.  It runs in place: after step k the
+    left columns up to k and the right columns after k are multiples of
+    unit columns, so only the others are stored, the right column k where
+    the left one was.
     """
     size = len(mat)
-    aug = [row[:] for row in mat]
+    aug = mat  # completed top down: the rows above are whole
+    for i in range(1, size):
+        aug[i] = [row[i] for row in aug[:i]] + aug[i]
     prev = 1
     for k in range(size):
         ak = aug[k]
@@ -453,6 +476,7 @@ def _block_dp(
     *,
     tree: int = 0,
     unit: bool = False,
+    outside: bool = False,
     local: tuple[dict[int, int], dict[int, int]] | None = None,
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
     """One pass over the blocks of the component of ``root``.
@@ -485,16 +509,17 @@ def _block_dp(
     count is looked up by its mask in a dict of this call, and on a miss
     in the process memo of :func:`_kappa`; with ``local`` it comes with
     the core's adjugate from :func:`_core_trees`, once per call.
-    For :func:`census` (no ``tree``, no ``unit``) ``full[v]`` is the
-    (count, order sum) of the sets containing v, from a second pass top
-    down: the sets through v's parent block are split by whether they
-    reach its top p, whose outside factor ``full[p] / (1 + T(p))`` is
-    known only then.  Pairs multiply as (a, s)(b, t) = (ab, at + bs).
-    With the one-vertex ``tree`` of ``root`` (no ``unit``), every subset
+    Only with ``outside`` (no ``unit``, no ``tree`` or a one-vertex one)
+    is ``full`` computed, else it is empty.  Without a ``tree``
+    ``full[v]`` is the (count, order sum) of the sets containing v, from
+    a second pass top down: the sets through v's parent block are split
+    by whether they reach its top p, whose outside factor ``full[p] / (1
+    + T(p))`` is known only then.  Pairs multiply as (a, s)(b, t) = (ab,
+    at + bs).  With the one-vertex ``tree`` of ``root``, every subset
     visited reaches its top, and ``full[v]`` counts the sets holding both
     v and ``root``.
 
-    With ``local``, a pair of dicts (and no ``tree``, no ``unit``), the
+    With ``local``, a pair of dicts (with ``outside``, no ``tree``), the
     pass also adds there the count and the order sum of the subtrees
     containing each edge and each cherry of the component, keyed as by
     :func:`_local_keys`.  An edge or a cherry inside a block is split like
@@ -527,7 +552,6 @@ def _block_dp(
     below = [[0] * n, [0] * n]
     through = [[0] * n, [0] * n]
     tops = []
-    tables = not unit and not tree & (tree - 1)
     if local is not None:
         # the same split, keyed as by _local_keys, for the edges and
         # cherries outside the cores; per core, (kappa, y, tees) and the
@@ -583,7 +607,7 @@ def _block_dp(
             acc, a, t = entry
             j = (s & lt).bit_count()
             acc[j] += kappa
-            if tables:
+            if outside:
                 sa, ss = through if s & tbit else below
                 w = t + j * a  # (a, w): the `down` pair of S but its top
                 ka = kappa * a
@@ -617,13 +641,13 @@ def _block_dp(
         heavy |= tbit
         if must:
             reqd |= tbit
-        if tables:
+        if outside:
             tops.append((top, rest, _pair(factor), (keys, weights) if local is not None else None))
     if not tree:
         _padd(total, [0, (comp & ~heavy).bit_count()])
         for v in _bits(heavy):
             _padd(total, down[v])
-    if not tables:
+    if not outside:
         return comp, down, total, []
     # with a tree, only the sets through the root: no `pairs` or `below` term
     full = [(0, 0)] * n if tree else pairs[:]
@@ -727,7 +751,7 @@ def _census(
     for root in range(n):
         if (seen >> root) & 1:
             continue
-        comp, _, total, full = _block_dp(g.rows, root, local=local)
+        comp, _, total, full = _block_dp(g.rows, root, outside=True, local=local)
         seen |= comp
         for k, c in enumerate(total):
             if c:  # the polynomials carry zeros beyond order n
@@ -751,7 +775,7 @@ def census_from_parent(parent: SubtreeCensus, g: Graph) -> SubtreeCensus:
     v = g.n - 1
     if parent.n != v:
         raise ValueError(f"the parent census has order {parent.n}, not {v}")
-    _, down, _, full = _block_dp(g.rows, v, tree=1 << v)
+    _, down, _, full = _block_dp(g.rows, v, tree=1 << v, outside=True)
     counts = [*parent.counts, 0]
     for k, c in enumerate(down[v]):
         if c:  # the polynomial carries zeros beyond order n

@@ -11,6 +11,10 @@ block DP behind ``census`` and ``census_containing``.
 ``_kappa_contracted`` is the contracted-quotient oracle of the grounded
 determinant: it builds the Laplacian of G[S] with one connected piece
 merged to one vertex as a matrix of its own, grounded at that vertex.
+Both take their determinants from ``exact_det``, Gaussian elimination
+over ``Fraction`` values with row pivoting on a whole square matrix,
+which shares no code with the census's kernel; ``grounded_laplacian``
+builds that whole matrix for a grounded vertex set.
 ``by_dedupe`` generates the connected universe, or with ``leaves`` the
 tree universe, order by order the way the package once did, deduplicating
 every one-vertex extension by certificate in one dict: the oracle of the
@@ -19,18 +23,13 @@ canonical augmentation behind ``generate_connected`` and
 yield for a range of orders, each order built once.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
 import subtrees.canon as canon
 from subtrees import Graph, SubtreeCensus, canonical_form
-from subtrees.census import (
-    _bits,
-    _connected_sets,
-    _core,
-    _det_bareiss,
-    _reduced_laplacian,
-)
+from subtrees.census import _bits, _connected_sets, _core
 
 
 def naive_census_counts(g: Graph) -> list[int]:
@@ -181,6 +180,38 @@ def _rooted(n: int):
         yield 1 << root, all_bits & ~((2 << root) - 1)
 
 
+def exact_det(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix: Gaussian elimination over
+    ``Fraction`` values, swapping up the first row with a non-zero pivot."""
+    a = [row[:] for row in mat]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        ak = a[k]
+        det *= ak[k]
+        for ai in a[k + 1 :]:
+            if ai[k]:
+                # only the columns right of k are read from here on
+                r = Fraction(ai[k]) / ak[k]
+                ai[k + 1 :] = [x - r * y for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def grounded_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[list[int]]:
+    """The whole Laplacian of G[subset] without the rows and columns of ``ground``."""
+    keep = [v for v in range(len(rows)) if (subset >> v) & 1 and not (ground >> v) & 1]
+    return [
+        [(rows[u] & subset).bit_count() if u == v else -((rows[u] >> v) & 1) for v in keep]
+        for u in keep
+    ]
+
+
 def walk_census(g: Graph) -> SubtreeCensus:
     """Census by the per-set walk: every connected set of the whole graph,
     weighted by the spanning-tree count of its core, one set at a time."""
@@ -196,7 +227,7 @@ def walk_census(g: Graph) -> SubtreeCensus:
         core = _core(rows, subset, 0)
         kappa = kappas.get(core)
         if kappa is None:
-            kappa = kappas[core] = _det_bareiss(_reduced_laplacian(rows, core, core & -core))
+            kappa = kappas[core] = exact_det(grounded_laplacian(rows, core, core & -core))
         counts[k] += kappa
         for v in verts:
             vertex_counts[v] += kappa
@@ -241,7 +272,7 @@ def _kappa_contracted(rows: tuple[int, ...], subset: int, piece: int) -> int:
                         wrow[j - 1] -= w
         wrow[i - 1] = deg
         mat.append(wrow)
-    return _det_bareiss(mat)
+    return exact_det(mat)
 
 
 def walk_census_containing(g: Graph, vertices) -> tuple[int, int]:
@@ -254,8 +285,12 @@ def walk_census_containing(g: Graph, vertices) -> tuple[int, int]:
     assert tree and g.component_mask(min(vertices), tree) == tree, vertices
     count = 0
     order_sum = 0
+    kappas: dict[int, int] = {}
     for subset in _connected_sets(rows, _rooted(g.n), tree):
-        kappa = _kappa_contracted(rows, _core(rows, subset, tree), tree)
+        core = _core(rows, subset, tree)
+        kappa = kappas.get(core)
+        if kappa is None:
+            kappa = kappas[core] = _kappa_contracted(rows, core, tree)
         count += kappa
         order_sum += subset.bit_count() * kappa
     return count, order_sum

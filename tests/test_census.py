@@ -43,11 +43,14 @@ from subtrees.census import (
     census_from_parent,
     local_census,
 )
+from subtrees.graphs import maximal_matchings_of_complement
 from conftest import (
     _kappa_contracted,
     _rooted,
     census_by_subtree_enumeration,
+    exact_det,
     generated,
+    grounded_laplacian,
     naive_census_counts,
     random_connected_graph,
     random_graph,
@@ -438,18 +441,15 @@ def test_adjugate_of_reduced_laplacians():
     for _ in range(200):
         g = random_connected_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.6, 0.9]))
         size = g.n - 1
-        lap = [
-            [g.degree(i) if i == j else -int(g.has_edge(i, j)) for j in range(1, g.n)]
-            for i in range(1, g.n)
-        ]
-        kappa, adj = _adjugate(lap)
-        assert kappa == _det_bareiss([row[:] for row in lap]) == spanning_tree_count(g)
+        full = (1 << g.n) - 1
+        lap = grounded_laplacian(g.rows, full, 1)
+        kappa, adj = _adjugate(_reduced_laplacian(g.rows, full, 1))
+        assert kappa == exact_det(lap) == spanning_tree_count(g)
         product = [
             [sum(lap[i][t] * adj[t][j] for t in range(size)) for j in range(size)]
             for i in range(size)
         ]
         assert product == [[kappa * (i == j) for j in range(size)] for i in range(size)]
-
 
 
 # -- spanning-tree counts read per 2-core ------------------------------------
@@ -505,6 +505,68 @@ def test_grounded_laplacian_matches_the_contracted_quotient():
         piece = _grown_piece(rng, rows, s, rng.choice(_bits(s)), rng.randint(1, 4))
         grounded = _det_bareiss(_reduced_laplacian(rows, s, piece))
         assert grounded == _kappa_contracted(rows, s, piece), (g, s, piece)
+
+
+def _kernel_det(rows: tuple[int, ...], subset: int, ground: int) -> int:
+    # the census's determinant of a grounded Laplacian, checked against
+    # the whole matrix's determinant over Fractions
+    det = _det_bareiss(_reduced_laplacian(rows, subset, ground))
+    assert det == exact_det(grounded_laplacian(rows, subset, ground)), (rows, subset, ground)
+    return det
+
+
+def test_det_bareiss_matches_an_exact_oracle_on_grounded_laplacians():
+    # connected sets (kappa > 0) and arbitrary sets of sparse graphs
+    # (disconnected ones give 0), grounded at connected pieces of 1 to 4
+    # vertices, for every matrix size 0 to 15
+    rng = random.Random(107)
+    disconnected = 0
+    for size in range(16):
+        for k in range(1, 5):
+            for _ in range(3):
+                n = size + k + rng.randint(0, 2)
+                g = random_connected_graph(rng, n, rng.choice([0.25, 0.5, 0.8]))
+                rows = g.rows
+                s = _grown_piece(rng, rows, (1 << n) - 1, rng.randrange(n), size + k)
+                ground = _grown_piece(rng, rows, s, rng.choice(_bits(s)), k)
+                assert (s & ~ground).bit_count() == size
+                assert _kernel_det(rows, s, ground) > 0
+                h = random_graph(rng, n, rng.choice([0.15, 0.3]))
+                s = sum(1 << v for v in rng.sample(range(n), size + k))
+                root = rng.choice(_bits(s))
+                ground = _grown_piece(rng, h.rows, s, root, k)
+                connected = h.component_mask(root, s) == s
+                disconnected += not connected
+                assert (_kernel_det(h.rows, s, ground) > 0) == connected
+    assert disconnected > 60
+
+
+def test_det_bareiss_on_two_cliques_joined_by_a_path():
+    # the rows of one clique have zeros in every column of the other, so
+    # they skip the steps that eliminate it; kappa is Cayley's w^(w-2),
+    # squared
+    for w in range(3, 8):
+        for n in range(2 * w, 17):
+            rows = barbell(n, w).rows
+            full = (1 << n) - 1
+            for v in range(n):
+                assert _kernel_det(rows, full, 1 << v) == w ** (2 * (w - 2)), (n, w, v)
+            # grounded at the path and its hubs, both cliques stay
+            path = full & ~((1 << (w - 1)) - 1) & ((1 << (n - w + 1)) - 1)
+            assert _kernel_det(rows, full, path) == w ** (2 * (w - 2)), (n, w)
+
+
+def test_det_bareiss_on_every_core_of_a_barbell_plus_a_matching(monkeypatch):
+    # the cores behind barbell-14-6-matchings: every determinant that the
+    # census of barbell(14,6) plus one maximal complement matching computes
+    module = sys.modules["subtrees.census"]
+    monkeypatch.setattr(module, "_kappa_memo", {})
+    calls = _counted(monkeypatch, module, "_reduced_laplacian")
+    g = barbell(14, 6)
+    census(g.add_edges(next(maximal_matchings_of_complement(g))))
+    assert {core.bit_count() for _, core, _ in calls} == set(range(3, 15))
+    for rows, core, ground in calls:
+        _kernel_det(rows, core, ground)
 
 
 def test_core_strips_leaves_outside_keep():

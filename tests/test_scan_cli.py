@@ -5,6 +5,7 @@ import csv
 import functools
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -194,7 +195,7 @@ def test_scan_rejects_jobs_below_1_and_a_negative_limit(tmp_path, monkeypatch, c
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(scan_module.multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     (name, value), = option.items()
     out = tmp_path / "out.jsonl"
     with pytest.raises(ValueError, match=f"{name} must"):
@@ -206,6 +207,27 @@ def test_scan_rejects_jobs_below_1_and_a_negative_limit(tmp_path, monkeypatch, c
     assert code == 2
     assert f"{name} must" in err
     assert not out.exists()
+
+
+def test_only_a_scan_with_a_pool_imports_multiprocessing(tmp_path):
+    # importing multiprocessing costs time and memory that only a pool
+    # needs; a fresh interpreter, since the test runner may import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, subtrees\n"
+        "subtrees.scan(5, ['min-path'], sys.argv[1], jobs=1)\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "subtrees.scan(5, ['min-path'], sys.argv[1], jobs=2)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out.jsonl")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]
 
 
 def test_scan_resume_decodes_each_line_once(tmp_path, monkeypatch):
