@@ -9,7 +9,12 @@ at equal-code leaves prune sibling branches, which keeps highly symmetric
 inputs (cliques, barbells) tractable.  :func:`certify` returns them with
 the certificate, and :func:`_orbit_reps`, the one orbit routine, groups
 vertices in the search, attachment sets in the generator, and edges,
-non-edges or matchings for the checks.  The same search started from the
+non-edges or matchings for the checks.  It never images an item under a
+twin swap: the swaps generate the product of the symmetric groups on the
+twin classes, under which an item's orbit is exactly the set of items
+with its class key (its vertices' classes, kept per edge for a
+matching), so equal keys are joined directly and only the other
+generators are imaged.  The same search started from the
 partition (V - x, {x}) gives the rooted code of a vertex x: equal for two
 vertices exactly when an automorphism maps one to the other.
 
@@ -81,12 +86,14 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _image(sigma: tuple[int, ...], item):
+def _image(sigma: list[int] | tuple[int, ...], item):
     """``item`` moved by the vertex permutation ``sigma``, in normal form.
 
     An item is a vertex set as a bitmask, an edge ``(u, v)`` with
     ``u < v``, or a matching: a sorted tuple of such edges.  Items are their
-    own keys, so a list of them needs no second copy to be indexed.
+    own keys, so a list of them needs no second copy to be indexed.  An
+    edge or a matching is sorted the same way under any vertex map
+    ``sigma``, where a pair's two ends may coincide.
     """
     if isinstance(item, int):
         image = 0
@@ -109,31 +116,60 @@ def _orbit_reps(n: int, gens: list[tuple[int, ...]], items: list | None = None) 
     ``gens`` are permutations of the ``n`` vertices.  The orbits are of the
     vertices, or of ``items`` (vertex sets, edges or matchings, see
     :func:`_image`), a list that each generator maps onto itself.  Returns,
-    per vertex or item, the index of its orbit's root.  A transposition
-    whose two vertices the transpositions applied before it already join
-    lies in the group those generate, so it is skipped: a spanning forest
-    of the twin swaps gives the same orbits as all of them.
+    per vertex or item, the index of its orbit's root.
+
+    No transposition is ever imaged.  The transpositions (the twin swaps)
+    join their vertices into twin classes, and together they generate the
+    product of the symmetric groups on those classes.  An item's orbit
+    under that product is read off its class key: its vertices' classes,
+    sorted for a vertex set, as a sorted pair for an edge, and as the
+    sorted class pairs of a matching's edges.  The key is exact: a
+    permutation of each class moves any vertex set onto any other with the
+    same number of members in each class, and, since a matching's edges
+    are disjoint, any matching onto any other with the same class pairs.
+    Items with equal keys are joined directly, and only the other
+    generators are imaged, over every item.
     """
-    identity = tuple(range(n))
-    if items is None:
-        parent = list(identity)
-    else:
-        parent = list(range(len(items)))
-        index = {item: i for i, item in enumerate(items)}
-    twins = list(identity)
+    twins = list(range(n))
+    others = []
     for sigma in gens:
-        moved = [v for v in identity if sigma[v] != v]
+        moved = [v for v in range(n) if sigma[v] != v]
         if len(moved) == 2:
             a, b = _find(twins, moved[0]), _find(twins, moved[1])
-            if a == b:
-                continue
-            twins[a] = b
-        images = sigma if items is None else [index[_image(sigma, item)] for item in items]
-        for i, j in enumerate(images):
+            if a != b:
+                twins[a] = b
+        else:
+            others.append(sigma)
+    cls = [_find(twins, v) for v in range(n)]
+    if items is None:
+        parent = cls  # each class root is its own parent
+        images = others
+    else:
+        first: dict = {}
+        parent = [first.setdefault(_class_key(cls, item), i) for i, item in enumerate(items)]
+        index = {item: i for i, item in enumerate(items)} if others else {}
+        images = ([index[_image(sigma, item)] for item in items] for sigma in others)
+    for image in images:
+        for i, j in enumerate(image):
             a, b = _find(parent, i), _find(parent, j)
             if a != b:
                 parent[a] = b
     return [_find(parent, i) for i in range(len(parent))]
+
+
+def _class_key(cls: list[int], item):
+    """``item``'s key under the twin classes ``cls`` (``cls[v]`` is v's
+    class): the sorted classes of a vertex set's members, and for an edge
+    or a matching its image under the class map, sorted by :func:`_image`."""
+    if isinstance(item, int):
+        key = []
+        while item:
+            b = item & -item
+            item ^= b
+            key.append(cls[b.bit_length() - 1])
+        key.sort()
+        return tuple(key)
+    return _image(cls, item)
 
 
 def _canonical_search(rows: tuple[int, ...], n: int, cells: list[list[int]] | None = None):

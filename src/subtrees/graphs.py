@@ -277,25 +277,34 @@ def maximal_matchings(g: Graph) -> Iterator[tuple[Edge, ...]]:
 
     Matchings are grown over edges in lexicographic order with increasing
     indices, so the stream is duplicate-free and deterministic.  The empty
-    matching is yielded iff the graph has no edges.
+    matching is yielded iff the graph has no edges.  The edges still
+    available are a bitmask of edge indices, and choosing edge i clears
+    its precomputed conflict mask: the edges that share a vertex with it,
+    i included.  A matching is yielded when none is left, the edges below
+    the last one chosen included, so it is maximal.
     """
     edges = sorted(g.edges())
-    masks = [(1 << u) | (1 << v) for u, v in edges]
+    at = [0] * g.n  # per vertex, the edges on it
+    for i, (u, v) in enumerate(edges):
+        at[u] |= 1 << i
+        at[v] |= 1 << i
+    conflict = [at[u] | at[v] for u, v in edges]
 
-    def rec(avail: list[int], chosen: list[int], last: int) -> Iterator[tuple[Edge, ...]]:
+    def rec(avail: int, chosen: list[Edge], above: int) -> Iterator[tuple[Edge, ...]]:
         if not avail:
-            yield tuple(edges[i] for i in chosen)
+            yield tuple(chosen)
             return
-        for i in avail:
-            if i <= last:
-                continue
-            em = masks[i]
-            rest = [j for j in avail if not masks[j] & em]
-            chosen.append(i)
-            yield from rec(rest, chosen, i)
+        # above is -(1 << (last + 1)): every index past the last one chosen
+        cand = avail & above
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            i = b.bit_length() - 1
+            chosen.append(edges[i])
+            yield from rec(avail & ~conflict[i], chosen, -(b << 1))
             chosen.pop()
 
-    yield from rec(list(range(len(edges))), [], -1)
+    yield from rec((1 << len(edges)) - 1, [], -1)
 
 
 def maximal_matchings_of_complement(g: Graph) -> Iterator[tuple[Edge, ...]]:

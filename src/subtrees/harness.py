@@ -517,11 +517,16 @@ def check_vertex_share_bound(ctx: CheckContext) -> Outcome:
 def check_matchings(ctx: CheckContext) -> Outcome:
     """Sign of the mean change when a maximal complement matching is added.
 
-    Every maximal matching of the complement is classified; the mean is
-    computed once per orbit of the matchings under the automorphisms the
-    certificate search found (``orbits`` counts them), and once per
-    isomorphism class of the augmented graph through the context's memo.
-    ``holds`` means every matching strictly lowers the mean.
+    Every maximal matching of the complement, in the order
+    :func:`~subtrees.graphs.maximal_matchings` grows them, is classified;
+    the mean is computed once per orbit of the matchings under the
+    automorphisms the certificate search found (``orbits`` counts them),
+    and once per isomorphism class of the augmented graph through the
+    context's memo.  Matchings whose edges join the same pairs of twin
+    classes share an orbit without being moved by a twin swap; only the
+    other automorphisms are applied to them (see
+    :func:`~subtrees.canon._orbit_reps`).  ``holds`` means every matching
+    strictly lowers the mean.
     """
     g = ctx.g
     mu = ctx.mean

@@ -21,6 +21,11 @@ every one-vertex extension by certificate in one dict: the oracle of the
 canonical augmentation behind ``generate_connected`` and
 ``generate_trees``.  ``generated`` gives the lists those generators
 yield for a range of orders, each order built once.
+``orbits_by_imaging`` is the orbit routine as it was before twin classes:
+union-find over every item's image under every generator, the twin swaps
+included, the oracle of ``canon._orbit_reps``.
+``matchings_by_lists`` is the list-based recursion that once grew the
+maximal matchings, the oracle of ``graphs.maximal_matchings``.
 """
 
 from fractions import Fraction
@@ -148,6 +153,53 @@ def by_dedupe(hi: int, leaves: bool = False) -> Iterator[list[Graph]]:
                 seen.setdefault(canonical_form(child), child)
         graphs = list(seen.values())
         yield graphs
+
+
+def orbits_by_imaging(n: int, gens: list[tuple[int, ...]], items: list | None = None) -> list[int]:
+    """Per vertex or item, the index of its orbit's root under ``gens``:
+    every item is imaged under every generator and joined to its image."""
+    parent = list(range(n if items is None else len(items)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    index = {item: i for i, item in enumerate(items or ())}
+    for sigma in gens:
+        images = sigma if items is None else [index[canon._image(sigma, item)] for item in items]
+        for i, j in enumerate(images):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[a] = b
+    return [find(i) for i in range(len(parent))]
+
+
+def same_partition(a: list[int], b: list[int]) -> bool:
+    """Whether two lists of orbit roots split their indices alike."""
+    return len(a) == len(b) and len(set(a)) == len(set(zip(a, b))) == len(set(b))
+
+
+def matchings_by_lists(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every maximal matching of ``g``, grown over its sorted edges with
+    increasing indices, the available edges rebuilt as a list at each node."""
+    edges = sorted(g.edges())
+    masks = [(1 << u) | (1 << v) for u, v in edges]
+
+    def rec(avail, chosen, last):
+        if not avail:
+            yield tuple(edges[i] for i in chosen)
+            return
+        for i in avail:
+            if i <= last:
+                continue
+            rest = [j for j in avail if not masks[j] & masks[i]]
+            chosen.append(i)
+            yield from rec(rest, chosen, i)
+            chosen.pop()
+
+    yield from rec(list(range(len(edges))), [], -1)
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -17,6 +17,7 @@ from subtrees import (
     barbell,
     canonical_form,
     clique,
+    complete_bipartite,
     cycle,
     generate_connected,
     generate_trees,
@@ -26,7 +27,14 @@ from subtrees import (
 import subtrees.canon as canon
 from subtrees.cli import main as cli_main
 from subtrees.canon import _orbit_reps, _rooted_code, certify
-from conftest import automorphisms, by_dedupe, generated, random_graph
+from conftest import (
+    automorphisms,
+    by_dedupe,
+    generated,
+    orbits_by_imaging,
+    random_graph,
+    same_partition,
+)
 
 ALL_PAIRS_4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -150,27 +158,60 @@ def test_certify_generators_generate_the_whole_group_up_to_order_6():
             assert _closure(n, certify(g)[1]) == set(automorphisms(g)), g
 
 
+def _assert_brute_force_orbits(g: Graph) -> None:
+    # vertices, edges, non-edges, complement matchings, g's own matchings
+    # and every non-empty vertex set, against orbits under all of Aut(g)
+    from subtrees import maximal_matchings, maximal_matchings_of_complement
+
+    n = g.n
+    auts = automorphisms(g)
+    gens = certify(g)[1]
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    lists = [
+        list(g.edges()),
+        non_edges,
+        list(maximal_matchings_of_complement(g)),
+        list(maximal_matchings(g)),
+        range(1, 1 << n),
+    ]
+    for items in [None] + lists:
+        reps = _orbit_reps(n, gens, items)
+        keys = list(range(n)) if items is None else [_key(m) for m in items]
+        for i, key in enumerate(keys):
+            orbit = {_move(sigma, key) for sigma in auts}
+            same = {j for j in range(len(keys)) if reps[j] == reps[i]}
+            assert same == {j for j, other in enumerate(keys) if other in orbit}, (g, items)
+
+
 def test_orbit_reps_match_brute_force_orbits():
-    # vertices, edges, non-edges and complement matchings of every
-    # connected graph of order <= 5, against orbits under all of Aut(g)
+    for n, graphs in generated(1, 6):
+        for g in graphs:
+            _assert_brute_force_orbits(g)
+
+
+def test_orbit_reps_match_brute_force_orbits_on_large_twin_classes():
+    # one true-twin class (clique), one false-twin class of six leaves,
+    # whose complement matchings have edges inside it (star), and two
+    # false-twin classes (K_{3,4})
+    for g in [clique(5), star_graph(7), complete_bipartite(3, 4)]:
+        _assert_brute_force_orbits(g)
+
+
+def test_orbit_reps_partition_barbell_matchings_as_imaging_does():
     from subtrees import maximal_matchings_of_complement
 
-    for n, graphs in generated(1, 5):
-        for g in graphs:
-            auts = automorphisms(g)
-            gens = certify(g)[1]
-            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-            lists = [list(g.edges()), non_edges, list(maximal_matchings_of_complement(g))]
-            for items in [None] + lists:
-                reps = _orbit_reps(n, gens, items)
-                keys = list(range(n)) if items is None else [_key(m) for m in items]
-                for i, key in enumerate(keys):
-                    orbit = {j for j, other in enumerate(keys)
-                             if any(_move(sigma, key) == other for sigma in auts)}
-                    assert {j for j in range(len(keys)) if reps[j] == reps[i]} == orbit
+    g = barbell(14, 6)
+    gens = certify(g)[1]
+    matchings = list(maximal_matchings_of_complement(g))
+    assert len(matchings) == 27240
+    reps = _orbit_reps(g.n, gens, matchings)
+    assert len(set(reps)) == 14
+    assert same_partition(reps, orbits_by_imaging(g.n, gens, matchings))
 
 
 def _key(item):
+    if isinstance(item, int):
+        return frozenset(v for v in range(item.bit_length()) if item >> v & 1)
     if item and isinstance(item[0], int):
         return frozenset(item)
     return frozenset(map(frozenset, item))
@@ -182,22 +223,34 @@ def _move(sigma, key):
     return frozenset(_move(sigma, part) for part in key)
 
 
-def test_orbit_reps_skips_transpositions_already_joined(monkeypatch):
-    # the twin swaps of K4 are its six transpositions; the first three that
-    # join new vertices form a spanning tree, which generates the other three
-    import subtrees.canon as canon
+def _is_transposition(sigma) -> bool:
+    n = len(sigma)
+    return sorted(sigma) == list(range(n)) and sum(sigma[v] != v for v in range(n)) == 2
 
+
+def test_orbit_reps_images_no_transposition(monkeypatch):
+    # the twin swaps of K4 are its six transpositions: they join its
+    # vertices into one twin class, so every edge has the key (c, c);
+    # _image also keys edges and matchings under the class map
     g = clique(4)
-    swaps = [sigma for sigma in certify(g)[1] if sum(sigma[v] != v for v in range(4)) == 2]
+    swaps = [sigma for sigma in certify(g)[1] if _is_transposition(sigma)]
     assert len(swaps) == 6
     edges = list(g.edges())
     assert len(set(_orbit_reps(4, swaps[:1], edges))) == 4
     images = []
     original = canon._image
-    monkeypatch.setattr(canon, "_image", lambda sigma, item: images.append(sigma) or original(sigma, item))
+    monkeypatch.setattr(canon, "_image", lambda sigma, item: images.append(tuple(sigma)) or original(sigma, item))
     assert len(set(_orbit_reps(4, swaps, edges))) == 1
-    applied = set(images)
-    assert len(applied) == 3 and _closure(4, applied) == _closure(4, swaps)
+    assert images and not any(map(_is_transposition, images))
+    # barbell(14,6): of its generators only the mirror, no transposition, is imaged
+    g = barbell(14, 6)
+    gens = certify(g)[1]
+    images.clear()
+    edges = list(g.edges())
+    _orbit_reps(g.n, gens, edges)
+    imaged = set(images) & set(gens)
+    assert len(imaged) == 1 and not any(map(_is_transposition, imaged))
+    assert images.count(imaged.pop()) == len(edges)
 
 
 def test_rooted_codes_agree_exactly_on_orbits():

@@ -7,6 +7,7 @@ import pytest
 from subtrees import (
     Graph,
     are_isomorphic,
+    barbell,
     clique,
     cycle,
     from_graph6,
@@ -15,7 +16,7 @@ from subtrees import (
     path_graph,
     to_graph6,
 )
-from conftest import random_graph
+from conftest import generated, matchings_by_lists, random_graph
 
 
 def test_graph6_known_strings():
@@ -112,6 +113,15 @@ def test_maximal_matchings_known_counts():
     assert list(maximal_matchings_of_complement(clique(4))) == [()]
     # path complement of P_3 has the single edge (0,2)
     assert list(maximal_matchings_of_complement(path_graph(3))) == [((0, 2),)]
+
+
+def test_maximal_matchings_follow_the_list_recursion():
+    # the same matchings in the same order as the list-based recursion,
+    # on the complement of every connected graph of order <= 7 and of
+    # barbell(14,6)
+    complements = [g.complement() for _, graphs in generated(1, 7) for g in graphs]
+    for h in complements + [barbell(14, 6).complement()]:
+        assert list(maximal_matchings(h)) == list(matchings_by_lists(h)), h
 
 
 def test_maximal_matchings_brute_force():
