@@ -42,13 +42,15 @@ def _mask_of(vertices) -> int:
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition.
+    """Equitable refinement of an ordered partition of all the vertices.
 
     ``queue`` holds splitter masks still to process (FIFO).  Fragments are
     ordered by ascending neighbour count, which depends only on the
-    partition structure, never on labels.
+    partition structure, never on labels.  Once every cell is a singleton
+    no splitter can split one, so the rest of the queue is dropped.
     """
-    while queue:
+    n = len(rows)
+    while queue and len(cells) < n:
         splitter = queue.pop(0)
         new_cells: list[list[int]] = []
         for cell in cells:
@@ -231,7 +233,9 @@ def _canonical_search(rows: tuple[int, ...], n: int, cells: list[list[int]] | No
                     continue
             rest = [w for w in target if w != v]
             child = cells[:target_idx] + [[v], rest] + cells[target_idx + 1 :]
-            child = _refine(rows, child, [1 << v, _mask_of(rest)])
+            # the parent partition is equitable, so after {v} every cell
+            # has a constant count in `rest` too: it splits nothing
+            child = _refine(rows, child, [1 << v])
             rec(child, prefix + (v,))
             tried.append(v)
 

@@ -44,11 +44,13 @@ core's reduced Laplacian: the trees containing edge e number
 x_e^T M x_e (Kirchhoff), and those containing both edges e and f number
 (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa with Y(e,f) = x_e^T M x_f (the
 transfer-current theorem of Burton & Pemantle).  An edge outside the
-core lies in every tree.  So there is one adjugate per distinct core,
-and the subsets sharing a core meet its edges and cherries once, with
-their weights summed.  A cherry whose two edges lie in different blocks
-at a cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair
-algebra.  :func:`census_containing` counts the subtrees containing a
+core lies in every tree.  So there is one adjugate per labelled core per
+process: :func:`_core_trees` keeps kappa and the tree counts of the
+core's edges and cherries in the memo of :func:`_kappa`, and the subsets
+sharing a core meet them once per call, with their weights summed.  A
+cherry whose two edges lie in different blocks at a cut vertex m is
+edge(a-m) edge(m-b) / vertex(m) in the pair algebra.
+:func:`census_containing` counts the subtrees containing a
 spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
 queries, and the tests as the oracle of :func:`local_census`.  Anchored
@@ -63,6 +65,7 @@ one by one as growing edge sets, sharing no counting machinery with
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -167,11 +170,12 @@ def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[
     return mat
 
 
-# Determinants shared by every census in the process, keyed as by _kappa.
+# Determinants shared by every census in the process, keyed as by _kappa,
+# and the core entries of _core_trees, keyed by -n instead of a grounding.
 # A full memo is cleared, not pruned.  Forked workers inherit a copy; as
 # every value is a function of its key, no result depends on what it holds.
 _KAPPA_LIMIT = 1024
-_kappa_memo: dict[tuple[int, ...], int] = {}
+_kappa_memo: dict[tuple[int, ...], int | tuple[int, Sequence[int], Sequence[int]]] = {}
 
 
 def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
@@ -366,53 +370,74 @@ def _pair(poly: list[int]) -> tuple[int, int]:
     return sum(poly), sum(k * c for k, c in enumerate(poly))
 
 
-def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, list[list[int]], dict]:
-    """kappa of G[core], its padded adjugate, and the trees through each edge.
+def _packed(values: list[int]) -> Sequence[int]:
+    """Non-negative ints in an array of 16-, 32- or 64-bit C unsigned ints,
+    the narrowest that holds them, else a tuple (whose ints above 256 take
+    28 bytes or more)."""
+    top = max(values)
+    if top >> 32:
+        return tuple(values) if top >> 64 else array("Q", values)
+    return array("I" if top >> 16 else "H", values)
 
-    With M = kappa L0^-1 the integer adjugate of the reduced Laplacian,
-    the trees containing edge e number Y(e,e) = x_e^T M x_e (Kirchhoff).
-    ``y`` is M with a zero row and column for the core's lowest vertex,
-    whose row L0 drops.  ``tees[m]`` is m's position i in the core and
-    the ``(j, c, trees through m-c)`` of its edges to core vertices c at
-    position j.
+
+def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], Sequence[int]]:
+    """kappa of G[core], and the indices (by :func:`_local_keys`) and tree
+    counts of its edges and cherries; ``y`` is the adjugate M = kappa L0^-1
+    with a zero row and column for the core's lowest vertex, which L0 drops.
+
+    Computed once per labelled core per process: :data:`_kappa_memo` keeps
+    it, packed, keyed as by :func:`_kappa` with -n in place of the
+    grounding (the indices depend on n).
     """
+    n = len(rows)
     verts = _bits(core)
+    key = (-n, *[rows[v] & core for v in verts])
+    entry = _kappa_memo.get(key)
+    if entry is not None:
+        return entry
     kappa, adj = _adjugate(_reduced_laplacian(rows, core, core & -core))
     y = [[0] * len(verts)] + [[0] + row for row in adj]
-    tees = {}
+    nn = n * n
+    keys = []
+    trees = []
     for i, m in enumerate(verts):
         ym = y[i]
+        dm = ym[i]
         row = rows[m]
-        tees[m] = (
-            i,
-            [(j, c, ym[i] + y[j][j] - 2 * ym[j]) for j, c in enumerate(verts) if (row >> c) & 1],
-        )
-    return kappa, y, tees
-
-
-def _add_core(n, kappa, y, tees, wa, ws, counts, sums):
-    # The trees of one core through each of its edges and cherries, times
-    # the summed weight (wa, ws) of the sets with that core.  Those through
-    # edges e and f number (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa, an exact
-    # division (the transfer-current theorem).
-    nn = n * n
-    for m, (im, nb) in tees.items():
-        ym = y[im]
-        dm = ym[im]
+        nb = [(j, c, dm + y[j][j] - 2 * ym[j]) for j, c in enumerate(verts) if (row >> c) & 1]
         for x, (ia, a, t_am) in enumerate(nb):
             if a > m:
-                e = m * n + a
-                counts[e] += t_am * wa
-                sums[e] += t_am * ws
+                keys.append(m * n + a)
+                trees.append(t_am)
             ya = y[ia]
             yma = ym[ia] - dm
             base = nn + (m * n + a) * n
             for ib, b, t_mb in nb[x + 1 :]:
                 # x_e = e_a - e_m and x_f = e_m - e_b; M is symmetric
                 cross = yma + ym[ib] - ya[ib]
-                t = (t_am * t_mb - cross * cross) // kappa
-                counts[base + b] += t * wa
-                sums[base + b] += t * ws
+                keys.append(base + b)
+                trees.append((t_am * t_mb - cross * cross) // kappa)
+    if len(_kappa_memo) >= _KAPPA_LIMIT:
+        _kappa_memo.clear()
+    entry = _kappa_memo[key] = (kappa, _packed(keys), _packed(trees))
+    return entry
+
+
+def _add_core(n, keys, trees, a, w, at, counts, sums):
+    # The trees of one core's edges and cherries times the summed weight
+    # (a, w) of its sets; the trees of a core edge m-c also weight each
+    # cherry p-m-c with a pendant edge p-m, by the sum listed in at[m].
+    nn = n * n
+    for i, t in zip(keys, trees):
+        counts[i] += t * a
+        sums[i] += t * w
+        if at and i < nn:
+            m, c = divmod(i, n)
+            for u, v in ((m, c), (c, m)):
+                for p, pa, pw in at.get(u, ()):
+                    j = nn + (u * n + p) * n + v if p < v else nn + (u * n + v) * n + p
+                    counts[j] += t * pa
+                    sums[j] += t * pw
 
 
 def _local_keys(rows: tuple[int, ...], block: int) -> list[int]:
@@ -430,11 +455,11 @@ def _local_keys(rows: tuple[int, ...], block: int) -> list[int]:
     return keys
 
 
-def _add_pendants(rows, s, core, ka, ks, a, w, tees, counts, sums):
+def _add_pendants(rows, s, core, ka, ks, counts, sums, pw, o, a, w):
     # One set S of a block whose core is smaller than S: its edges outside
     # the core lie in all kappa trees, so each of them, and each cherry of
-    # two such edges, gets (ka, ks) = kappa (a, w); a cherry p-m-c with one
-    # core edge m-c gets t_mc (a, w).
+    # two such edges, gets (ka, ks) = kappa (a, w).  For a cherry p-m-c with
+    # a core edge m-c, (a, w) is summed at o in pw[m*n+p] for _add_core.
     n = len(rows)
     nn = n * n
     pend = s & ~core
@@ -461,13 +486,13 @@ def _add_pendants(rows, s, core, ka, ks, a, w, tees, counts, sums):
             for v in pl[x + 1 :]:
                 counts[base + v] += ka
                 sums[base + v] += ks
-        if tees:
-            for _, c, t in tees[m][1]:
-                ta, tw = t * a, t * w
-                for p in pl:
-                    i = nn + (m * n + p) * n + c if p < c else nn + (m * n + c) * n + p
-                    counts[i] += ta
-                    sums[i] += tw
+        if pw is not None:
+            for p in pl:
+                acc = pw.get(m * n + p)
+                if acc is None:
+                    acc = pw[m * n + p] = [0, 0, 0, 0]
+                acc[o] += a
+                acc[o + 1] += w
 
 
 def _block_dp(
@@ -508,7 +533,8 @@ def _block_dp(
     stays in it), so one grounding serves the whole block.  A core's
     count is looked up by its mask in a dict of this call, and on a miss
     in the process memo of :func:`_kappa`; with ``local`` it comes with
-    the core's adjugate from :func:`_core_trees`, once per call.
+    the core's edge and cherry counts from :func:`_core_trees`, once per
+    labelled core per process.
     Only with ``outside`` (no ``unit``, no ``tree`` or a one-vertex one)
     is ``full`` computed, else it is empty.  Without a ``tree``
     ``full[v]`` is the (count, order sum) of the sets containing v, from
@@ -529,11 +555,12 @@ def _block_dp(
     read off the core of S: an edge outside the core lies in all kappa
     trees, and so does a cherry of two such edges, while a cherry with one
     core edge e lies in the trees through e.  Inside the core they come
-    from one adjugate per core (:func:`_core_trees`), and they meet the
-    weights of the subsets sharing that core once, summed, in the outside
-    pass.  A cherry a-m-b whose edges lie in two blocks at the cut vertex
-    m is edge(a-m) edge(m-b) / vertex(m) in the pair algebra, an exact
-    division: the sets containing m are independent across m's blocks.
+    from one adjugate per labelled core (:func:`_core_trees`), and meet
+    the weights of the subsets sharing that core (and pendant edge) once,
+    summed, in the outside pass.  A cherry a-m-b whose edges lie in two
+    blocks at the cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the
+    pair algebra, an exact division: the sets containing m are
+    independent across m's blocks.
 
     Returns the component mask, ``down``, ``total`` and ``full``.
     """
@@ -554,11 +581,9 @@ def _block_dp(
     tops = []
     if local is not None:
         # the same split, keyed as by _local_keys, for the edges and
-        # cherries outside the cores; per core, (kappa, y, tees) and the
-        # summed weights (a, w) of its sets through the top and below it
+        # cherries outside the cores
         lbelow: list[dict[int, int]] = [{}, {}]
         lthrough: list[dict[int, int]] = [{}, {}]
-        cores: dict[int, tuple[int, list[list[int]], dict]] = {}
     comp = 1 << root
     for top, block in _blocks(rows, root):
         comp |= block
@@ -579,7 +604,9 @@ def _block_dp(
             keys = _local_keys(rows, block)
             for acc in (*lbelow, *lthrough):
                 acc.update(dict.fromkeys(keys, 0))
-            weights: dict[int, list[int]] = {}
+            # per core, the weights (a, w) of its sets through the top and
+            # below it, the same per pendant edge p-m (at m*n+p), its entry
+            weights: dict[int, list] = {}
         for s in _connected_sets(rows, starts, must):
             if s & (s - 1) == 0:
                 continue
@@ -588,10 +615,10 @@ def _block_dp(
                 core = _core(rows, s, ground)
                 if core & (core - 1):
                     if local is not None:
-                        info = cores.get(core)
+                        info = weights.get(core)
                         if info is None:
-                            info = cores[core] = _core_trees(rows, core)
-                        kappa = info[0]
+                            info = weights[core] = [0, 0, 0, 0, {}, _core_trees(rows, core)]
+                        kappa = info[5][0]
                     else:
                         kappa = kappas.get(core)
                         if kappa is None:
@@ -616,21 +643,15 @@ def _block_dp(
                     sa[c] += ka
                     ss[c] += ks
                 if local is not None:
-                    tees = None
+                    o = 0 if s & tbit else 2
+                    pw = None
                     if core & (core - 1):
-                        tees = cores[core][2]
-                        wsum = weights.get(core)
-                        if wsum is None:
-                            wsum = weights[core] = [0, 0, 0, 0]
-                        if s & tbit:
-                            wsum[0] += a
-                            wsum[1] += w
-                        else:
-                            wsum[2] += a
-                            wsum[3] += w
+                        info[o] += a
+                        info[o + 1] += w
+                        pw = info[4]
                     if core != s:
                         la, ls = lthrough if s & tbit else lbelow
-                        _add_pendants(rows, s, core, ka, ks, a, w, tees, la, ls)
+                        _add_pendants(rows, s, core, ka, ks, la, ls, pw, o, a, w)
         factor = [0 if must else 1]
         for key, (acc, _, _) in buckets.items():
             for c in _bits(key & hv) if hv else ():
@@ -670,9 +691,11 @@ def _block_dp(
                 ta, ts = lthrough[0][i], lthrough[1][i]
                 counts[i] = lbelow[0][i] + ta * ua
                 sums[i] = lbelow[1][i] + ta * us + ts * ua
-            for core, (ta, tw, ba, bw) in weights.items():
-                kappa, y, tees = cores[core]
-                _add_core(n, kappa, y, tees, ba + ta * ua, bw + ta * us + tw * ua, counts, sums)
+            for ta, tw, ba, bw, pw, (_, ckeys, trees) in weights.values():
+                at: dict[int, list[tuple[int, int, int]]] = {}
+                for i, (qa, qw, ra, rw) in pw.items():
+                    at.setdefault(i // n, []).append((i % n, ra + qa * ua, rw + qa * us + qw * ua))
+                _add_core(n, ckeys, trees, ba + ta * ua, bw + ta * us + tw * ua, at, counts, sums)
     if local is not None:
         # cherries across two blocks at a cut vertex m
         counts, sums = local

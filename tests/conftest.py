@@ -26,6 +26,9 @@ union-find over every item's image under every generator, the twin swaps
 included, the oracle of ``canon._orbit_reps``.
 ``matchings_by_lists`` is the list-based recursion that once grew the
 maximal matchings, the oracle of ``graphs.maximal_matchings``.
+``refine_whole_queue`` is the equitable refinement as it was before it
+stopped at a discrete partition, processing every splitter queued: the
+oracle of ``canon._refine``.
 """
 
 from fractions import Fraction
@@ -200,6 +203,26 @@ def matchings_by_lists(g: Graph) -> Iterator[tuple[tuple[int, int], ...]]:
             chosen.pop()
 
     yield from rec(list(range(len(edges))), [], -1)
+
+
+def refine_whole_queue(rows: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
+    """Equitable refinement of an ordered partition, every splitter in
+    ``queue`` processed in turn (FIFO) until the queue is empty; fragments
+    by ascending neighbour count in the splitter."""
+    queue = list(queue)
+    while queue:
+        splitter = queue.pop(0)
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault((rows[v] & splitter).bit_count(), []).append(v)
+            for count in sorted(groups):
+                new_cells.append(groups[count])
+                if len(groups) > 1:
+                    queue.append(sum(1 << v for v in groups[count]))
+        cells = new_cells
+    return cells
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

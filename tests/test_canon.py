@@ -33,6 +33,7 @@ from conftest import (
     generated,
     orbits_by_imaging,
     random_graph,
+    refine_whole_queue,
     same_partition,
 )
 
@@ -251,6 +252,27 @@ def test_orbit_reps_images_no_transposition(monkeypatch):
     imaged = set(images) & set(gens)
     assert len(imaged) == 1 and not any(map(_is_transposition, imaged))
     assert images.count(imaged.pop()) == len(edges)
+
+
+def test_refine_matches_the_whole_queue_oracle():
+    # _refine stops at a discrete partition, and a search child queues only
+    # its individualised vertex {v}, not also the rest of the target cell:
+    # the same cells as processing every splitter, at the root and after
+    # individualising each vertex of the first non-singleton cell
+    for n, graphs in generated(1, 7):
+        for g in graphs:
+            rows = g.rows
+            whole = [list(range(n))]
+            root = canon._refine(rows, whole, [(1 << n) - 1])
+            assert root == refine_whole_queue(rows, whole, [(1 << n) - 1]), g
+            at = next((i for i, cell in enumerate(root) if len(cell) > 1), None)
+            if at is None:
+                continue
+            for v in root[at]:
+                rest = [w for w in root[at] if w != v]
+                child = root[:at] + [[v], rest] + root[at + 1 :]
+                oracle = refine_whole_queue(rows, child, [1 << v, sum(1 << w for w in rest)])
+                assert canon._refine(rows, child, [1 << v]) == oracle, (g, v)
 
 
 def test_rooted_codes_agree_exactly_on_orbits():

@@ -39,6 +39,7 @@ from subtrees.census import (
     _connected_sets,
     _core,
     _det_bareiss,
+    _packed,
     _reduced_laplacian,
     census_from_parent,
     local_census,
@@ -436,6 +437,22 @@ def test_local_census_matches_census_containing_cut_vertices_and_bridges():
         _assert_local_census_matches_oracle(g)
 
 
+def test_packed_takes_the_narrowest_unsigned_array_else_a_tuple():
+    # C unsigned short, int and long long: 2, 4 and 8 bytes
+    for values, code in [([0, 7, 65535], "H"), ([1, 65536], "I"), ([2**32, 5, 2**64 - 1], "Q")]:
+        packed = _packed(values)
+        assert (packed.typecode, list(packed)) == (code, values)
+    assert _packed([3, 2**64]) == (3, 2**64)
+
+
+def test_local_census_of_a_clique_with_counts_past_32_bits():
+    # the edges of K12 lie in 2 * 12^10 / 12 > 2^32 of its spanning trees
+    g = clique(12)
+    local = local_census(g)
+    assert set(local.edges.values()) == {census_containing(g, (0, 1))}
+    assert set(local.cherries.values()) == {census_containing(g, (0, 1, 2))}
+
+
 def test_adjugate_of_reduced_laplacians():
     rng = random.Random(67)
     for _ in range(200):
@@ -685,18 +702,29 @@ def _census_tallies(g: Graph) -> tuple:
     return c.counts, c.vertex_counts, c.vertex_order_sums, c.mean
 
 
+def _local_tallies(g: Graph) -> tuple:
+    local = local_census(g)
+    return local.edges, local.cherries
+
+
 def _memo_results(cold: bool) -> list:
     # the censuses of K4, plain and anchored at the edges (0,1) and
-    # (2,3), which ground its cores in two ways, then of every _memo_cases
-    # graph; with `cold`, each from an empty memo
+    # (2,3), which ground its cores in two ways, then the census and the
+    # local census of every _memo_cases graph and of two graphs with
+    # pendant trees at core vertices, so that the memo holds determinants
+    # and core entries at once; with `cold`, each from an empty memo
     memo = sys.modules["subtrees.census"]._kappa_memo
     k4 = clique(4)
+    graphs = [*_memo_cases(), modified_double_broom(9, 3, 1), barbell(8, 3)]
     out = []
-    for g, e in [(k4, None), (k4, (0, 1)), (k4, (2, 3)), *((g, None) for g in _memo_cases())]:
+    for g, e in [(k4, None), (k4, (0, 1)), (k4, (2, 3)), *((g, None) for g in graphs)]:
         if cold:
             memo.clear()
         if e is None:
             out.append(_census_tallies(g))
+            if cold:
+                memo.clear()
+            out.append(_local_tallies(g))
         else:
             out.append(census_containing(g, e))
     return out
@@ -713,7 +741,8 @@ def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
     monkeypatch.setattr(module, "_kappa_memo", {})
     cold = _cold_memo_results()
     assert cold[0][0] == (0, 4, 6, 12, 16)
-    assert cold[1:3] == [(13, 46), (13, 46)]
+    assert cold[2:4] == [(13, 46), (13, 46)]  # anchored at an edge
+    assert cold[1][0][(0, 1)] == cold[1][0][(2, 3)] == (13, 46)  # K4's local census
     if limit is not None:
         monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
     memo = _WatchedMemo()
@@ -731,6 +760,31 @@ def test_warm_kappa_memo_matches_a_cold_one_on_every_order_8_graph(monkeypatch):
     for g, tallies in zip(graphs, warm):
         memo.clear()
         assert _census_tallies(g) == tallies, g
+
+
+@pytest.mark.slow
+def test_warm_local_census_memo_matches_a_cold_one_on_every_order_8_graph(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", memo)
+    graphs = list(generate_connected(8))
+    warm = [_local_tallies(g) for g in graphs]
+    for g, tallies in zip(graphs, warm):
+        memo.clear()
+        assert _local_tallies(g) == tallies, g
+
+
+def test_local_census_computes_one_adjugate_per_labelled_core(monkeypatch):
+    module = sys.modules["subtrees.census"]
+    monkeypatch.setattr(module, "_kappa_memo", {})
+    calls = _counted(monkeypatch, module, "_adjugate")
+    g = modified_barbell(16, 5, 1)
+    first = local_census(g)
+    # the 16 subsets of order >= 3 of each 5-clique and the 8-cycle, as
+    # in the census; every other set's core is one of them or one vertex
+    assert len(calls) == 33
+    calls.clear()
+    assert local_census(g) == first
+    assert calls == []  # every core entry is in the process memo now
 
 
 def test_tree_constraint_skips_the_connectivity_filter(monkeypatch):
