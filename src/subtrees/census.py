@@ -49,7 +49,10 @@ process: :func:`_core_trees` keeps kappa and the tree counts of the
 core's edges and cherries in the memo of :func:`_kappa`, and the subsets
 sharing a core meet them once per call, with their weights summed.  A
 cherry whose two edges lie in different blocks at a cut vertex m is
-edge(a-m) edge(m-b) / vertex(m) in the pair algebra.
+edge(a-m) edge(m-b) / vertex(m) in the pair algebra.  The tables key
+edge u-v (u < v) at u*n+v and cherry a-m-b (a < b) at n*n + (m*n+a)*n+b,
+and an index enters them when it is first added to: no block lists its
+keys, since the subset of an edge's or a cherry's own vertices reaches it.
 :func:`census_containing` counts the subtrees containing a
 spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
@@ -66,6 +69,7 @@ one by one as growing edge sets, sharing no counting machinery with
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -192,12 +196,18 @@ def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
     key = (ground, *[rows[v] & core for v in _bits(core)])
     kappa = _kappa_memo.get(key)
     if kappa is None:
-        if len(_kappa_memo) >= _KAPPA_LIMIT:
-            _kappa_memo.clear()
-        kappa = _kappa_memo[key] = _det_bareiss(
-            _reduced_laplacian(rows, core, ground or core & -core)
-        )
+        mat = _reduced_laplacian(rows, core, ground or core & -core)
+        kappa = _remember(key, _det_bareiss(mat))
     return kappa
+
+
+def _remember(key: tuple[int, ...], value):
+    """Store ``value`` in :data:`_kappa_memo` under ``key``, clearing the
+    memo first when it is full; returns ``value``."""
+    if len(_kappa_memo) >= _KAPPA_LIMIT:
+        _kappa_memo.clear()
+    _kappa_memo[key] = value
+    return value
 
 
 def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -381,9 +391,10 @@ def _packed(values: list[int]) -> Sequence[int]:
 
 
 def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], Sequence[int]]:
-    """kappa of G[core], and the indices (by :func:`_local_keys`) and tree
-    counts of its edges and cherries; ``y`` is the adjugate M = kappa L0^-1
-    with a zero row and column for the core's lowest vertex, which L0 drops.
+    """kappa of G[core], and the indices (keyed as in the module docstring)
+    and tree counts of its edges and cherries; ``y`` is the adjugate M =
+    kappa L0^-1 with a zero row and column for the core's lowest vertex,
+    which L0 drops.
 
     Computed once per labelled core per process: :data:`_kappa_memo` keeps
     it, packed, keyed as by :func:`_kappa` with -n in place of the
@@ -417,10 +428,7 @@ def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], S
                 cross = yma + ym[ib] - ya[ib]
                 keys.append(base + b)
                 trees.append((t_am * t_mb - cross * cross) // kappa)
-    if len(_kappa_memo) >= _KAPPA_LIMIT:
-        _kappa_memo.clear()
-    entry = _kappa_memo[key] = (kappa, _packed(keys), _packed(trees))
-    return entry
+    return _remember(key, (kappa, _packed(keys), _packed(trees)))
 
 
 def _add_core(n, keys, trees, a, w, at, counts, sums):
@@ -440,26 +448,12 @@ def _add_core(n, keys, trees, a, w, at, counts, sums):
                     sums[j] += t * pw
 
 
-def _local_keys(rows: tuple[int, ...], block: int) -> list[int]:
-    """Indices of the edges and cherries inside ``block``: edge u-v (u < v)
-    at u*n+v, cherry a-m-b (a < b) at n*n + (m*n+a)*n+b."""
-    n = len(rows)
-    nn = n * n
-    keys = []
-    for m in _bits(block):
-        nb = _bits(rows[m] & block)
-        keys += [m * n + a for a in nb if a > m]
-        for i, a in enumerate(nb):
-            base = nn + (m * n + a) * n
-            keys += [base + b for b in nb[i + 1 :]]
-    return keys
-
-
 def _add_pendants(rows, s, core, ka, ks, counts, sums, pw, o, a, w):
     # One set S of a block whose core is smaller than S: its edges outside
     # the core lie in all kappa trees, so each of them, and each cherry of
-    # two such edges, gets (ka, ks) = kappa (a, w).  For a cherry p-m-c with
-    # a core edge m-c, (a, w) is summed at o in pw[m*n+p] for _add_core.
+    # two such edges, gets (ka, ks) = kappa (a, w) added in (counts, sums).
+    # For a cherry p-m-c with a core edge m-c, (a, w) is summed at o in
+    # pw[m*n+p] for _add_core.
     n = len(rows)
     nn = n * n
     pend = s & ~core
@@ -502,7 +496,7 @@ def _block_dp(
     tree: int = 0,
     unit: bool = False,
     outside: bool = False,
-    local: tuple[dict[int, int], dict[int, int]] | None = None,
+    local: tuple[defaultdict[int, int], defaultdict[int, int]] | None = None,
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
     """One pass over the blocks of the component of ``root``.
 
@@ -545,22 +539,23 @@ def _block_dp(
     visited reaches its top, and ``full[v]`` counts the sets holding both
     v and ``root``.
 
-    With ``local``, a pair of dicts (with ``outside``, no ``tree``), the
-    pass also adds there the count and the order sum of the subtrees
-    containing each edge and each cherry of the component, keyed as by
-    :func:`_local_keys`.  An edge or a cherry inside a block is split like
-    a vertex: its trees in each subset S of the block, times the ``down``
-    of S's other vertices, summed over the S missing the top and, times
-    the top's outside factor, over the S reaching it.  Its trees in S are
-    read off the core of S: an edge outside the core lies in all kappa
-    trees, and so does a cherry of two such edges, while a cherry with one
-    core edge e lies in the trees through e.  Inside the core they come
-    from one adjugate per labelled core (:func:`_core_trees`), and meet
-    the weights of the subsets sharing that core (and pendant edge) once,
-    summed, in the outside pass.  A cherry a-m-b whose edges lie in two
-    blocks at the cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the
-    pair algebra, an exact division: the sets containing m are
-    independent across m's blocks.
+    With ``local``, a pair of ``defaultdict(int)`` tables (with
+    ``outside``, no ``tree``), the pass also adds there the count and the
+    order sum of the subtrees containing each edge and each cherry of the
+    component, keyed as in the module docstring.  An edge or a cherry
+    inside a block is split like a vertex: its trees in each subset S of
+    the block, times the ``down`` of S's other vertices, go straight into
+    the tables if S misses the top, else wait in a pair of dicts of the
+    block for the top's outside factor.  Its trees in S are read off the
+    core of S: an edge outside the core lies in all kappa trees, and so
+    does a cherry of two such edges, while a cherry with one core edge e
+    lies in the trees through e.  Inside the core they come from one
+    adjugate per labelled core (:func:`_core_trees`), and meet the weights
+    of the subsets sharing that core (and pendant edge) once, summed, in
+    the outside pass.  A cherry a-m-b whose edges lie in two blocks at the
+    cut vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair algebra,
+    an exact division: the sets containing m are independent across m's
+    blocks.
 
     Returns the component mask, ``down``, ``total`` and ``full``.
     """
@@ -580,10 +575,7 @@ def _block_dp(
     through = [[0] * n, [0] * n]
     tops = []
     if local is not None:
-        # the same split, keyed as by _local_keys, for the edges and
-        # cherries outside the cores
-        lbelow: list[dict[int, int]] = [{}, {}]
-        lthrough: list[dict[int, int]] = [{}, {}]
+        counts, sums = local
     comp = 1 << root
     for top, block in _blocks(rows, root):
         comp |= block
@@ -601,9 +593,9 @@ def _block_dp(
         keyed = hv | tbit
         buckets: dict[int, tuple[list[int], int, int]] = {}
         if local is not None:
-            keys = _local_keys(rows, block)
-            for acc in (*lbelow, *lthrough):
-                acc.update(dict.fromkeys(keys, 0))
+            # the edges and cherries outside the cores of the subsets
+            # reaching the top, to be multiplied by its outside factor
+            held = (defaultdict(int), defaultdict(int))
             # per core, the weights (a, w) of its sets through the top and
             # below it, the same per pendant edge p-m (at m*n+p), its entry
             weights: dict[int, list] = {}
@@ -650,7 +642,7 @@ def _block_dp(
                         info[o + 1] += w
                         pw = info[4]
                     if core != s:
-                        la, ls = lthrough if s & tbit else lbelow
+                        la, ls = held if s & tbit else local
                         _add_pendants(rows, s, core, ka, ks, la, ls, pw, o, a, w)
         factor = [0 if must else 1]
         for key, (acc, _, _) in buckets.items():
@@ -663,7 +655,7 @@ def _block_dp(
         if must:
             reqd |= tbit
         if outside:
-            tops.append((top, rest, _pair(factor), (keys, weights) if local is not None else None))
+            tops.append((top, rest, _pair(factor), (held, weights) if local is not None else None))
     if not tree:
         _padd(total, [0, (comp & ~heavy).bit_count()])
         for v in _bits(heavy):
@@ -685,12 +677,10 @@ def _block_dp(
                 ds + below[1][c] + ta * us + ts * ua,
             )
         if inside:
-            keys, weights = inside
-            counts, sums = local
-            for i in keys:
-                ta, ts = lthrough[0][i], lthrough[1][i]
-                counts[i] = lbelow[0][i] + ta * ua
-                sums[i] = lbelow[1][i] + ta * us + ts * ua
+            (la, ls), weights = inside
+            for i, ta in la.items():
+                counts[i] += ta * ua
+                sums[i] += ta * us + ls[i] * ua
             for ta, tw, ba, bw, pw, (_, ckeys, trees) in weights.values():
                 at: dict[int, list[tuple[int, int, int]]] = {}
                 for i, (qa, qw, ra, rw) in pw.items():
@@ -698,7 +688,6 @@ def _block_dp(
                 _add_core(n, ckeys, trees, ba + ta * ua, bw + ta * us + tw * ua, at, counts, sums)
     if local is not None:
         # cherries across two blocks at a cut vertex m
-        counts, sums = local
         nn = n * n
         for m in _bits(comp):
             nb = _bits(rows[m])
@@ -708,8 +697,10 @@ def _block_dp(
                 ea, es = counts[e], sums[e]
                 base = nn + (m * n + u) * n
                 for v in nb[i + 1 :]:
+                    # a cherry inside a block is a connected set of it, with a
+                    # positive count: only one across blocks has no index yet
                     if base + v in counts:
-                        continue  # u-m-v lies in one block
+                        continue
                     f = m * n + v if m < v else v * n + m
                     fa, fs = counts[f], sums[f]
                     ca = ea * fa // va
@@ -763,7 +754,7 @@ def census(g: Graph) -> SubtreeCensus:
 
 
 def _census(
-    g: Graph, local: tuple[dict[int, int], dict[int, int]] | None = None
+    g: Graph, local: tuple[defaultdict[int, int], defaultdict[int, int]] | None = None
 ) -> SubtreeCensus:
     # one block DP per component; `local` as for _block_dp
     n = g.n
@@ -869,8 +860,8 @@ def local_census(g: Graph) -> LocalCensus:
     """
     n = g.n
     nn = n * n
-    counts: dict[int, int] = {}
-    sums: dict[int, int] = {}
+    counts: defaultdict[int, int] = defaultdict(int)
+    sums: defaultdict[int, int] = defaultdict(int)
     c = _census(g, (counts, sums))
     edges = {(u, v): (counts[u * n + v], sums[u * n + v]) for u, v in g.edges()}
     cherries = {}

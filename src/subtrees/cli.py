@@ -123,6 +123,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.n is not None and args.input is not None:
+        raise ValueError("scan reads its graphs from --n or from an input, not both")
     if args.format == "csv" and args.output != "-":
         raise ValueError("--format csv writes to stdout only; --output FILE is always JSONL")
     if args.checks == "all":

@@ -4,6 +4,7 @@ import functools
 import random
 import sys
 import time
+from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,7 @@ from subtrees.census import (
     _adjugate,
     _bits,
     _blocks,
+    _census,
     _connected_sets,
     _core,
     _det_bareiss,
@@ -437,6 +439,40 @@ def test_local_census_matches_census_containing_cut_vertices_and_bridges():
         _assert_local_census_matches_oracle(g)
 
 
+def _local_indices(g: Graph) -> set[int]:
+    # edge u-v (u < v) at u*n+v, cherry a-m-b (a < b) at n*n + (m*n+a)*n+b
+    n = g.n
+    keys = {u * n + v for u, v in g.edges()}
+    for m in range(n):
+        keys |= {n * n + (m * n + a) * n + b for a, b in combinations(_bits(g.rows[m]), 2)}
+    return keys
+
+
+class _ReadsAsZero(dict):
+    """A table whose missing keys read as 0 without being stored."""
+
+    def __missing__(self, key):
+        return 0
+
+
+def test_local_tables_hold_exactly_the_edge_and_cherry_indices():
+    # an index enters the tables only when it is added to: in a
+    # defaultdict a key created by a read would show as a stray index,
+    # and in a table that stores no read, an index never added to (a set
+    # never reached) as a missing one
+    graphs = [g for _, order in generated(1, 6) for g in order]
+    graphs += [
+        Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # vertex 4 isolated
+        modified_double_broom(9, 3, 1),
+        barbell(8, 3),
+    ]
+    for g in graphs:
+        for table in (functools.partial(defaultdict, int), _ReadsAsZero):
+            counts, sums = table(), table()
+            _census(g, (counts, sums))
+            assert set(counts) == set(sums) == _local_indices(g), (g, table)
+
+
 def test_packed_takes_the_narrowest_unsigned_array_else_a_tuple():
     # C unsigned short, int and long long: 2, 4 and 8 bytes
     for values, code in [([0, 7, 65535], "H"), ([1, 65536], "I"), ([2**32, 5, 2**64 - 1], "Q")]:
@@ -683,13 +719,13 @@ class _WatchedMemo(dict):
 
 
 @functools.cache
-def _memo_cases() -> tuple[Graph, ...]:
-    # every connected graph of order <= 7 and its g-e and g+e neighbours,
-    # each labelled graph once: they share labels, so they meet the same
-    # core masks with other induced rows
+def _memo_cases(order: int) -> tuple[Graph, ...]:
+    # every connected graph of order <= `order` and its g-e and g+e
+    # neighbours, each labelled graph once: they share labels, so they
+    # meet the same core masks with other induced rows
     graphs = {}
-    for n, order in generated(1, 7):
-        for g in order:
+    for n, graphs_n in generated(1, order):
+        for g in graphs_n:
             graphs[g] = None
             edges = set(g.edges())
             for u, v in combinations(range(n), 2):
@@ -707,7 +743,7 @@ def _local_tallies(g: Graph) -> tuple:
     return local.edges, local.cherries
 
 
-def _memo_results(cold: bool) -> list:
+def _memo_results(cold: bool, order: int) -> list:
     # the censuses of K4, plain and anchored at the edges (0,1) and
     # (2,3), which ground its cores in two ways, then the census and the
     # local census of every _memo_cases graph and of two graphs with
@@ -715,7 +751,7 @@ def _memo_results(cold: bool) -> list:
     # and core entries at once; with `cold`, each from an empty memo
     memo = sys.modules["subtrees.census"]._kappa_memo
     k4 = clique(4)
-    graphs = [*_memo_cases(), modified_double_broom(9, 3, 1), barbell(8, 3)]
+    graphs = [*_memo_cases(order), modified_double_broom(9, 3, 1), barbell(8, 3)]
     out = []
     for g, e in [(k4, None), (k4, (0, 1)), (k4, (2, 3)), *((g, None) for g in graphs)]:
         if cold:
@@ -731,15 +767,14 @@ def _memo_results(cold: bool) -> list:
 
 
 @functools.cache
-def _cold_memo_results() -> list:
-    return _memo_results(cold=True)
+def _cold_memo_results(order: int) -> list:
+    return _memo_results(cold=True, order=order)
 
 
-@pytest.mark.parametrize("limit", [None, 8])
-def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
+def _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, order):
     module = sys.modules["subtrees.census"]
     monkeypatch.setattr(module, "_kappa_memo", {})
-    cold = _cold_memo_results()
+    cold = _cold_memo_results(order)
     assert cold[0][0] == (0, 4, 6, 12, 16)
     assert cold[2:4] == [(13, 46), (13, 46)]  # anchored at an edge
     assert cold[1][0][(0, 1)] == cold[1][0][(2, 3)] == (13, 46)  # K4's local census
@@ -747,8 +782,21 @@ def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
         monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
     memo = _WatchedMemo()
     monkeypatch.setattr(module, "_kappa_memo", memo)
-    assert _memo_results(cold=False) == cold
+    assert _memo_results(cold=False, order=order) == cold
     assert memo.peak == module._KAPPA_LIMIT  # filled and cleared, never past it
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("limit", [None, 8])
+def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
+    _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 7)
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_warm_kappa_memo_matches_a_cold_one_to_order_6(monkeypatch, limit):
+    # 1,300 labelled graphs; the pass stores 2,629 distinct memo keys, so the
+    # unlimited memo (1,024 entries) is still filled and cleared
+    _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 6)
 
 
 @pytest.mark.slow

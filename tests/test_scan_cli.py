@@ -668,11 +668,24 @@ def test_cli_repro_exit_codes():
     assert r.returncode == 2
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("scan").returncode == 2  # missing --checks
     for n in ("0", "9"):  # outside the built-in universes
         assert run_cli("scan", "--n", n, "--checks", "min-path").returncode == 2
+    # --n scans the built-in universe, so a file or stdin beside it would
+    # be dropped without a word: refused before any output is written
+    one = tmp_path / "one.g6"
+    one.write_text("Bw\n")
+    out = tmp_path / "o.jsonl"
+    for source in (str(one), "-"):
+        r = run_cli(
+            "scan", source, "--n", "3", "--checks", "min-path", "--jobs", "1",
+            "--output", str(out), stdin="Bw\n",
+        )
+        assert r.returncode == 2
+        assert "--n" in r.stderr and r.stdout == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
