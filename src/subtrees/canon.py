@@ -21,8 +21,11 @@ vertices exactly when an automorphism maps one to the other.
 Connected graphs and trees are generated by canonical augmentation: each
 class of order n is built once, from the one order n-1 class left by
 deleting its canonical vertex, so no certificate store spans parents.
-Generation streams depth-first and keeps no universe between calls: the
-module holds no mutable state.
+Generation streams depth-first and keeps no universe between calls.  The
+module's one mutable state is a bounded certificate memo
+(:data:`_cert_memo`): :func:`canonical_form` certifies each labelled graph
+once per process while it is held, since the neighbours a scan prices
+(g+e, g/e) often recur as the very same labelled graph.
 """
 
 from __future__ import annotations
@@ -259,9 +262,29 @@ def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     return bytes([n]) + code.to_bytes(width, "big"), gens
 
 
+# Certificates of labelled graphs, keyed by their rows (whose length is n),
+# with the clear-when-full rule and the limit of census._KAPPA_LIMIT.
+# Forked workers inherit a copy; as every value is a function of its key,
+# no result depends on what it holds.
+_CERT_LIMIT = 1024
+_cert_memo: dict[tuple[int, ...], bytes] = {}
+
+
 def canonical_form(g: Graph) -> bytes:
-    """Labelling-invariant certificate; equal bytes iff isomorphic graphs."""
-    return certify(g)[0]
+    """Labelling-invariant certificate; equal bytes iff isomorphic graphs.
+
+    The certificate of :func:`certify`, looked up in :data:`_cert_memo`
+    first: a labelled neighbour's certificate is computed once while the
+    memo holds it (1,024 entries, cleared when full).  A graph past
+    :data:`MAX_CANON` raises and stores nothing.
+    """
+    cert = _cert_memo.get(g.rows)
+    if cert is None:
+        cert = certify(g)[0]
+        if len(_cert_memo) >= _CERT_LIMIT:
+            _cert_memo.clear()
+        _cert_memo[g.rows] = cert
+    return cert
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

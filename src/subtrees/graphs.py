@@ -120,18 +120,18 @@ class Graph:
         if not self.has_edge(u, v):
             raise ValueError(f"({u},{v}) is not an edge")
         lo, hi = _norm_edge(u, v)
-        n = self.n
-        relabel = [0] * n
-        for w in range(n):
-            relabel[w] = w - (1 if w > hi else 0)
-        edges = set()
-        for a, b in self.edges():
-            a2 = lo if a == hi else a
-            b2 = lo if b == hi else b
-            if a2 == b2:
+        below = (1 << hi) - 1
+        rows = []
+        for w, m in enumerate(self.rows):
+            if w == hi:
                 continue
-            edges.add(_norm_edge(relabel[a2], relabel[b2]))
-        return Graph.from_edges(n - 1, sorted(edges))
+            if w == lo:
+                m = (m | self.rows[hi]) & ~(1 << lo)
+            elif (m >> hi) & 1:
+                m |= 1 << lo
+            # drop bit hi; the bits above it shift down one place
+            rows.append((m & below) | ((m >> (hi + 1)) << hi))
+        return Graph(self.n - 1, tuple(rows))
 
     def complement(self) -> "Graph":
         n = self.n

@@ -29,6 +29,10 @@ maximal matchings, the oracle of ``graphs.maximal_matchings``.
 ``refine_whole_queue`` is the equitable refinement as it was before it
 stopped at a discrete partition, processing every splitter queued: the
 oracle of ``canon._refine``.
+``WatchedMemo`` is a dict that records the most entries it ever held,
+put in place of a bounded process memo to see it fill and clear.
+``contract_by_edges`` is edge contraction as it once was, a rebuild from
+the relabelled edge set: the oracle of ``Graph.contract_edge``.
 """
 
 from fractions import Fraction
@@ -223,6 +227,31 @@ def refine_whole_queue(rows: tuple[int, ...], cells: list[list[int]], queue: lis
                     queue.append(sum(1 << v for v in groups[count]))
         cells = new_cells
     return cells
+
+
+class WatchedMemo(dict):
+    """A memo that records the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+def contract_by_edges(g: Graph, u: int, v: int) -> Graph:
+    """``g`` with the edge u-v contracted, rebuilt from its edge set: the
+    merged vertex takes the smaller label, labels above the larger one
+    shift down, and parallel edges and the loop collapse."""
+    lo, hi = min(u, v), max(u, v)
+    relabel = [w - (w > hi) for w in range(g.n)]
+    edges = set()
+    for a, b in g.edges():
+        a2 = lo if a == hi else a
+        b2 = lo if b == hi else b
+        if a2 != b2:
+            edges.add(tuple(sorted((relabel[a2], relabel[b2]))))
+    return Graph.from_edges(g.n - 1, sorted(edges))
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> Graph:

@@ -28,6 +28,7 @@ import subtrees.canon as canon
 from subtrees.cli import main as cli_main
 from subtrees.canon import _orbit_reps, _rooted_code, certify
 from conftest import (
+    WatchedMemo,
     automorphisms,
     by_dedupe,
     generated,
@@ -290,6 +291,44 @@ def test_rooted_codes_agree_exactly_on_orbits():
 def test_canonical_form_rejects_large():
     with pytest.raises(ValueError):
         canonical_form(Graph(33, tuple([0] * 33)))
+
+
+def _certificate_memo_cases() -> list[Graph]:
+    # every labelled g+e, g/e and g-e of every connected graph of order
+    # <= 6, repeats kept: siblings share labels, so a neighbour often
+    # recurs as the same labelled graph, as in a scan.  The 1,371 distinct
+    # ones (g-e included for that) fill the 1,024-entry memo.
+    graphs = []
+    for n, graphs_n in generated(1, 6):
+        for g in graphs_n:
+            edges = set(g.edges())
+            for u, v in itertools.combinations(range(n), 2):
+                if (u, v) in edges:
+                    graphs += [g.contract_edge(u, v), g.delete_edge(u, v)]
+                else:
+                    graphs.append(g.add_edge(u, v))
+    return graphs + [clique(5), barbell(8, 3)]
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_warm_certificate_memo_matches_a_cold_one(monkeypatch, limit):
+    graphs = _certificate_memo_cases()
+    monkeypatch.setattr(canon, "_cert_memo", {})
+    cold = [certify(g)[0] for g in graphs]
+    assert canon._cert_memo == {}
+    if limit is not None:
+        monkeypatch.setattr(canon, "_CERT_LIMIT", limit)
+    memo = WatchedMemo()
+    monkeypatch.setattr(canon, "_cert_memo", memo)
+    searched = []
+    monkeypatch.setattr(canon, "certify", lambda g, f=certify: searched.append(g) or f(g))
+    assert [canonical_form(g) for g in graphs] == cold
+    assert len(searched) < len(graphs)  # repeats were served by the memo
+    assert memo.peak == canon._CERT_LIMIT  # filled and cleared, never past it
+    held = dict(memo)
+    with pytest.raises(ValueError):
+        canonical_form(Graph(33, tuple([0] * 33)))
+    assert memo == held
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}

@@ -48,6 +48,7 @@ from subtrees.census import (
 )
 from subtrees.graphs import maximal_matchings_of_complement
 from conftest import (
+    WatchedMemo,
     _kappa_contracted,
     _rooted,
     census_by_subtree_enumeration,
@@ -708,16 +709,6 @@ def test_census_computes_one_determinant_per_core(monkeypatch):
     assert calls == []  # every core is in the process memo now
 
 
-class _WatchedMemo(dict):
-    """A memo that records the most entries it ever held."""
-
-    peak = 0
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
-
-
 @functools.cache
 def _memo_cases(order: int) -> tuple[Graph, ...]:
     # every connected graph of order <= `order` and its g-e and g+e
@@ -780,7 +771,7 @@ def _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, order):
     assert cold[1][0][(0, 1)] == cold[1][0][(2, 3)] == (13, 46)  # K4's local census
     if limit is not None:
         monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
-    memo = _WatchedMemo()
+    memo = WatchedMemo()
     monkeypatch.setattr(module, "_kappa_memo", memo)
     assert _memo_results(cold=False, order=order) == cold
     assert memo.peak == module._KAPPA_LIMIT  # filled and cleared, never past it

@@ -16,7 +16,7 @@ from subtrees import (
     path_graph,
     to_graph6,
 )
-from conftest import generated, matchings_by_lists, random_graph
+from conftest import contract_by_edges, generated, matchings_by_lists, random_graph
 
 
 def test_graph6_known_strings():
@@ -84,6 +84,16 @@ def test_contract_edge():
     assert are_isomorphic(cycle(4).contract_edge(1, 2), cycle(3))
     with pytest.raises(ValueError):
         path_graph(3).contract_edge(0, 2)
+
+
+def test_contract_edge_matches_the_edge_set_rebuild():
+    # both orientations of every edge of every connected graph of order <= 7
+    for _, graphs in generated(2, 7):
+        for g in graphs:
+            for u, v in g.edges():
+                expected = contract_by_edges(g, u, v)
+                assert g.contract_edge(u, v) == expected, (g, u, v)
+                assert g.contract_edge(v, u) == expected, (g, v, u)
 
 
 def test_predicates():
