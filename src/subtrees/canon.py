@@ -263,9 +263,10 @@ def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
 
 
 # Certificates of labelled graphs, keyed by their rows (whose length is n),
-# with the clear-when-full rule and the limit of census._KAPPA_LIMIT.
-# Forked workers inherit a copy; as every value is a function of its key,
-# no result depends on what it holds.
+# with the rule and the limit of census._kappa_memo: a hit moves its entry
+# to the newest position and a full memo drops its oldest entry.  Forked
+# workers inherit a copy; as every value is a function of its key, no
+# result depends on what it holds.
 _CERT_LIMIT = 1024
 _cert_memo: dict[tuple[int, ...], bytes] = {}
 
@@ -275,15 +276,15 @@ def canonical_form(g: Graph) -> bytes:
 
     The certificate of :func:`certify`, looked up in :data:`_cert_memo`
     first: a labelled neighbour's certificate is computed once while the
-    memo holds it (1,024 entries, cleared when full).  A graph past
-    :data:`MAX_CANON` raises and stores nothing.
+    memo holds it (1,024 entries, the least recently used dropped when
+    full).  A graph past :data:`MAX_CANON` raises and stores nothing.
     """
-    cert = _cert_memo.get(g.rows)
+    cert = _cert_memo.pop(g.rows, None)
     if cert is None:
         cert = certify(g)[0]
         if len(_cert_memo) >= _CERT_LIMIT:
-            _cert_memo.clear()
-        _cert_memo[g.rows] = cert
+            del _cert_memo[next(iter(_cert_memo))]
+    _cert_memo[g.rows] = cert  # the newest entry
     return cert
 
 

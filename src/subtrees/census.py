@@ -11,9 +11,12 @@ each block with :func:`_connected_sets` (the one extend-or-forbid
 generator), weights each by a determinant of :func:`_reduced_laplacian`
 read per core (deleting leaves keeps the count, so subsets share cores),
 and folds the blocks into their top cut vertices, children first, as a
-dynamic program over the block-cut tree.  Graphs of one universe share
-most of their cores too, so :func:`_kappa` keeps the determinants in one
-bounded memo for the whole process, keyed by the core's induced rows.
+dynamic program over the block-cut tree.  A determinant depends only on
+the core's shape, which recurs at other labels in one graph and across
+graphs, so :func:`_kappa` keeps the determinants in one bounded memo for
+the whole process, keyed by the core's induced subgraph and grounding
+renumbered in label order (:func:`_shape_key`); a hit makes an entry the
+newest, and a full memo drops the least recently used.
 Every spanning-tree count is a determinant or adjugate of that one
 builder, a Laplacian grounded at a vertex set and built as its upper
 triangle (it is symmetric): at one vertex it counts all spanning trees,
@@ -44,15 +47,17 @@ core's reduced Laplacian: the trees containing edge e number
 x_e^T M x_e (Kirchhoff), and those containing both edges e and f number
 (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa with Y(e,f) = x_e^T M x_f (the
 transfer-current theorem of Burton & Pemantle).  An edge outside the
-core lies in every tree.  So there is one adjugate per labelled core per
-process: :func:`_core_trees` keeps kappa and the tree counts of the
-core's edges and cherries in the memo of :func:`_kappa`, and the subsets
-sharing a core meet them once per call, with their weights summed.  A
-cherry whose two edges lie in different blocks at a cut vertex m is
-edge(a-m) edge(m-b) / vertex(m) in the pair algebra.  The tables key
-edge u-v (u < v) at u*n+v and cherry a-m-b (a < b) at n*n + (m*n+a)*n+b,
-and an index enters them when it is first added to: no block lists its
-keys, since the subset of an edge's or a cherry's own vertices reaches it.
+core lies in every tree.  So there is one adjugate per labelled core
+while the memo holds it: :func:`_core_trees` keeps kappa and the tree
+counts of the core's edges and cherries in the memo of :func:`_kappa`,
+keyed by the core's labelled rows (its indices are labels), and the
+subsets sharing a core meet them once per call, with their weights
+summed.  A cherry whose two edges lie in different blocks at a cut
+vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair algebra.  The
+tables key edge u-v (u < v) at u*n+v and cherry a-m-b (a < b) at
+n*n + (m*n+a)*n+b, and an index enters them when it is first added to:
+no block lists its keys, since the subset of an edge's or a cherry's own
+vertices reaches it.
 :func:`census_containing` counts the subtrees containing a
 spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
@@ -174,12 +179,62 @@ def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[
     return mat
 
 
-# Determinants shared by every census in the process, keyed as by _kappa,
-# and the core entries of _core_trees, keyed by -n instead of a grounding.
-# A full memo is cleared, not pruned.  Forked workers inherit a copy; as
-# every value is a function of its key, no result depends on what it holds.
+# Determinants shared by every census in the process, keyed by _shape_key,
+# and the core entries of _core_trees, keyed by -n and the core's labelled
+# rows: bytes and tuples never compare equal.  A hit moves its entry to the
+# newest position and a full memo drops its oldest entry, the rule of
+# canon._cert_memo too.  Forked workers inherit a copy; as every value is a
+# function of its key, no result depends on what it holds.
 _KAPPA_LIMIT = 1024
-_kappa_memo: dict[tuple[int, ...], int | tuple[int, Sequence[int], Sequence[int]]] = {}
+_kappa_memo: dict[bytes | tuple[int, ...], int | tuple[int, Sequence[int], Sequence[int]]] = {}
+
+# _RENUMBER[c] maps a byte b to its bits at the set bits of c, packed low
+# (b & c renumbered in c); built when first needed, then shared, so read-only
+_RENUMBER: list[bytes | None] = [None] * 256
+
+
+def _renumbering(c: int) -> bytes:
+    table = _RENUMBER[c]
+    if table is None:
+        table = _RENUMBER[c] = bytes(
+            sum(((b >> v) & 1) << i for i, v in enumerate(_SMALL_BITS[c])) for b in range(256)
+        )
+    return table
+
+
+def _shape_key(rows: tuple[int, ...], core: int, ground: int) -> bytes:
+    """The induced subgraph G[``core``] and the grounding ``ground`` &
+    ``core``, renumbered 0..k-1 in label order, as bytes: two cores get
+    equal keys exactly when their renumbered shapes and groundings are
+    equal, whatever their labels and the graph's order.
+
+    Each core row, then the ground, becomes a lane of ceil(k / 8) bytes
+    holding its renumbered mask.  A row's label byte p (one plane per 8
+    labels) is renumbered by ``bytes.translate`` through the table of the
+    core's byte p, then shifted past the core's vertices in the lower
+    planes; a graph of order 8 or less takes a single translate.  The
+    length (k + 1) ceil(k / 8) grows with k, so it fixes k.
+    """
+    verts = _bits(core)
+    n = len(rows)
+    if n <= 8:
+        return bytes([*[rows[v] for v in verts], ground]).translate(_renumbering(core))
+    width = (n + 7) // 8  # bytes of a labelled row
+    lane = (len(verts) + 7) // 8  # bytes of a renumbered one
+    data = b"".join([rows[v].to_bytes(width, "little") for v in verts])
+    data += ground.to_bytes(width, "little")
+    key = shift = 0
+    for p in range(width):
+        c = (core >> (8 * p)) & 255
+        if c:
+            plane = data[p::width].translate(_renumbering(c))
+            if lane > 1:
+                spread = bytearray(len(plane) * lane)
+                spread[::lane] = plane
+                plane = spread
+            key |= int.from_bytes(plane, "little") << shift
+            shift += len(_SMALL_BITS[c])
+    return key.to_bytes((len(verts) + 1) * lane, "little")
 
 
 def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
@@ -187,25 +242,34 @@ def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
     containing a fixed spanning tree of ``ground``, or all of them when
     ``ground`` is 0.
 
-    The key is ``ground`` and the rows of ``core``'s vertices masked to
-    ``core``: every vertex has a neighbour in the core, so they give the
-    core and its labelled induced subgraph, hence the grounded Laplacian.
-    Graphs of one universe share most of their cores, so the determinant
-    is looked up in :data:`_kappa_memo` first.
+    The count depends only on the core's induced subgraph and where the
+    grounding lies in it, so it is looked up in :data:`_kappa_memo` by
+    :func:`_shape_key`: a shape recurring at other labels, in this graph
+    or another, costs one determinant while the memo holds it.
     """
-    key = (ground, *[rows[v] & core for v in _bits(core)])
-    kappa = _kappa_memo.get(key)
+    key = _shape_key(rows, core, ground)
+    kappa = _recall(key)
     if kappa is None:
         mat = _reduced_laplacian(rows, core, ground or core & -core)
         kappa = _remember(key, _det_bareiss(mat))
     return kappa
 
 
-def _remember(key: tuple[int, ...], value):
-    """Store ``value`` in :data:`_kappa_memo` under ``key``, clearing the
-    memo first when it is full; returns ``value``."""
+def _recall(key: bytes | tuple[int, ...]):
+    """The value under ``key`` in :data:`_kappa_memo`, made its newest
+    entry, or None when the memo does not hold it."""
+    value = _kappa_memo.pop(key, None)
+    if value is not None:
+        _kappa_memo[key] = value
+    return value
+
+
+def _remember(key: bytes | tuple[int, ...], value):
+    """Store ``value`` in :data:`_kappa_memo` under ``key`` as its newest
+    entry, dropping the oldest (least recently used) one first when the
+    memo is full; returns ``value``."""
     if len(_kappa_memo) >= _KAPPA_LIMIT:
-        _kappa_memo.clear()
+        del _kappa_memo[next(iter(_kappa_memo))]
     _kappa_memo[key] = value
     return value
 
@@ -396,14 +460,15 @@ def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], S
     kappa L0^-1 with a zero row and column for the core's lowest vertex,
     which L0 drops.
 
-    Computed once per labelled core per process: :data:`_kappa_memo` keeps
-    it, packed, keyed as by :func:`_kappa` with -n in place of the
-    grounding (the indices depend on n).
+    Computed once per labelled core while :data:`_kappa_memo` holds it,
+    packed, keyed by -n and the core's rows masked to it: the indices are
+    labels and depend on n, so unlike a determinant the entry is not
+    shared by the core's shape.
     """
     n = len(rows)
     verts = _bits(core)
     key = (-n, *[rows[v] & core for v in verts])
-    entry = _kappa_memo.get(key)
+    entry = _recall(key)
     if entry is not None:
         return entry
     kappa, adj = _adjugate(_reduced_laplacian(rows, core, core & -core))
@@ -526,9 +591,9 @@ def _block_dp(
     most one connected piece (a path between two vertices of a block
     stays in it), so one grounding serves the whole block.  A core's
     count is looked up by its mask in a dict of this call, and on a miss
-    in the process memo of :func:`_kappa`; with ``local`` it comes with
-    the core's edge and cherry counts from :func:`_core_trees`, once per
-    labelled core per process.
+    by its shape in the process memo of :func:`_kappa`; with ``local`` it
+    comes with the core's edge and cherry counts from :func:`_core_trees`,
+    once per labelled core while that memo holds it.
     Only with ``outside`` (no ``unit``, no ``tree`` or a one-vertex one)
     is ``full`` computed, else it is empty.  Without a ``tree``
     ``full[v]`` is the (count, order sum) of the sets containing v, from

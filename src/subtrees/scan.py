@@ -48,9 +48,10 @@ empty and each keeps its own), serves the means of neighbour graphs (g+e,
 g/e, g+matching), which in a universe scan recur across graphs.
 The memo is unbounded: it holds one ``Fraction`` per isomorphism class seen.
 In front of it, :func:`~subtrees.canon.canonical_form` memoises a labelled
-neighbour's certificate (1,024 entries, cleared when full), since siblings
-share labels and so often share a neighbour; forked workers inherit a copy
-of that memo, and no result depends on what it holds.
+neighbour's certificate (1,024 entries, the least recently used dropped
+when full), since siblings share labels and so often share a neighbour;
+forked workers inherit a copy of that memo, and no result depends on
+what it holds.
 
 Every verdict is a pure function of its graph, so scans may also fan work
 out over worker processes; results are merged in input order, which keeps

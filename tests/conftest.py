@@ -30,7 +30,9 @@ maximal matchings, the oracle of ``graphs.maximal_matchings``.
 stopped at a discrete partition, processing every splitter queued: the
 oracle of ``canon._refine``.
 ``WatchedMemo`` is a dict that records the most entries it ever held,
-put in place of a bounded process memo to see it fill and clear.
+put in place of a bounded process memo to see it fill and evict.
+``renumbered_shape`` renumbers a core's induced subgraph and grounding
+through a dict of labels, the oracle of ``census._shape_key``.
 ``contract_by_edges`` is edge contraction as it once was, a rebuild from
 the relabelled edge set: the oracle of ``Graph.contract_edge``.
 """
@@ -237,6 +239,18 @@ class WatchedMemo(dict):
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
         self.peak = max(self.peak, len(self))
+
+
+def renumbered_shape(rows: tuple[int, ...], core: int, ground: int) -> tuple:
+    """The rows of G[``core``] and the mask ``ground`` & ``core``, with the
+    core's vertices renumbered 0..k-1 in label order."""
+    verts = [v for v in range(len(rows)) if (core >> v) & 1]
+    index = {v: i for i, v in enumerate(verts)}
+
+    def renumbered(mask: int) -> int:
+        return sum(1 << index[v] for v in verts if (mask >> v) & 1)
+
+    return tuple(renumbered(rows[v]) for v in verts), renumbered(ground)
 
 
 def contract_by_edges(g: Graph, u: int, v: int) -> Graph:

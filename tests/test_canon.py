@@ -324,7 +324,7 @@ def test_warm_certificate_memo_matches_a_cold_one(monkeypatch, limit):
     monkeypatch.setattr(canon, "certify", lambda g, f=certify: searched.append(g) or f(g))
     assert [canonical_form(g) for g in graphs] == cold
     assert len(searched) < len(graphs)  # repeats were served by the memo
-    assert memo.peak == canon._CERT_LIMIT  # filled and cleared, never past it
+    assert memo.peak == canon._CERT_LIMIT  # filled, then evicting, never past it
     held = dict(memo)
     with pytest.raises(ValueError):
         canonical_form(Graph(33, tuple([0] * 33)))

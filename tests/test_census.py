@@ -32,7 +32,8 @@ from subtrees import (
     spanning_tree_count,
     star_graph,
 )
-from subtrees.canon import _children
+import subtrees.canon as canon
+from subtrees.canon import _children, _orbit_reps, canonical_form, certify
 from subtrees.census import (
     _adjugate,
     _bits,
@@ -41,12 +42,14 @@ from subtrees.census import (
     _connected_sets,
     _core,
     _det_bareiss,
+    _kappa,
     _packed,
     _reduced_laplacian,
+    _shape_key,
     census_from_parent,
     local_census,
 )
-from subtrees.graphs import maximal_matchings_of_complement
+from subtrees.graphs import from_graph6, maximal_matchings_of_complement
 from conftest import (
     WatchedMemo,
     _kappa_contracted,
@@ -58,6 +61,7 @@ from conftest import (
     naive_census_counts,
     random_connected_graph,
     random_graph,
+    renumbered_shape,
     walk_census,
     walk_census_containing,
 )
@@ -701,12 +705,140 @@ def test_census_computes_one_determinant_per_core(monkeypatch):
     calls.clear()
     g = modified_barbell(16, 5, 1)
     census(g)
-    # one per block subset with a cycle: the 16 subsets of order >= 3 of
-    # each 5-clique and the 8-cycle
-    assert len(calls) == 33
+    # the cores are the 16 subsets of order >= 3 of each 5-clique and the
+    # 8-cycle, but a determinant is keyed by the core's shape: the two
+    # cliques' subsets are K3, K4 and K5, and the 8-cycle adds one
+    assert len(calls) == 4
     calls.clear()
     census(g)
     assert calls == []  # every core is in the process memo now
+    # barbell(14,6) plus its first complement matching, whose cores
+    # straddle the label bytes: 4,948 cores, of 1,610 shapes and groundings
+    module._kappa_memo.clear()
+    calls.clear()
+    c = census(from_graph6("M~~{IC`CGP_f?N?N_"))
+    assert c.mean == Fraction(8449265635, 658450973)
+    assert len(calls) == 1610
+
+
+def _placed(rng, shape: Graph, n: int) -> tuple[Graph, list[int]]:
+    # `shape` at k sorted random labels of an order-n graph, with random
+    # edges that leave one end outside those labels: the induced subgraph
+    # on them is `shape`, renumbered in label order
+    labels = sorted(rng.sample(range(n), shape.n))
+    inside = set(labels)
+    edges = {(labels[u], labels[v]) for u, v in shape.edges()}
+    edges |= {e for e in combinations(range(n), 2) if not inside >= set(e) and rng.random() < 0.3}
+    return Graph.from_edges(n, sorted(edges)), labels
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def _assert_keys_match_the_oracle(keys: dict, oracle: dict, rows, core: int, ground: int) -> None:
+    # equal keys exactly for equal renumbered shapes and groundings, and
+    # the memo's count is the memo-free determinant
+    key = _shape_key(rows, core, ground)
+    shape = renumbered_shape(rows, core, ground)
+    assert keys.setdefault(shape, key) == key, (rows, core, ground)
+    assert oracle.setdefault(key, shape) == shape, (rows, core, ground)
+    expected = _det_bareiss(_reduced_laplacian(rows, core, ground or core & -core))
+    assert _kappa(rows, core, ground) == expected, (rows, core, ground)
+
+
+def test_shape_key_matches_a_renumbering_oracle_on_every_small_labelled_graph(monkeypatch):
+    # every connected labelled graph of order <= 5, every connected core
+    # of two or more vertices, grounded at nothing or at every connected
+    # piece of two or more of its vertices
+    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", {})
+    keys: dict = {}
+    oracle: dict = {}
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if (chosen >> i) & 1])
+            if not g.is_connected():
+                continue
+            sets = [s for s in _connected_sets(g.rows, _rooted(n)) if s & (s - 1)]
+            for core in sets:
+                for ground in [0, *(s for s in sets if s & core == s)]:
+                    _assert_keys_match_the_oracle(keys, oracle, g.rows, core, ground)
+    # 66,279 cores and groundings, of 13,277 renumbered shapes and groundings
+    assert len(keys) == 13277
+
+
+def test_shape_key_matches_a_renumbering_oracle_across_label_bytes(monkeypatch):
+    # random connected graphs of order 9 to 20, with cores grown to
+    # straddle a label byte, grounded at nothing or at a piece of them
+    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", {})
+    rng = random.Random(131)
+    keys: dict = {}
+    oracle: dict = {}
+    straddled = 0
+    for _ in range(400):
+        n = rng.randint(9, 20)
+        g = random_connected_graph(rng, n, rng.choice([0.2, 0.35, 0.6]))
+        edge = 8 * rng.randint(1, (n - 1) // 8)  # a byte's first label
+        core = _grown_piece(rng, g.rows, (1 << n) - 1, rng.choice([edge - 1, edge]), rng.randint(2, n))
+        if not core & (core - 1):
+            continue
+        straddled += core >> edge > 0 and core & ((1 << edge) - 1) > 0
+        piece = _grown_piece(rng, g.rows, core, rng.choice(_bits(core)), rng.randint(2, 5))
+        for ground in (0, piece if piece & (piece - 1) else 0):
+            _assert_keys_match_the_oracle(keys, oracle, g.rows, core, ground)
+    assert straddled > 300
+
+
+def test_shape_key_is_the_same_for_a_shape_at_any_labels():
+    # one shape at labels 0..k-1, then at sorted random labels of graphs
+    # of order k to 20 with other edges around it: a graph of order 8 or
+    # less takes one translate, a larger one a translate per label byte,
+    # and both give the one key
+    rng = random.Random(137)
+    for _ in range(150):
+        k = rng.randint(2, 12)
+        shape = random_connected_graph(rng, k, rng.choice([0.3, 0.6, 0.9]))
+        piece = _grown_piece(rng, shape.rows, (1 << k) - 1, rng.randrange(k), rng.randint(1, k))
+        ground = piece if piece & (piece - 1) else 0
+        key = _shape_key(shape.rows, (1 << k) - 1, ground)
+        assert len(key) == (k + 1) * ((k + 7) // 8)
+        for _ in range(6):
+            g, labels = _placed(rng, shape, rng.randint(k, 20))
+            placed_ground = _mask(labels[v] for v in _bits(ground))
+            assert _shape_key(g.rows, _mask(labels), placed_ground) == key, (shape, g, labels)
+
+
+def test_process_memos_evict_the_least_recently_used_entry(monkeypatch):
+    # a hit makes an entry the newest; a full memo drops its oldest
+    module = sys.modules["subtrees.census"]
+    memo = WatchedMemo()
+    monkeypatch.setattr(module, "_kappa_memo", memo)
+    monkeypatch.setattr(module, "_KAPPA_LIMIT", 3)
+    k3, k4, c5, k5 = clique(3), clique(4), cycle(5), clique(5)
+    trees = {g: spanning_tree_count(g) for g in (k3, k4, c5, k5)}
+    dets = _counted(monkeypatch, module, "_det_bareiss")
+    for g in (k3, k4, c5, k3, k5):  # k3 is hit, then k5 evicts k4
+        assert _kappa(g.rows, (1 << g.n) - 1, 0) == trees[g]
+    assert len(dets) == 4
+    assert list(memo) == [_shape_key(g.rows, (1 << g.n) - 1, 0) for g in (c5, k3, k5)]
+    # the local census's core entries (K4 and its four triangles), keyed
+    # by labelled rows, live in the same memo under the same rule
+    local_census(k4)
+    assert [key[0] for key in memo] == [-4, -4, -4] and memo.peak == 3
+    _kappa(k5.rows, (1 << 5) - 1, 0)
+    assert len(dets) == 5  # evicted
+    # and so does canon's certificate memo
+    certs = WatchedMemo()
+    monkeypatch.setattr(canon, "_cert_memo", certs)
+    monkeypatch.setattr(canon, "_CERT_LIMIT", 3)
+    searched = _counted(monkeypatch, canon, "certify")
+    p4, s4 = path_graph(4), star_graph(4)
+    for g in (k3, k4, p4, k3, s4):  # k3 is hit, then s4 evicts k4
+        assert canonical_form(g) == certify(g)[0]
+    assert [args[0] for args in searched] == [k3, k4, p4, s4]
+    assert list(certs) == [p4.rows, k3.rows, s4.rows]
+    assert certs.peak == 3
 
 
 @functools.cache
@@ -774,7 +906,7 @@ def _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, order):
     memo = WatchedMemo()
     monkeypatch.setattr(module, "_kappa_memo", memo)
     assert _memo_results(cold=False, order=order) == cold
-    assert memo.peak == module._KAPPA_LIMIT  # filled and cleared, never past it
+    assert memo.peak == module._KAPPA_LIMIT  # filled, then evicting, never past it
 
 
 @pytest.mark.slow
@@ -785,8 +917,9 @@ def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
 
 @pytest.mark.parametrize("limit", [None, 8])
 def test_warm_kappa_memo_matches_a_cold_one_to_order_6(monkeypatch, limit):
-    # 1,300 labelled graphs; the pass stores 2,629 distinct memo keys, so the
-    # unlimited memo (1,024 entries) is still filled and cleared
+    # 1,300 labelled graphs; the pass stores 2,126 distinct memo keys (754
+    # of them determinants' shapes), so the memo at its default limit
+    # (1,024 entries) is still filled and evicts
     _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 6)
 
 
@@ -810,6 +943,89 @@ def test_warm_local_census_memo_matches_a_cold_one_on_every_order_8_graph(monkey
     for g, tallies in zip(graphs, warm):
         memo.clear()
         assert _local_tallies(g) == tallies, g
+
+
+@functools.cache
+def _multi_plane_cases() -> tuple[Graph, ...]:
+    # graphs past order 8, whose memo keys renumber a core across two or
+    # three label bytes: barbell(14,6) plus one maximal complement
+    # matching of each of its 14 orbits, modified_barbell(16,5,1) and
+    # modified_double_broom(23,8,1)
+    g = barbell(14, 6)
+    matchings = list(maximal_matchings_of_complement(g))
+    firsts: dict = {}
+    for matching, root in zip(matchings, _orbit_reps(g.n, certify(g)[1], matchings)):
+        firsts.setdefault(root, matching)
+    assert len(firsts) == 14
+    return (
+        *(g.add_edges(matching) for matching in firsts.values()),
+        modified_barbell(16, 5, 1),
+        modified_double_broom(23, 8, 1),
+    )
+
+
+def _anchored_tallies(g: Graph) -> list:
+    # trees of 2 and 4 vertices grown from label 7, the last of the first
+    # byte, by the largest neighbouring label each step
+    out = []
+    for size in (2, 4):
+        piece = 1 << 7
+        for _ in range(size - 1):
+            reach = 0
+            for v in _bits(piece):
+                reach |= g.rows[v]
+            piece |= 1 << max(_bits(reach & ~piece))
+        out.append(census_containing(g, _bits(piece)))
+    return out
+
+
+def _multi_plane_results(cold: bool, graphs: tuple[Graph, ...], local: tuple[Graph, ...]) -> list:
+    # the census and the anchored censuses of every graph, and the local
+    # censuses of those in `local`; with `cold`, each from an empty memo
+    memo = sys.modules["subtrees.census"]._kappa_memo
+    out = []
+    for g in graphs:
+        for tallies in (_census_tallies, _anchored_tallies, _local_tallies):
+            if tallies is _local_tallies and g not in local:
+                continue
+            if cold:
+                memo.clear()
+            out.append(tallies(g))
+    return out
+
+
+@functools.cache
+def _cold_multi_plane_results(graphs: tuple[Graph, ...], local: tuple[Graph, ...]) -> list:
+    return _multi_plane_results(True, graphs, local)
+
+
+def _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, graphs, local):
+    module = sys.modules["subtrees.census"]
+    monkeypatch.setattr(module, "_kappa_memo", {})
+    cold = _cold_multi_plane_results(graphs, local)
+    if limit is not None:
+        monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
+    memo = WatchedMemo()
+    monkeypatch.setattr(module, "_kappa_memo", memo)
+    assert _multi_plane_results(False, graphs, local) == cold
+    assert memo.peak == module._KAPPA_LIMIT  # filled, then evicting, never past it
+
+
+@pytest.mark.parametrize("limit", [None, 8])
+def test_warm_kappa_memo_matches_a_cold_one_past_order_8(monkeypatch, limit):
+    # three of the barbell matchings and both bridged graphs; the local
+    # census of a barbell matching takes most of a second, so only the
+    # slow tier runs those
+    cases = _multi_plane_cases()
+    graphs = (*cases[:3], *cases[-2:])
+    _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, graphs, cases[-2:])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("limit", [None, 8])
+def test_warm_kappa_memo_matches_a_cold_one_on_every_barbell_matching_orbit(monkeypatch, limit):
+    cases = _multi_plane_cases()
+    _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, cases, cases)
 
 
 def test_local_census_computes_one_adjugate_per_labelled_core(monkeypatch):
