@@ -22,14 +22,16 @@ Connected graphs and trees are generated by canonical augmentation: each
 class of order n is built once, from the one order n-1 class left by
 deleting its canonical vertex, so no certificate store spans parents.
 Generation streams depth-first and keeps no universe between calls.  The
-module's one mutable state is a bounded certificate memo
-(:data:`_cert_memo`): :func:`canonical_form` certifies each labelled graph
-once per process while it is held, since the neighbours a scan prices
-(g+e, g/e) often recur as the very same labelled graph.
+module's one mutable state is a bounded certificate cache
+(:func:`_certificate`, keyed by a labelled graph's rows):
+:func:`canonical_form` certifies each labelled graph once per process
+while it is held, since the neighbours a scan prices (g+e, g/e) often
+recur as the very same labelled graph.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph
@@ -262,30 +264,25 @@ def certify(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     return bytes([n]) + code.to_bytes(width, "big"), gens
 
 
-# Certificates of labelled graphs, keyed by their rows (whose length is n),
-# with the rule and the limit of census._kappa_memo: a hit moves its entry
-# to the newest position and a full memo drops its oldest entry.  Forked
-# workers inherit a copy; as every value is a function of its key, no
-# result depends on what it holds.
 _CERT_LIMIT = 1024
-_cert_memo: dict[tuple[int, ...], bytes] = {}
+
+
+@lru_cache(maxsize=_CERT_LIMIT)
+def _certificate(rows: tuple[int, ...]) -> bytes:
+    """The certificate of the labelled graph with these rows: a function
+    of its key, so no result depends on what the cache holds."""
+    return certify(Graph(len(rows), rows))[0]
 
 
 def canonical_form(g: Graph) -> bytes:
     """Labelling-invariant certificate; equal bytes iff isomorphic graphs.
 
-    The certificate of :func:`certify`, looked up in :data:`_cert_memo`
-    first: a labelled neighbour's certificate is computed once while the
-    memo holds it (1,024 entries, the least recently used dropped when
-    full).  A graph past :data:`MAX_CANON` raises and stores nothing.
+    The certificate of :func:`certify`, through :func:`_certificate`: a
+    labelled neighbour's certificate is computed once while the cache
+    holds it (1,024 entries, the least recently used dropped when full).
+    A graph past :data:`MAX_CANON` raises and stores nothing.
     """
-    cert = _cert_memo.pop(g.rows, None)
-    if cert is None:
-        cert = certify(g)[0]
-        if len(_cert_memo) >= _CERT_LIMIT:
-            del _cert_memo[next(iter(_cert_memo))]
-    _cert_memo[g.rows] = cert  # the newest entry
-    return cert
+    return _certificate(g.rows)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

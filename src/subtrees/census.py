@@ -13,10 +13,10 @@ read per core (deleting leaves keeps the count, so subsets share cores),
 and folds the blocks into their top cut vertices, children first, as a
 dynamic program over the block-cut tree.  A determinant depends only on
 the core's shape, which recurs at other labels in one graph and across
-graphs, so :func:`_kappa` keeps the determinants in one bounded memo for
-the whole process, keyed by the core's induced subgraph and grounding
-renumbered in label order (:func:`_shape_key`); a hit makes an entry the
-newest, and a full memo drops the least recently used.
+graphs, so :func:`_kappa` reads it from a bounded process cache of
+:func:`_shape_kappa`, a function of the core's induced subgraph and
+grounding renumbered in label order (:func:`_shape_key`) alone, which
+drops its least recently used entry when full.
 Every spanning-tree count is a determinant or adjugate of that one
 builder, a Laplacian grounded at a vertex set and built as its upper
 triangle (it is symmetric): at one vertex it counts all spanning trees,
@@ -48,16 +48,16 @@ x_e^T M x_e (Kirchhoff), and those containing both edges e and f number
 (Y(e,e) Y(f,f) - Y(e,f)^2) / kappa with Y(e,f) = x_e^T M x_f (the
 transfer-current theorem of Burton & Pemantle).  An edge outside the
 core lies in every tree.  So there is one adjugate per labelled core
-while the memo holds it: :func:`_core_trees` keeps kappa and the tree
-counts of the core's edges and cherries in the memo of :func:`_kappa`,
-keyed by the core's labelled rows (its indices are labels), and the
-subsets sharing a core meet them once per call, with their weights
-summed.  A cherry whose two edges lie in different blocks at a cut
-vertex m is edge(a-m) edge(m-b) / vertex(m) in the pair algebra.  The
-tables key edge u-v (u < v) at u*n+v and cherry a-m-b (a < b) at
-n*n + (m*n+a)*n+b, and an index enters them when it is first added to:
-no block lists its keys, since the subset of an edge's or a cherry's own
-vertices reaches it.
+while the cache holds it: :func:`_core_trees` reads kappa and the tree
+counts of the core's edges and cherries from a second process cache,
+:func:`_core_entry`, a function of n and the core's labelled rows (its
+indices are labels), and the subsets sharing a core meet them once per
+call, with their weights summed.  A cherry whose two edges lie in
+different blocks at a cut vertex m is edge(a-m) edge(m-b) / vertex(m) in
+the pair algebra.  The tables key edge u-v (u < v) at u*n+v and cherry
+a-m-b (a < b) at n*n + (m*n+a)*n+b, and an index enters them when it is
+first added to: no block lists its keys, since the subset of an edge's
+or a cherry's own vertices reaches it.
 :func:`census_containing` counts the subtrees containing a
 spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
@@ -77,6 +77,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Edge, Graph
@@ -159,7 +160,9 @@ def spanning_tree_count(g: Graph) -> int:
     return _det_bareiss(_reduced_laplacian(g.rows, full, full & -full))
 
 
-def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[list[int]]:
+def _reduced_laplacian(
+    rows: Sequence[int] | dict[int, int], subset: int, ground: int
+) -> list[list[int]]:
     """Laplacian of G[``subset``] grounded at ``ground`` (its rows and
     columns deleted), as its upper triangle: row i holds columns i on.
 
@@ -179,14 +182,10 @@ def _reduced_laplacian(rows: tuple[int, ...], subset: int, ground: int) -> list[
     return mat
 
 
-# Determinants shared by every census in the process, keyed by _shape_key,
-# and the core entries of _core_trees, keyed by -n and the core's labelled
-# rows: bytes and tuples never compare equal.  A hit moves its entry to the
-# newest position and a full memo drops its oldest entry, the rule of
-# canon._cert_memo too.  Forked workers inherit a copy; as every value is a
-# function of its key, no result depends on what it holds.
+# Entries of each process cache, _shape_kappa and _core_entry; each value
+# is a function of its key, so no result depends on what a cache (or a
+# forked worker's copy) holds.
 _KAPPA_LIMIT = 1024
-_kappa_memo: dict[bytes | tuple[int, ...], int | tuple[int, Sequence[int], Sequence[int]]] = {}
 
 # _RENUMBER[c] maps a byte b to its bits at the set bits of c, packed low
 # (b & c renumbered in c); built when first needed, then shared, so read-only
@@ -243,35 +242,27 @@ def _kappa(rows: tuple[int, ...], core: int, ground: int) -> int:
     ``ground`` is 0.
 
     The count depends only on the core's induced subgraph and where the
-    grounding lies in it, so it is looked up in :data:`_kappa_memo` by
+    grounding lies in it, so it is :func:`_shape_kappa` of the core's
     :func:`_shape_key`: a shape recurring at other labels, in this graph
-    or another, costs one determinant while the memo holds it.
+    or another, costs one determinant while the cache holds it.
     """
-    key = _shape_key(rows, core, ground)
-    kappa = _recall(key)
-    if kappa is None:
-        mat = _reduced_laplacian(rows, core, ground or core & -core)
-        kappa = _remember(key, _det_bareiss(mat))
-    return kappa
+    return _shape_kappa(_shape_key(rows, core, ground))
 
 
-def _recall(key: bytes | tuple[int, ...]):
-    """The value under ``key`` in :data:`_kappa_memo`, made its newest
-    entry, or None when the memo does not hold it."""
-    value = _kappa_memo.pop(key, None)
-    if value is not None:
-        _kappa_memo[key] = value
-    return value
-
-
-def _remember(key: bytes | tuple[int, ...], value):
-    """Store ``value`` in :data:`_kappa_memo` under ``key`` as its newest
-    entry, dropping the oldest (least recently used) one first when the
-    memo is full; returns ``value``."""
-    if len(_kappa_memo) >= _KAPPA_LIMIT:
-        del _kappa_memo[next(iter(_kappa_memo))]
-    _kappa_memo[key] = value
-    return value
+@lru_cache(maxsize=_KAPPA_LIMIT)
+def _shape_kappa(key: bytes) -> int:
+    """The count of :func:`_kappa` for a :func:`_shape_key`, from the
+    renumbered rows and ground it holds, each in a lane of ceil(k / 8)
+    bytes (the ground last); k is read off the key's length
+    (k + 1) ceil(k / 8)."""
+    lane = 1
+    while (8 * lane + 1) * lane < len(key):
+        lane += 1
+    k = len(key) // lane - 1
+    whole = int.from_bytes(key, "little")
+    full = (1 << 8 * lane) - 1
+    masks = [(whole >> i) & full for i in range(0, 8 * len(key), 8 * lane)]
+    return _det_bareiss(_reduced_laplacian(masks, (1 << k) - 1, masks[k] or 1))
 
 
 def _adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
@@ -456,22 +447,24 @@ def _packed(values: list[int]) -> Sequence[int]:
 
 def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], Sequence[int]]:
     """kappa of G[core], and the indices (keyed as in the module docstring)
-    and tree counts of its edges and cherries; ``y`` is the adjugate M =
-    kappa L0^-1 with a zero row and column for the core's lowest vertex,
-    which L0 drops.
-
-    Computed once per labelled core while :data:`_kappa_memo` holds it,
-    packed, keyed by -n and the core's rows masked to it: the indices are
-    labels and depend on n, so unlike a determinant the entry is not
-    shared by the core's shape.
+    and tree counts of its edges and cherries: :func:`_core_entry` of n and
+    the core's rows masked to it.  The indices are labels and depend on n,
+    so unlike a determinant the entry is not shared by the core's shape.
     """
-    n = len(rows)
+    return _core_entry(len(rows), tuple([rows[v] & core for v in _bits(core)]))
+
+
+@lru_cache(maxsize=_KAPPA_LIMIT)
+def _core_entry(n: int, masked: tuple[int, ...]) -> tuple[int, Sequence[int], Sequence[int]]:
+    """The entry of :func:`_core_trees`, packed, from the core's masked
+    rows, whose union is the core; ``y`` is the adjugate M = kappa L0^-1
+    with a zero row and column for the core's lowest vertex, which L0
+    drops."""
+    core = 0
+    for row in masked:
+        core |= row
     verts = _bits(core)
-    key = (-n, *[rows[v] & core for v in verts])
-    entry = _recall(key)
-    if entry is not None:
-        return entry
-    kappa, adj = _adjugate(_reduced_laplacian(rows, core, core & -core))
+    kappa, adj = _adjugate(_reduced_laplacian(dict(zip(verts, masked)), core, core & -core))
     y = [[0] * len(verts)] + [[0] + row for row in adj]
     nn = n * n
     keys = []
@@ -479,7 +472,7 @@ def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], S
     for i, m in enumerate(verts):
         ym = y[i]
         dm = ym[i]
-        row = rows[m]
+        row = masked[i]
         nb = [(j, c, dm + y[j][j] - 2 * ym[j]) for j, c in enumerate(verts) if (row >> c) & 1]
         for x, (ia, a, t_am) in enumerate(nb):
             if a > m:
@@ -493,7 +486,7 @@ def _core_trees(rows: tuple[int, ...], core: int) -> tuple[int, Sequence[int], S
                 cross = yma + ym[ib] - ya[ib]
                 keys.append(base + b)
                 trees.append((t_am * t_mb - cross * cross) // kappa)
-    return _remember(key, (kappa, _packed(keys), _packed(trees)))
+    return kappa, _packed(keys), _packed(trees)
 
 
 def _add_core(n, keys, trees, a, w, at, counts, sums):
@@ -591,9 +584,9 @@ def _block_dp(
     most one connected piece (a path between two vertices of a block
     stays in it), so one grounding serves the whole block.  A core's
     count is looked up by its mask in a dict of this call, and on a miss
-    by its shape in the process memo of :func:`_kappa`; with ``local`` it
+    by its shape in the process cache of :func:`_kappa`; with ``local`` it
     comes with the core's edge and cherry counts from :func:`_core_trees`,
-    once per labelled core while that memo holds it.
+    once per labelled core while its cache holds it.
     Only with ``outside`` (no ``unit``, no ``tree`` or a one-vertex one)
     is ``full`` computed, else it is empty.  Without a ``tree``
     ``full[v]`` is the (count, order sum) of the sets containing v, from

@@ -47,11 +47,11 @@ memo, cleared when a ``scan`` call starts (pool workers fork with it
 empty and each keeps its own), serves the means of neighbour graphs (g+e,
 g/e, g+matching), which in a universe scan recur across graphs.
 The memo is unbounded: it holds one ``Fraction`` per isomorphism class seen.
-In front of it, :func:`~subtrees.canon.canonical_form` memoises a labelled
+In front of it, :func:`~subtrees.canon.canonical_form` caches a labelled
 neighbour's certificate (1,024 entries, the least recently used dropped
 when full), since siblings share labels and so often share a neighbour;
-forked workers inherit a copy of that memo, and no result depends on
-what it holds.
+forked workers inherit a copy of that cache, and as it is a function of
+the labelled rows alone, no result depends on what it holds.
 
 Every verdict is a pure function of its graph, so scans may also fan work
 out over worker processes; results are merged in input order, which keeps
@@ -240,9 +240,9 @@ def _universe_units(n: int) -> list[str | Graph]:
     return list(generate_connected(n - 1))
 
 
-# The certificate memo of the scan's checks: `scan` clears it before any
-# unit runs, so a serial scan starts empty and pool workers fork with it
-# empty, each then keeping its own for the rest of the scan.
+# The mean memo of the scan's checks, keyed by certificate: `scan` clears
+# it before any unit runs, so a serial scan starts empty and pool workers
+# fork with it empty, each then keeping its own for the rest of the scan.
 _memo: dict = {}
 
 

@@ -29,14 +29,16 @@ maximal matchings, the oracle of ``graphs.maximal_matchings``.
 ``refine_whole_queue`` is the equitable refinement as it was before it
 stopped at a discrete partition, processing every splitter queued: the
 oracle of ``canon._refine``.
-``WatchedMemo`` is a dict that records the most entries it ever held,
-put in place of a bounded process memo to see it fill and evict.
+``fresh_cache`` empties a process cache, or puts a smaller one around
+the same function for a test, and ``filled_and_evicting`` tells whether
+a cache filled and then dropped entries.
 ``renumbered_shape`` renumbers a core's induced subgraph and grounding
 through a dict of labels, the oracle of ``census._shape_key``.
 ``contract_by_edges`` is edge contraction as it once was, a rebuild from
 the relabelled edge set: the oracle of ``Graph.contract_edge``.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
@@ -231,14 +233,24 @@ def refine_whole_queue(rows: tuple[int, ...], cells: list[list[int]], queue: lis
     return cells
 
 
-class WatchedMemo(dict):
-    """A memo that records the most entries it ever held."""
+def fresh_cache(monkeypatch, owner, name: str, maxsize: int | None = None):
+    """The ``lru_cache`` function ``owner.name`` emptied, or with
+    ``maxsize`` a new cache of that size around the same function, put in
+    its place for the test."""
+    cache = getattr(owner, name)
+    if maxsize is None:
+        cache.cache_clear()
+        return cache
+    small = functools.lru_cache(maxsize=maxsize)(cache.__wrapped__)
+    monkeypatch.setattr(owner, name, small)
+    return small
 
-    peak = 0
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
+def filled_and_evicting(cache) -> bool:
+    """Whether ``cache`` holds as many entries as its size allows and has
+    computed more: it filled, then dropped entries, never past its size."""
+    info = cache.cache_info()
+    return info.currsize == info.maxsize < info.misses
 
 
 def renumbered_shape(rows: tuple[int, ...], core: int, ground: int) -> tuple:

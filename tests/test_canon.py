@@ -28,9 +28,10 @@ import subtrees.canon as canon
 from subtrees.cli import main as cli_main
 from subtrees.canon import _orbit_reps, _rooted_code, certify
 from conftest import (
-    WatchedMemo,
     automorphisms,
     by_dedupe,
+    filled_and_evicting,
+    fresh_cache,
     generated,
     orbits_by_imaging,
     random_graph,
@@ -313,22 +314,23 @@ def _certificate_memo_cases() -> list[Graph]:
 @pytest.mark.parametrize("limit", [None, 8])
 def test_warm_certificate_memo_matches_a_cold_one(monkeypatch, limit):
     graphs = _certificate_memo_cases()
-    monkeypatch.setattr(canon, "_cert_memo", {})
+    cache = fresh_cache(monkeypatch, canon, "_certificate")
     cold = [certify(g)[0] for g in graphs]
-    assert canon._cert_memo == {}
+    assert cache.cache_info().currsize == 0  # certify keeps no memo
     if limit is not None:
-        monkeypatch.setattr(canon, "_CERT_LIMIT", limit)
-    memo = WatchedMemo()
-    monkeypatch.setattr(canon, "_cert_memo", memo)
+        cache = fresh_cache(monkeypatch, canon, "_certificate", limit)
     searched = []
     monkeypatch.setattr(canon, "certify", lambda g, f=certify: searched.append(g) or f(g))
     assert [canonical_form(g) for g in graphs] == cold
-    assert len(searched) < len(graphs)  # repeats were served by the memo
-    assert memo.peak == canon._CERT_LIMIT  # filled, then evicting, never past it
-    held = dict(memo)
+    assert len(searched) < len(graphs)  # repeats were served by the cache
+    assert filled_and_evicting(cache)
+    held = cache.cache_info().currsize
     with pytest.raises(ValueError):
         canonical_form(Graph(33, tuple([0] * 33)))
-    assert memo == held
+    assert cache.cache_info().currsize == held
+    searches = len(searched)
+    canonical_form(graphs[-1])
+    assert len(searched) == searches  # the newest entry is still held
 
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}

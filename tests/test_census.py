@@ -51,11 +51,12 @@ from subtrees.census import (
 )
 from subtrees.graphs import from_graph6, maximal_matchings_of_complement
 from conftest import (
-    WatchedMemo,
     _kappa_contracted,
     _rooted,
     census_by_subtree_enumeration,
     exact_det,
+    filled_and_evicting,
+    fresh_cache,
     generated,
     grounded_laplacian,
     naive_census_counts,
@@ -618,7 +619,7 @@ def test_det_bareiss_on_every_core_of_a_barbell_plus_a_matching(monkeypatch):
     # the cores behind barbell-14-6-matchings: every determinant that the
     # census of barbell(14,6) plus one maximal complement matching computes
     module = sys.modules["subtrees.census"]
-    monkeypatch.setattr(module, "_kappa_memo", {})
+    fresh_cache(monkeypatch, module, "_shape_kappa")
     calls = _counted(monkeypatch, module, "_reduced_laplacian")
     g = barbell(14, 6)
     census(g.add_edges(next(maximal_matchings_of_complement(g))))
@@ -695,13 +696,13 @@ def _counted(monkeypatch, owner, name: str) -> list:
 def test_census_computes_one_determinant_per_core(monkeypatch):
     # the package re-exports the function `census` under its submodule's
     # name, so the module is reached through sys.modules; an empty process
-    # memo makes the counts those of one census alone
+    # cache makes the counts those of one census alone
     module = sys.modules["subtrees.census"]
-    monkeypatch.setattr(module, "_kappa_memo", {})
+    cache = fresh_cache(monkeypatch, module, "_shape_kappa")
     calls = _counted(monkeypatch, module, "_det_bareiss")
     census(modified_double_broom(9, 3, 1))
     assert len(calls) == 1  # every set with a cycle shares the one cycle
-    module._kappa_memo.clear()
+    cache.cache_clear()
     calls.clear()
     g = modified_barbell(16, 5, 1)
     census(g)
@@ -711,10 +712,10 @@ def test_census_computes_one_determinant_per_core(monkeypatch):
     assert len(calls) == 4
     calls.clear()
     census(g)
-    assert calls == []  # every core is in the process memo now
+    assert calls == []  # every core is in the process cache now
     # barbell(14,6) plus its first complement matching, whose cores
     # straddle the label bytes: 4,948 cores, of 1,610 shapes and groundings
-    module._kappa_memo.clear()
+    cache.cache_clear()
     calls.clear()
     c = census(from_graph6("M~~{IC`CGP_f?N?N_"))
     assert c.mean == Fraction(8449265635, 658450973)
@@ -738,7 +739,7 @@ def _mask(vertices) -> int:
 
 def _assert_keys_match_the_oracle(keys: dict, oracle: dict, rows, core: int, ground: int) -> None:
     # equal keys exactly for equal renumbered shapes and groundings, and
-    # the memo's count is the memo-free determinant
+    # the cached count is the cache-free determinant
     key = _shape_key(rows, core, ground)
     shape = renumbered_shape(rows, core, ground)
     assert keys.setdefault(shape, key) == key, (rows, core, ground)
@@ -751,7 +752,7 @@ def test_shape_key_matches_a_renumbering_oracle_on_every_small_labelled_graph(mo
     # every connected labelled graph of order <= 5, every connected core
     # of two or more vertices, grounded at nothing or at every connected
     # piece of two or more of its vertices
-    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", {})
+    fresh_cache(monkeypatch, sys.modules["subtrees.census"], "_shape_kappa")
     keys: dict = {}
     oracle: dict = {}
     for n in range(2, 6):
@@ -771,7 +772,7 @@ def test_shape_key_matches_a_renumbering_oracle_on_every_small_labelled_graph(mo
 def test_shape_key_matches_a_renumbering_oracle_across_label_bytes(monkeypatch):
     # random connected graphs of order 9 to 20, with cores grown to
     # straddle a label byte, grounded at nothing or at a piece of them
-    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", {})
+    fresh_cache(monkeypatch, sys.modules["subtrees.census"], "_shape_kappa")
     rng = random.Random(131)
     keys: dict = {}
     oracle: dict = {}
@@ -810,35 +811,48 @@ def test_shape_key_is_the_same_for_a_shape_at_any_labels():
 
 
 def test_process_memos_evict_the_least_recently_used_entry(monkeypatch):
-    # a hit makes an entry the newest; a full memo drops its oldest
+    # a hit makes an entry the newest; a full cache drops its oldest
     module = sys.modules["subtrees.census"]
-    memo = WatchedMemo()
-    monkeypatch.setattr(module, "_kappa_memo", memo)
-    monkeypatch.setattr(module, "_KAPPA_LIMIT", 3)
+    shapes = fresh_cache(monkeypatch, module, "_shape_kappa", 3)
     k3, k4, c5, k5 = clique(3), clique(4), cycle(5), clique(5)
     trees = {g: spanning_tree_count(g) for g in (k3, k4, c5, k5)}
     dets = _counted(monkeypatch, module, "_det_bareiss")
-    for g in (k3, k4, c5, k3, k5):  # k3 is hit, then k5 evicts k4
-        assert _kappa(g.rows, (1 << g.n) - 1, 0) == trees[g]
-    assert len(dets) == 4
-    assert list(memo) == [_shape_key(g.rows, (1 << g.n) - 1, 0) for g in (c5, k3, k5)]
+
+    def kappas(*graphs) -> int:
+        # the determinants computed for the graphs' whole cores
+        before = len(dets)
+        for g in graphs:
+            assert _kappa(g.rows, (1 << g.n) - 1, 0) == trees[g]
+        return len(dets) - before
+
+    assert kappas(k3, k4, c5, k3, k5) == 4  # k3 is hit, then k5 evicts k4
+    assert shapes.cache_info().currsize == 3
+    assert kappas(c5, k3, k5) == 0  # held, oldest first
+    assert kappas(k4) == 1  # evicted, and now evicts c5, the oldest
+    assert kappas(k3, k5) == 0 and kappas(c5) == 1
     # the local census's core entries (K4 and its four triangles), keyed
-    # by labelled rows, live in the same memo under the same rule
+    # by labelled rows, live in a cache of their own under the same rule
+    entries = fresh_cache(monkeypatch, module, "_core_entry", 3)
+    adjugates = _counted(monkeypatch, module, "_adjugate")
     local_census(k4)
-    assert [key[0] for key in memo] == [-4, -4, -4] and memo.peak == 3
-    _kappa(k5.rows, (1 << 5) - 1, 0)
-    assert len(dets) == 5  # evicted
-    # and so does canon's certificate memo
-    certs = WatchedMemo()
-    monkeypatch.setattr(canon, "_cert_memo", certs)
-    monkeypatch.setattr(canon, "_CERT_LIMIT", 3)
+    assert len(adjugates) == 5 and entries.cache_info().currsize == 3
+    assert kappas(k3, k5, c5) == 0  # the census caches no longer share slots
+    local_census(k4)
+    assert len(adjugates) == 10  # five cores in turn through three slots: evicted
+    # and so does canon's certificate cache
+    certs = fresh_cache(monkeypatch, canon, "_certificate", 3)
     searched = _counted(monkeypatch, canon, "certify")
     p4, s4 = path_graph(4), star_graph(4)
     for g in (k3, k4, p4, k3, s4):  # k3 is hit, then s4 evicts k4
         assert canonical_form(g) == certify(g)[0]
     assert [args[0] for args in searched] == [k3, k4, p4, s4]
-    assert list(certs) == [p4.rows, k3.rows, s4.rows]
-    assert certs.peak == 3
+    assert certs.cache_info().currsize == 3
+    for g in (p4, k3, s4):  # held, oldest first
+        canonical_form(g)
+    assert len(searched) == 4
+    canonical_form(k4)  # evicted, and now evicts p4, the oldest
+    canonical_form(p4)
+    assert [args[0] for args in searched[4:]] == [k4, p4]
 
 
 @functools.cache
@@ -866,23 +880,43 @@ def _local_tallies(g: Graph) -> tuple:
     return local.edges, local.cherries
 
 
+_CENSUS_CACHES = ("_shape_kappa", "_core_entry")
+
+
+def _clear_census_caches() -> None:
+    module = sys.modules["subtrees.census"]
+    for name in _CENSUS_CACHES:
+        getattr(module, name).cache_clear()
+
+
+def _assert_warm_caches_match_cold_ones(monkeypatch, limit, filled, cold, warm) -> None:
+    # `warm` results from both census caches emptied, or with `limit`
+    # smaller ones in their place, equal the `cold` ones; every cache of
+    # `limit` entries, and at its own size each named in `filled`, was
+    # filled, then evicting, never past its size
+    module = sys.modules["subtrees.census"]
+    caches = {name: fresh_cache(monkeypatch, module, name, limit) for name in _CENSUS_CACHES}
+    assert warm() == cold
+    for name, cache in caches.items():
+        assert filled_and_evicting(cache) == (limit is not None or name in filled), name
+
+
 def _memo_results(cold: bool, order: int) -> list:
     # the censuses of K4, plain and anchored at the edges (0,1) and
     # (2,3), which ground its cores in two ways, then the census and the
     # local census of every _memo_cases graph and of two graphs with
-    # pendant trees at core vertices, so that the memo holds determinants
-    # and core entries at once; with `cold`, each from an empty memo
-    memo = sys.modules["subtrees.census"]._kappa_memo
+    # pendant trees at core vertices, so that the caches hold determinants
+    # and core entries at once; with `cold`, each from empty caches
     k4 = clique(4)
     graphs = [*_memo_cases(order), modified_double_broom(9, 3, 1), barbell(8, 3)]
     out = []
     for g, e in [(k4, None), (k4, (0, 1)), (k4, (2, 3)), *((g, None) for g in graphs)]:
         if cold:
-            memo.clear()
+            _clear_census_caches()
         if e is None:
             out.append(_census_tallies(g))
             if cold:
-                memo.clear()
+                _clear_census_caches()
             out.append(_local_tallies(g))
         else:
             out.append(census_containing(g, e))
@@ -894,60 +928,50 @@ def _cold_memo_results(order: int) -> list:
     return _memo_results(cold=True, order=order)
 
 
-def _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, order):
-    module = sys.modules["subtrees.census"]
-    monkeypatch.setattr(module, "_kappa_memo", {})
+def _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, order, filled):
     cold = _cold_memo_results(order)
     assert cold[0][0] == (0, 4, 6, 12, 16)
     assert cold[2:4] == [(13, 46), (13, 46)]  # anchored at an edge
     assert cold[1][0][(0, 1)] == cold[1][0][(2, 3)] == (13, 46)  # K4's local census
-    if limit is not None:
-        monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
-    memo = WatchedMemo()
-    monkeypatch.setattr(module, "_kappa_memo", memo)
-    assert _memo_results(cold=False, order=order) == cold
-    assert memo.peak == module._KAPPA_LIMIT  # filled, then evicting, never past it
+    warm = functools.partial(_memo_results, cold=False, order=order)
+    _assert_warm_caches_match_cold_ones(monkeypatch, limit, filled, cold, warm)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("limit", [None, 8])
 def test_warm_kappa_memo_matches_a_cold_one(monkeypatch, limit):
-    _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 7)
+    _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 7, _CENSUS_CACHES)
 
 
 @pytest.mark.parametrize("limit", [None, 8])
 def test_warm_kappa_memo_matches_a_cold_one_to_order_6(monkeypatch, limit):
-    # 1,300 labelled graphs; the pass stores 2,126 distinct memo keys (754
-    # of them determinants' shapes), so the memo at its default limit
-    # (1,024 entries) is still filled and evicts
-    _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 6)
+    # 1,300 labelled graphs; the pass computes 754 determinants' shapes
+    # and 1,372 core entries, so the core entry cache at its default size
+    # (1,024 entries) is still filled and evicts, while the shapes fit
+    _assert_warm_memo_matches_a_cold_one(monkeypatch, limit, 6, ("_core_entry",))
 
 
 @pytest.mark.slow
-def test_warm_kappa_memo_matches_a_cold_one_on_every_order_8_graph(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", memo)
+def test_warm_kappa_memo_matches_a_cold_one_on_every_order_8_graph():
     graphs = list(generate_connected(8))
     warm = [_census_tallies(g) for g in graphs]
     for g, tallies in zip(graphs, warm):
-        memo.clear()
+        _clear_census_caches()
         assert _census_tallies(g) == tallies, g
 
 
 @pytest.mark.slow
-def test_warm_local_census_memo_matches_a_cold_one_on_every_order_8_graph(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(sys.modules["subtrees.census"], "_kappa_memo", memo)
+def test_warm_local_census_memo_matches_a_cold_one_on_every_order_8_graph():
     graphs = list(generate_connected(8))
     warm = [_local_tallies(g) for g in graphs]
     for g, tallies in zip(graphs, warm):
-        memo.clear()
+        _clear_census_caches()
         assert _local_tallies(g) == tallies, g
 
 
 @functools.cache
 def _multi_plane_cases() -> tuple[Graph, ...]:
-    # graphs past order 8, whose memo keys renumber a core across two or
+    # graphs past order 8, whose shape keys renumber a core across two or
     # three label bytes: barbell(14,6) plus one maximal complement
     # matching of each of its 14 orbits, modified_barbell(16,5,1) and
     # modified_double_broom(23,8,1)
@@ -981,15 +1005,14 @@ def _anchored_tallies(g: Graph) -> list:
 
 def _multi_plane_results(cold: bool, graphs: tuple[Graph, ...], local: tuple[Graph, ...]) -> list:
     # the census and the anchored censuses of every graph, and the local
-    # censuses of those in `local`; with `cold`, each from an empty memo
-    memo = sys.modules["subtrees.census"]._kappa_memo
+    # censuses of those in `local`; with `cold`, each from empty caches
     out = []
     for g in graphs:
         for tallies in (_census_tallies, _anchored_tallies, _local_tallies):
             if tallies is _local_tallies and g not in local:
                 continue
             if cold:
-                memo.clear()
+                _clear_census_caches()
             out.append(tallies(g))
     return out
 
@@ -999,38 +1022,35 @@ def _cold_multi_plane_results(graphs: tuple[Graph, ...], local: tuple[Graph, ...
     return _multi_plane_results(True, graphs, local)
 
 
-def _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, graphs, local):
-    module = sys.modules["subtrees.census"]
-    monkeypatch.setattr(module, "_kappa_memo", {})
+def _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, graphs, local, filled):
     cold = _cold_multi_plane_results(graphs, local)
-    if limit is not None:
-        monkeypatch.setattr(module, "_KAPPA_LIMIT", limit)
-    memo = WatchedMemo()
-    monkeypatch.setattr(module, "_kappa_memo", memo)
-    assert _multi_plane_results(False, graphs, local) == cold
-    assert memo.peak == module._KAPPA_LIMIT  # filled, then evicting, never past it
+    warm = functools.partial(_multi_plane_results, False, graphs, local)
+    _assert_warm_caches_match_cold_ones(monkeypatch, limit, filled, cold, warm)
 
 
 @pytest.mark.parametrize("limit", [None, 8])
 def test_warm_kappa_memo_matches_a_cold_one_past_order_8(monkeypatch, limit):
     # three of the barbell matchings and both bridged graphs; the local
     # census of a barbell matching takes most of a second, so only the
-    # slow tier runs those
+    # slow tier runs those; the bridged graphs' 34 core entries fit the
+    # core entry cache at its default size
     cases = _multi_plane_cases()
     graphs = (*cases[:3], *cases[-2:])
-    _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, graphs, cases[-2:])
+    _assert_warm_multi_plane_memo_matches_a_cold_one(
+        monkeypatch, limit, graphs, cases[-2:], ("_shape_kappa",)
+    )
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("limit", [None, 8])
 def test_warm_kappa_memo_matches_a_cold_one_on_every_barbell_matching_orbit(monkeypatch, limit):
     cases = _multi_plane_cases()
-    _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, cases, cases)
+    _assert_warm_multi_plane_memo_matches_a_cold_one(monkeypatch, limit, cases, cases, _CENSUS_CACHES)
 
 
 def test_local_census_computes_one_adjugate_per_labelled_core(monkeypatch):
     module = sys.modules["subtrees.census"]
-    monkeypatch.setattr(module, "_kappa_memo", {})
+    fresh_cache(monkeypatch, module, "_core_entry")
     calls = _counted(monkeypatch, module, "_adjugate")
     g = modified_barbell(16, 5, 1)
     first = local_census(g)
@@ -1039,7 +1059,7 @@ def test_local_census_computes_one_adjugate_per_labelled_core(monkeypatch):
     assert len(calls) == 33
     calls.clear()
     assert local_census(g) == first
-    assert calls == []  # every core entry is in the process memo now
+    assert calls == []  # every core entry is in the process cache now
 
 
 def test_tree_constraint_skips_the_connectivity_filter(monkeypatch):
@@ -1226,6 +1246,17 @@ def test_block_dp_closed_forms_at_order_64():
     c = census(star_graph(n))
     assert c.counts == (0, n, *(comb(n - 1, k - 1) for k in range(2, n + 1)))
     assert c.vertex_counts == (1 << (n - 1), *([1 + (1 << (n - 2))] * (n - 1)))
+    assert average_connected_set_size(path_graph(n)) == Fraction(
+        sum(k * (n - k + 1) for k in range(1, n + 1)), n * (n + 1) // 2
+    )
+
+
+@pytest.mark.parametrize("n", [17, 25, 33, 41, 49, 57, 64])
+def test_block_dp_closed_forms_on_cycles(monkeypatch, n):
+    # the cycle is its own core, so its shape key has lanes of ceil(n / 8)
+    # bytes, 3 to 8 here; its determinants, plain and grounded at the edge
+    # (5,6), and the edge's own, come from decoded keys
+    shapes = fresh_cache(monkeypatch, sys.modules["subtrees.census"], "_shape_kappa")
     g = cycle(n)
     c = census(g)
     assert c.counts == (0, *([n] * n))
@@ -1235,12 +1266,8 @@ def test_block_dp_closed_forms_at_order_64():
         n * (n - 1) // 2,
         sum(k * (k - 1) for k in range(2, n + 1)),
     )
-    assert average_connected_set_size(path_graph(n)) == Fraction(
-        sum(k * (n - k + 1) for k in range(1, n + 1)), n * (n + 1) // 2
-    )
-    assert average_connected_set_size(cycle(n)) == Fraction(
-        n * sum(range(1, n)) + n, n * (n - 1) + 1
-    )
+    assert shapes.cache_info().misses == 3
+    assert average_connected_set_size(g) == Fraction(n * sum(range(1, n)) + n, n * (n - 1) + 1)
 
 
 def test_block_dp_on_modified_double_broom_64_8_1():
