@@ -61,10 +61,16 @@ or a cherry's own vertices reaches it.
 :func:`census_containing` counts the subtrees containing a
 spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
-queries, and the tests as the oracle of :func:`local_census`.  Anchored
-at one vertex v, the pass also gives both vertex tables of the sets
-through v, so :func:`census_from_parent` adds them to the census of
-g - v: the subtrees of g that avoid v are those of g - v.
+queries, and the tests as the oracle of :func:`local_census`.
+
+:func:`census_from_parent` builds the census of g from that of g - v,
+for g's last vertex v: the subtrees of g that avoid v are those of
+g - v.  Those through v are counted without a block DP, from the table
+:func:`subset_kappas` of g - v, kappa of every vertex subset.  Deleting
+v from a spanning tree of G[U + v] leaves one spanning tree per branch,
+each joined to v by one of its edges to v, so kappa(G[U + v]) for every
+U is one exact sum over the splits of U into branches (:func:`_layer`),
+and the table itself is built a vertex at a time by the same sum.
 
 The tests keep the independent slow oracles: a walk that lists subtrees
 one by one as growing edge sets, sharing no counting machinery with
@@ -78,6 +84,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Edge, Graph
@@ -553,7 +560,6 @@ def _block_dp(
     *,
     tree: int = 0,
     unit: bool = False,
-    outside: bool = False,
     local: tuple[defaultdict[int, int], defaultdict[int, int]] | None = None,
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
     """One pass over the blocks of the component of ``root``.
@@ -587,18 +593,15 @@ def _block_dp(
     by its shape in the process cache of :func:`_kappa`; with ``local`` it
     comes with the core's edge and cherry counts from :func:`_core_trees`,
     once per labelled core while its cache holds it.
-    Only with ``outside`` (no ``unit``, no ``tree`` or a one-vertex one)
-    is ``full`` computed, else it is empty.  Without a ``tree``
-    ``full[v]`` is the (count, order sum) of the sets containing v, from
-    a second pass top down: the sets through v's parent block are split
-    by whether they reach its top p, whose outside factor ``full[p] / (1
-    + T(p))`` is known only then.  Pairs multiply as (a, s)(b, t) = (ab,
-    at + bs).  With the one-vertex ``tree`` of ``root``, every subset
-    visited reaches its top, and ``full[v]`` counts the sets holding both
-    v and ``root``.
+    Only without ``unit`` and ``tree`` is ``full`` computed, else it is
+    empty: ``full[v]`` is the (count, order sum) of the sets containing
+    v, from a second, outside pass top down: the sets through v's parent
+    block are split by whether they reach its top p, whose outside factor
+    ``full[p] / (1 + T(p))`` is known only then.  Pairs multiply as (a,
+    s)(b, t) = (ab, at + bs).
 
-    With ``local``, a pair of ``defaultdict(int)`` tables (with
-    ``outside``, no ``tree``), the pass also adds there the count and the
+    With ``local``, a pair of ``defaultdict(int)`` tables (no ``tree`` or
+    ``unit``), the pass also adds there the count and the
     order sum of the subtrees containing each edge and each cherry of the
     component, keyed as in the module docstring.  An edge or a cherry
     inside a block is split like a vertex: its trees in each subset S of
@@ -618,6 +621,7 @@ def _block_dp(
     Returns the component mask, ``down``, ``total`` and ``full``.
     """
     n = len(rows)
+    outside = not (tree or unit)
     x = [0, 1]
     down = [x] * n
     pairs = [(1, 1)] * n  # the (count, order sum) of each `down`
@@ -720,9 +724,7 @@ def _block_dp(
             _padd(total, down[v])
     if not outside:
         return comp, down, total, []
-    # with a tree, only the sets through the root: no `pairs` or `below` term
-    full = [(0, 0)] * n if tree else pairs[:]
-    full[root] = pairs[root]
+    full = pairs[:]
     for top, rest, (fa, ft), inside in reversed(tops):
         pa, ps = full[top]
         ua = pa // fa  # full[top] / factor: the sets at top outside the block
@@ -823,7 +825,7 @@ def _census(
     for root in range(n):
         if (seen >> root) & 1:
             continue
-        comp, _, total, full = _block_dp(g.rows, root, outside=True, local=local)
+        comp, _, total, full = _block_dp(g.rows, root, local=local)
         seen |= comp
         for k, c in enumerate(total):
             if c:  # the polynomials carry zeros beyond order n
@@ -837,30 +839,88 @@ def _census(
     )
 
 
-def census_from_parent(parent: SubtreeCensus, g: Graph) -> SubtreeCensus:
-    """Census of g from ``parent``, the census of g - v for its last vertex v.
+def _layer(t: Sequence[int], row: int) -> list[int]:
+    """``f[U]`` = kappa of G[U + v] for every subset U of v's earlier
+    vertices 0..k-1, given ``t[B]`` = kappa of G[B] for every such subset
+    (0 when G[B] is empty or disconnected, ``len(t)`` = 2**k) and the
+    neighbours ``row`` of v.
 
-    The subtrees avoiding v are those of g - v, so one :func:`_block_dp`
-    pass anchored at v adds the rest: its ``down[v]`` counts them by
-    order, and its ``full[u]`` those that also contain u.
+    A spanning tree of G[U + v] less v is one spanning tree per branch B
+    at v, each joined to v by one of its |B & row| edges.  So f[U] is the
+    sum, over the branches B of U through U's lowest vertex, of t[B] |B &
+    row| f[U - B], with f[0] = 1 (the tree of v alone): a walk over the
+    submasks of each U that hold its lowest vertex, 3**k / 2 steps of
+    integer arithmetic.
+    """
+    w = [x * (b & row).bit_count() for b, x in enumerate(t)]
+    f = [1] * len(t)
+    for u in range(1, len(t)):
+        low = u & -u
+        rest = u ^ low
+        s = rest
+        total = 0
+        while True:
+            total += w[low | s] * f[rest ^ s]
+            if not s:
+                break
+            s = (s - 1) & rest
+        f[u] = total
+    return f
+
+
+def subset_kappas(g: Graph) -> list[int]:
+    """The spanning trees of G[S] for every vertex subset S, indexed by
+    its mask: 0 when G[S] is empty or disconnected, 1 for one vertex.
+
+    The table starts as the empty set's 0, and vertex j's half, the sets
+    whose last vertex is j, is :func:`_layer` of the half before it; no
+    determinant is taken.
+    """
+    t = [0]
+    for j in range(g.n):
+        t += _layer(t, g.rows[j])
+    return t
+
+
+def census_from_parent(parent: SubtreeCensus, kappas: Sequence[int], g: Graph) -> SubtreeCensus:
+    """Census of g from ``parent``, the census of g - v for its last vertex
+    v, and ``kappas``, the :func:`subset_kappas` of g - v.
+
+    The subtrees avoiding v are those of g - v.  The rest are one for each
+    spanning tree of G[U + v], for every subset U of the other vertices,
+    and one :func:`_layer` of ``kappas`` at v counts them; each is added
+    to the counts of order |U| + 1 and to the vertex tables of v and U.
     """
     v = g.n - 1
     if parent.n != v:
         raise ValueError(f"the parent census has order {parent.n}, not {v}")
-    _, down, _, full = _block_dp(g.rows, v, tree=1 << v, outside=True)
+    if len(kappas) != 1 << v:
+        raise ValueError(f"the parent's subset kappas have {len(kappas)} entries, not {1 << v}")
+    f = _layer(kappas, g.rows[v])
     counts = [*parent.counts, 0]
-    for k, c in enumerate(down[v]):
-        if c:  # the polynomial carries zeros beyond order n
-            counts[k] += c
-    num, order_sum = _pair(down[v])
-    vertex_counts = (*parent.vertex_counts, 0)
-    vertex_order_sums = (*parent.vertex_order_sums, 0)
+    w = []  # w[U] = (|U| + 1) f[U]: the order sum of the subtrees spanning U + v
+    for u, x in enumerate(f):
+        k = u.bit_count() + 1
+        counts[k] += x
+        w.append(k * x)
+    num = sum(f)
+    order_sum = sum(w)
+    # a vertex u's subtrees through v: fold out the vertices above u, then
+    # sum the half of the table that holds u
+    vertex_counts = [num]
+    vertex_order_sums = [order_sum]
+    for u in reversed(range(v)):
+        half = 1 << u
+        vertex_counts.append(sum(f[half:]))
+        vertex_order_sums.append(sum(w[half:]))
+        f = list(map(add, f[:half], f[half:]))
+        w = list(map(add, w[:half], w[half:]))
     return SubtreeCensus(
         tuple(counts),
         parent.num_subtrees + num,
         parent.order_sum + order_sum,
-        tuple(a + fa for a, (fa, _) in zip(vertex_counts, full)),
-        tuple(s + fs for s, (_, fs) in zip(vertex_order_sums, full)),
+        tuple(map(add, (*parent.vertex_counts, 0), reversed(vertex_counts))),
+        tuple(map(add, (*parent.vertex_order_sums, 0), reversed(vertex_order_sums))),
     )
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .canon import MAX_CANON, _orbit_reps, canonical_form, certify
+from .canon import MAX_CANON, MAX_GENERATE, _orbit_reps, canonical_form, certify
 from .census import (
     LocalCensus,
     SubtreeCensus,
@@ -42,6 +42,7 @@ from .census import (
     census_from_parent,
     average_connected_set_size,
     local_census,
+    subset_kappas,
 )
 from .closedforms import (
     clique_subtree_count,
@@ -68,8 +69,9 @@ class CheckVerdict:
     ``runtime_ms`` is the check's wall time, rounded to 0.001 ms.  It is
     informational and outside the scan's byte-determinism contract.  When
     checks share a :class:`CheckContext`, the first check that needs a
-    shared result (the base census, the parent's census it derives from,
-    the local census or the certificate) is charged for building it.
+    shared result (the base census, the parent's census and subset table
+    it derives from, the local census or the certificate) is charged for
+    building it.
     """
 
     check: str
@@ -91,15 +93,18 @@ Outcome = tuple[str, dict, Fraction | None]
 class CheckContext:
     """What the checks of one connected graph share.
 
-    Building a context for a disconnected graph raises ``ValueError``.
+    Building a context for a disconnected graph raises ``ValueError``,
+    and so does one with a ``parent`` past :data:`MAX_GENERATE` vertices.
     The graph6 id, the base census, the canonical certificate with the
-    automorphisms its search found, and the local census (every edge and
-    cherry anchored census) are built on first use and at most once.
+    automorphisms its search found, the local census (every edge and
+    cherry anchored census) and ``kappas``, the :func:`subset_kappas`
+    table of every vertex subset, are built on first use and at most once.
     The base census is read off the local census when ``local`` is set
     (the checks need the local census) or that is built; else, when
     ``parent`` is the context of g minus its last vertex, it is
-    ``census_from_parent(parent.census, g)``, the parent censusing itself
-    once for all its children; else it is ``census(g)``.
+    ``census_from_parent(parent.census, parent.kappas, g)``, the parent
+    building its census and its 2**(n-1)-entry table once for all its
+    children; else it is ``census(g)``.
     ``memo`` maps a canonical certificate to a mean subtree order;
     neighbour graphs (g+e, g/e, g+matching) look their mean up there,
     so a memo that outlives the context (one per scan, or per scan worker)
@@ -117,6 +122,8 @@ class CheckContext:
     ):
         if not g.is_connected():
             raise ValueError("check requires a connected graph")
+        if parent is not None and g.n > MAX_GENERATE:
+            raise ValueError(f"a census from a parent needs at most {MAX_GENERATE} vertices, not {g.n}")
         self.g = g
         self.memo = {} if memo is None else memo
         self.local = local
@@ -125,6 +132,7 @@ class CheckContext:
         self._census: SubtreeCensus | None = None
         self._certified: tuple[bytes, list[tuple[int, ...]]] | None = None
         self._local: LocalCensus | None = None
+        self._kappas: list[int] | None = None
 
     def run(self, name: str, check: Callable[[CheckContext], Outcome]) -> CheckVerdict:
         """The verdict of ``check`` on this graph, named ``name`` and timed."""
@@ -145,10 +153,16 @@ class CheckContext:
             if self.local or self._local is not None:
                 self._census = self.local_census.census
             elif self.parent is not None:
-                self._census = census_from_parent(self.parent.census, self.g)
+                self._census = census_from_parent(self.parent.census, self.parent.kappas, self.g)
             else:
                 self._census = census(self.g)
         return self._census
+
+    @property
+    def kappas(self) -> list[int]:
+        if self._kappas is None:
+            self._kappas = subset_kappas(self.g)
+        return self._kappas
 
     @property
     def mean(self) -> Fraction:

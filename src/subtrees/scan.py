@@ -40,9 +40,13 @@ in one :class:`~subtrees.harness.CheckContext`, which computes the base
 census, certificate and anchored censuses at most once.  A parent unit
 gives each child's context a context of the parent, and the child's
 context chooses its census: off its local census when a check needs one,
-else from the parent's census, which is built once for all its children
-(a child's subtrees that avoid its new vertex are the parent's, so only
-those through the new vertex are enumerated).  A certificate-to-mean
+else from the parent's census and the parent's table of the spanning-tree
+counts of its vertex subsets, both built once for all its children.  A
+child's subtrees that avoid its new vertex are the parent's, and one
+exact layer over that table counts those through it, with no block DP
+and no determinant (:func:`~subtrees.census.census_from_parent`).  The
+table has 2**(n-1) entries, so a context takes a parent only up to
+:data:`~subtrees.canon.MAX_GENERATE` vertices.  A certificate-to-mean
 memo, cleared when a ``scan`` call starts (pool workers fork with it
 empty and each keeps its own), serves the means of neighbour graphs (g+e,
 g/e, g+matching), which in a universe scan recur across graphs.

@@ -48,6 +48,7 @@ from subtrees.census import (
     _shape_key,
     census_from_parent,
     local_census,
+    subset_kappas,
 )
 from subtrees.graphs import from_graph6, maximal_matchings_of_complement
 from conftest import (
@@ -1401,12 +1402,37 @@ def test_local_census_closed_forms_at_order_64():
     assert local.cherries[(4, 5, 6)] == census_containing(g, (4, 5, 6))
 
 
+def _induced(g: Graph, subset: int) -> Graph:
+    verts = _bits(subset)
+    pairs = combinations(enumerate(verts), 2)
+    return Graph.from_edges(len(verts), [(i, j) for (i, a), (j, b) in pairs if g.has_edge(a, b)])
+
+
+def test_subset_kappas_count_the_spanning_trees_of_every_induced_subgraph():
+    rng = random.Random(29)
+    graphs = [g for _, order in generated(1, 6) for g in order]
+    # three random graphs of each order 1..10, many disconnected at the
+    # lower densities
+    graphs += [random_graph(rng, 1 + i % 10, rng.choice((0.2, 0.4, 0.7))) for i in range(30)]
+    assert sum(not g.is_connected() for g in graphs) >= 5
+    for g in graphs:
+        table = subset_kappas(g)
+        assert len(table) == 1 << g.n
+        assert table[0] == 0
+        for s in range(1, 1 << g.n):
+            h = _induced(g, s)
+            # spanning_tree_count gives 0 on a disconnected graph
+            assert table[s] == spanning_tree_count(h), (g, s)
+            assert (table[s] > 0) == h.is_connected(), (g, s)
+
+
 def _assert_children_inherit_the_census(parents):
     for p in parents:
         base = census(p)
+        kappas = subset_kappas(p)
         for child in _children(p):
             # counts, totals and both vertex tables
-            assert census_from_parent(base, child) == census(child), child
+            assert census_from_parent(base, kappas, child) == census(child), child
 
 
 def test_census_from_parent_matches_the_census_of_every_child_to_order_7():
@@ -1433,9 +1459,16 @@ def test_census_from_parent_with_every_vertex_last():
             h = g.relabel(perm)
             keep = (1 << (h.n - 1)) - 1
             parent = Graph(h.n - 1, tuple(r & keep for r in h.rows[:-1]))
-            assert census_from_parent(census(parent), h) == census(h), (g, v)
+            assert census_from_parent(census(parent), subset_kappas(parent), h) == census(h), (g, v)
 
 
 def test_census_from_parent_wants_the_census_of_g_minus_its_last_vertex():
     with pytest.raises(ValueError, match="order 3, not 5"):
-        census_from_parent(census(path_graph(3)), path_graph(6))
+        census_from_parent(census(path_graph(3)), subset_kappas(path_graph(3)), path_graph(6))
+
+
+def test_census_from_parent_wants_a_subset_kappa_per_subset_of_the_parent():
+    parent = path_graph(5)
+    for kappas in (subset_kappas(path_graph(4)), subset_kappas(path_graph(6)), []):
+        with pytest.raises(ValueError, match=f"have {len(kappas)} entries, not 32"):
+            census_from_parent(census(parent), kappas, path_graph(6))

@@ -1,5 +1,6 @@
 """Check battery semantics on small, hand-verifiable graphs."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,21 @@ def test_checks_reject_disconnected():
         classify_edge_additions(g)
 
 
+def test_a_parent_context_past_the_generation_cap_is_refused():
+    # a child of MAX_GENERATE + 1 vertices would need its parent's table of
+    # 2**MAX_GENERATE subset kappas: refused when the context is made
+    from subtrees.canon import MAX_GENERATE
+
+    n = MAX_GENERATE + 1
+    parent = CheckContext(clique(n - 1))
+    with pytest.raises(ValueError, match=f"at most {MAX_GENERATE} vertices, not {n}"):
+        CheckContext(clique(n), parent=parent)
+    # at the cap, and without a parent past it, a context is made
+    child = CheckContext(clique(n - 1), parent=CheckContext(clique(n - 2)))
+    assert child.census == census(clique(n - 1))
+    assert CheckContext(clique(n)).census == census(clique(n))
+
+
 # -- the shared check context ---------------------------------------------------
 
 
@@ -366,17 +382,20 @@ def test_edge_and_cherry_means_from_local_census_match_anchored_census():
                 assert totals == census_containing(g, (a, m, b)), (g, a, m, b)
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, name: str, owner=None) -> list:
+    """The argument tuples of every call of ``owner.name`` from now on;
+    ``owner`` defaults to the harness module."""
     import subtrees.harness as harness
 
+    owner = harness if owner is None else owner
     calls = []
-    original = getattr(harness, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(harness, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -400,16 +419,39 @@ def test_a_child_context_inherits_its_census_through_a_parent_context(monkeypatc
     from subtrees.canon import _children
 
     censused = _count_calls(monkeypatch, "census")
+    tabled = _count_calls(monkeypatch, "subset_kappas")
+    # the package re-exports the function `census` under its submodule's
+    # name, so the module is reached through sys.modules
+    module = sys.modules["subtrees.census"]
+    kernels = [_count_calls(monkeypatch, name, module) for name in ("_det_bareiss", "_adjugate")]
+    grown = _count_calls(monkeypatch, "_connected_sets", module)
     for _, parents in generated(1, 6):
         for p in parents:
             children = list(_children(p))
+            wants = [census(child) for child in children]
             parent = CheckContext(p)
-            for child in children:
+            for child, want in zip(children, wants):
                 # counts, totals and both vertex tables
-                assert CheckContext(child, parent=parent).census == census(child), child
-            # the parent censuses itself once, for the first child that asks
+                assert CheckContext(child, parent=parent).census == want, child
+            # the parent censuses itself and builds its subset table once,
+            # for the first child that asks
             assert censused == ([(p,)] if children else []), p
+            assert tabled == ([(p,)] if children else []), p
             censused.clear()
+            tabled.clear()
+            # once the parent's census exists, a child's census is the
+            # parent's table and one layer through the new vertex: no
+            # determinant, no adjugate, no connected set grown
+            parent = CheckContext(p)
+            assert parent.census == census(p)
+            for calls in (*kernels, grown):
+                calls.clear()
+            for child, want in zip(children, wants):
+                assert CheckContext(child, parent=parent).census == want, child
+            assert kernels == [[], []] and grown == [], p
+            assert tabled == ([(p,)] if children else []), p
+            censused.clear()
+            tabled.clear()
             # a local context reads its census off its local census, so the
             # parent's census is never built
             parent = CheckContext(p)
