@@ -41,7 +41,6 @@ from .census import (
     census_containing,
     mean_subtree_order,
     mean_subtree_order_at_tree,
-    mean_subtree_order_at_vertex,
     spanning_fraction,
     spanning_tree_count,
 )

@@ -63,14 +63,14 @@ spanning tree of G[V] for one connected vertex set V; it serves anchored
 trees of order 4 or more, single-vertex, single-edge and single-tree
 queries, and the tests as the oracle of :func:`local_census`.
 
-:func:`census_from_parent` builds the census of g from that of g - v,
-for g's last vertex v: the subtrees of g that avoid v are those of
-g - v.  Those through v are counted without a block DP, from the table
-:func:`subset_kappas` of g - v, kappa of every vertex subset.  Deleting
-v from a spanning tree of G[U + v] leaves one spanning tree per branch,
-each joined to v by one of its edges to v, so kappa(G[U + v]) for every
-U is one exact sum over the splits of U into branches (:func:`_layer`),
-and the table itself is built a vertex at a time by the same sum.
+:func:`census_from_parent` builds the census of g, for g's last vertex
+v, from the table :func:`subset_kappas` of g - v, kappa of every vertex
+subset, without a block DP.  Deleting v from a spanning tree of G[U + v]
+leaves one spanning tree per branch, each joined to v by one of its
+edges to v, so kappa(G[U + v]) for every U is one exact sum over the
+splits of U into branches (:func:`_layer`).  That completes g's own
+table, which holds every count the census sums, and the table itself is
+built a vertex at a time by the same sum.
 
 The tests keep the independent slow oracles: a walk that lists subtrees
 one by one as growing edge sets, sharing no counting machinery with
@@ -882,45 +882,40 @@ def subset_kappas(g: Graph) -> list[int]:
     return t
 
 
-def census_from_parent(parent: SubtreeCensus, kappas: Sequence[int], g: Graph) -> SubtreeCensus:
-    """Census of g from ``parent``, the census of g - v for its last vertex
-    v, and ``kappas``, the :func:`subset_kappas` of g - v.
+def census_from_parent(kappas: Sequence[int], g: Graph) -> SubtreeCensus:
+    """Census of g from ``kappas``, the :func:`subset_kappas` of g - v for
+    g's last vertex v.
 
-    The subtrees avoiding v are those of g - v.  The rest are one for each
-    spanning tree of G[U + v], for every subset U of the other vertices,
-    and one :func:`_layer` of ``kappas`` at v counts them; each is added
-    to the counts of order |U| + 1 and to the vertex tables of v and U.
+    One :func:`_layer` of ``kappas`` at v completes g's own table, kappa
+    of every vertex subset U of g, and each subset adds its entry to the
+    counts of order |U|: the subtrees spanning U.
     """
     v = g.n - 1
-    if parent.n != v:
-        raise ValueError(f"the parent census has order {parent.n}, not {v}")
     if len(kappas) != 1 << v:
         raise ValueError(f"the parent's subset kappas have {len(kappas)} entries, not {1 << v}")
-    f = _layer(kappas, g.rows[v])
-    counts = [*parent.counts, 0]
-    w = []  # w[U] = (|U| + 1) f[U]: the order sum of the subtrees spanning U + v
-    for u, x in enumerate(f):
-        k = u.bit_count() + 1
+    t = [*kappas, *_layer(kappas, g.rows[v])]
+    counts = [0] * (g.n + 1)
+    w = []  # w[U] = |U| t[U]: the order sum of the subtrees spanning U
+    for u, x in enumerate(t):
+        k = u.bit_count()
         counts[k] += x
         w.append(k * x)
-    num = sum(f)
-    order_sum = sum(w)
-    # a vertex u's subtrees through v: fold out the vertices above u, then
-    # sum the half of the table that holds u
-    vertex_counts = [num]
-    vertex_order_sums = [order_sum]
-    for u in reversed(range(v)):
+    # a vertex u's subtrees: fold out the vertices above u, then sum the
+    # half of the table that holds u
+    vertex_counts = []
+    vertex_order_sums = []
+    for u in reversed(range(g.n)):
         half = 1 << u
-        vertex_counts.append(sum(f[half:]))
+        vertex_counts.append(sum(t[half:]))
         vertex_order_sums.append(sum(w[half:]))
-        f = list(map(add, f[:half], f[half:]))
+        t = list(map(add, t[:half], t[half:]))
         w = list(map(add, w[:half], w[half:]))
     return SubtreeCensus(
         tuple(counts),
-        parent.num_subtrees + num,
-        parent.order_sum + order_sum,
-        tuple(map(add, (*parent.vertex_counts, 0), reversed(vertex_counts))),
-        tuple(map(add, (*parent.vertex_order_sums, 0), reversed(vertex_order_sums))),
+        sum(counts),
+        sum(k * c for k, c in enumerate(counts)),
+        tuple(reversed(vertex_counts)),
+        tuple(reversed(vertex_order_sums)),
     )
 
 
@@ -1004,10 +999,6 @@ def mean_subtree_order(g: Graph) -> Fraction:
     _require_connected(g)
     c = census(g)
     return c.mean
-
-
-def mean_subtree_order_at_vertex(g: Graph, v: int) -> Fraction:
-    return mean_subtree_order_at_tree(g, [v])
 
 
 def mean_subtree_order_at_tree(g: Graph, vertices: Iterable[int]) -> Fraction:

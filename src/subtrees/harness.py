@@ -69,9 +69,8 @@ class CheckVerdict:
     ``runtime_ms`` is the check's wall time, rounded to 0.001 ms.  It is
     informational and outside the scan's byte-determinism contract.  When
     checks share a :class:`CheckContext`, the first check that needs a
-    shared result (the base census, the parent's census and subset table
-    it derives from, the local census or the certificate) is charged for
-    building it.
+    shared result (the base census, the parent's subset table it derives
+    from, the local census or the certificate) is charged for building it.
     """
 
     check: str
@@ -94,17 +93,17 @@ class CheckContext:
     """What the checks of one connected graph share.
 
     Building a context for a disconnected graph raises ``ValueError``,
-    and so does one with a ``parent`` past :data:`MAX_GENERATE` vertices.
+    and so does one with a ``parent`` past :data:`MAX_GENERATE` vertices
+    or a ``parent`` that is not the context of g minus its last vertex.
     The graph6 id, the base census, the canonical certificate with the
     automorphisms its search found, the local census (every edge and
     cherry anchored census) and ``kappas``, the :func:`subset_kappas`
     table of every vertex subset, are built on first use and at most once.
     The base census is read off the local census when ``local`` is set
-    (the checks need the local census) or that is built; else, when
-    ``parent`` is the context of g minus its last vertex, it is
-    ``census_from_parent(parent.census, parent.kappas, g)``, the parent
-    building its census and its 2**(n-1)-entry table once for all its
-    children; else it is ``census(g)``.
+    (the checks need the local census) or that is built; else, with a
+    ``parent``, it is ``census_from_parent(parent.kappas, g)``, the parent
+    building its 2**(n-1)-entry table once for all its children and no
+    census of its own; else it is ``census(g)``.
     ``memo`` maps a canonical certificate to a mean subtree order;
     neighbour graphs (g+e, g/e, g+matching) look their mean up there,
     so a memo that outlives the context (one per scan, or per scan worker)
@@ -122,8 +121,12 @@ class CheckContext:
     ):
         if not g.is_connected():
             raise ValueError("check requires a connected graph")
-        if parent is not None and g.n > MAX_GENERATE:
-            raise ValueError(f"a census from a parent needs at most {MAX_GENERATE} vertices, not {g.n}")
+        if parent is not None:
+            if g.n > MAX_GENERATE:
+                raise ValueError(f"a census from a parent needs at most {MAX_GENERATE} vertices, not {g.n}")
+            mask = (1 << (g.n - 1)) - 1
+            if parent.g != Graph(g.n - 1, tuple(r & mask for r in g.rows[:-1])):
+                raise ValueError("the parent context is not of g minus its last vertex")
         self.g = g
         self.memo = {} if memo is None else memo
         self.local = local
@@ -153,7 +156,7 @@ class CheckContext:
             if self.local or self._local is not None:
                 self._census = self.local_census.census
             elif self.parent is not None:
-                self._census = census_from_parent(self.parent.census, self.parent.kappas, self.g)
+                self._census = census_from_parent(self.parent.kappas, self.g)
             else:
                 self._census = census(self.g)
         return self._census

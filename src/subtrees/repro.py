@@ -134,7 +134,8 @@ def repro_join_deletion_10_9() -> tuple[bool, list[str]]:
 
 def repro_ratio_chain_n8() -> tuple[bool, list[str]]:
     """Exhaustive ratio-chain battery over all connected graphs of order <= 8,
-    walked as ``scan --n`` walks them: each child inherits its parent's census."""
+    walked as ``scan --n`` walks them: each child's census is read off its
+    parent's subset-kappa table."""
     ok = True
     lines = []
     for n in range(1, 9):

@@ -429,35 +429,37 @@ def test_a_child_context_inherits_its_census_through_a_parent_context(monkeypatc
         for p in parents:
             children = list(_children(p))
             wants = [census(child) for child in children]
+            for calls in (censused, *kernels, grown):
+                calls.clear()
             parent = CheckContext(p)
             for child, want in zip(children, wants):
                 # counts, totals and both vertex tables
                 assert CheckContext(child, parent=parent).census == want, child
-            # the parent censuses itself and builds its subset table once,
-            # for the first child that asks
-            assert censused == ([(p,)] if children else []), p
-            assert tabled == ([(p,)] if children else []), p
-            censused.clear()
-            tabled.clear()
-            # once the parent's census exists, a child's census is the
-            # parent's table and one layer through the new vertex: no
+            # the parent builds its subset table once, for the first child
+            # that asks, and takes no census; a child's census is that table
+            # and one layer through the new vertex: no census, no
             # determinant, no adjugate, no connected set grown
-            parent = CheckContext(p)
-            assert parent.census == census(p)
-            for calls in (*kernels, grown):
-                calls.clear()
-            for child, want in zip(children, wants):
-                assert CheckContext(child, parent=parent).census == want, child
-            assert kernels == [[], []] and grown == [], p
             assert tabled == ([(p,)] if children else []), p
-            censused.clear()
+            assert censused == [] and kernels == [[], []] and grown == [], p
             tabled.clear()
             # a local context reads its census off its local census, so the
-            # parent's census is never built
+            # parent's table is never built
             parent = CheckContext(p)
             for child in children:
                 assert CheckContext(child, local=True, parent=parent).census == census(child), child
-            assert censused == [], p
+            assert censused == [] and tabled == [], p
+
+
+def test_a_context_refuses_a_parent_that_is_not_g_minus_its_last_vertex():
+    # the path of order 6 less its last vertex is the path of order 5; a
+    # star parent would have given it the mean 91/30 instead of 8/3
+    with pytest.raises(ValueError, match="not of g minus its last vertex"):
+        CheckContext(path_graph(6), parent=CheckContext(star_graph(5)))
+    for order in (4, 6):
+        with pytest.raises(ValueError, match="not of g minus its last vertex"):
+            CheckContext(path_graph(6), parent=CheckContext(path_graph(order)))
+    ctx = CheckContext(path_graph(6), parent=CheckContext(path_graph(5)))
+    assert ctx.mean == Fraction(8, 3)
 
 
 def test_scan_with_a_local_check_takes_the_base_census_from_the_local_census(monkeypatch):

@@ -345,16 +345,17 @@ def test_scan_n_equals_a_scan_of_generate_n(tmp_path, capsys, n, jobs):
         assert read_jsonl_no_runtime(by_n) == read_jsonl_no_runtime(by_lines)
 
 
-@pytest.mark.parametrize("checks, parent_censuses", [(["min-path", "ratio-chain"], 21), (["local-global"], 0)])
-def test_scan_n_censuses_each_parent_once(tmp_path, monkeypatch, checks, parent_censuses):
-    # without a local check each of the 21 order-5 parents is censused once
-    # and no child is; with one, every base census is read off a local census
+@pytest.mark.parametrize("checks", [["min-path", "ratio-chain"], ["local-global"]])
+def test_scan_n_censuses_no_parent_and_no_child(tmp_path, monkeypatch, checks):
+    # without a local check each child's census is read off its order-5
+    # parent's subset-kappa table, and the parent takes no census; with one,
+    # every base census is read off a local census
     calls = []
     harness_module = sys.modules["subtrees.harness"]
     monkeypatch.setattr(harness_module, "census", lambda g, f=harness_module.census: calls.append(g.n) or f(g))
     state = scan(6, checks, str(tmp_path / "out.jsonl"))
     assert state.consumed == 112
-    assert calls == [5] * parent_censuses
+    assert calls == []
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
